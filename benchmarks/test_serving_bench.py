@@ -8,8 +8,8 @@ built for.  Three strategies serve the same stream:
 * **eager** — one autodiff-engine forward per request (the seed path);
 * **plan** — one compiled-:class:`repro.serve.Plan` replay per request
   (no graph, no allocations, still batch size 1);
-* **plan+batching** — requests coalesced by the
-  :class:`~repro.serve.InferenceServer` into padded buckets of up to 8.
+* **plan+batching** — requests coalesced by a one-model, one-tenant
+  :class:`~repro.serve.FleetServer` into padded buckets of up to 8.
 
 Asserts the acceptance bar — plan+batching at least 3x the eager
 throughput — and the arena contract: zero new serving allocations after
@@ -26,10 +26,9 @@ import pytest
 
 from repro import nn, profiler
 from repro.core.model import MultiViewGRUClassifier
-from repro.faults import FaultInjector, FaultSpec
+from repro.faults import FaultInjector, FaultSpec, SimulatedClock
 from repro.serve import (
     FleetServer,
-    InferenceServer,
     ModelRegistry,
     OpenLoopTraffic,
     TenantConfig,
@@ -38,11 +37,7 @@ from repro.serve import (
     compile_plan,
     run_soak,
 )
-from repro.serve.server import (
-    MultiViewCollator,
-    SimulatedClock,
-    VectorCollator,
-)
+from repro.serve.server import MultiViewCollator, VectorCollator
 from repro.tensor import Tensor, no_grad
 
 RESULTS_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_serving.json"
@@ -115,6 +110,26 @@ def _record(name, total, latencies):
     }
 
 
+def _batcher(model, collator, example):
+    """A one-tenant fleet over a frozen one-model registry.
+
+    Freezing warms every batch-size trace of ``example``'s bucket, so
+    serving the stream never compiles.
+    """
+    registry = ModelRegistry()
+    registry.register("deepmood", model, collator, [example],
+                      max_batch=MAX_BATCH)
+    registry.freeze()
+    return FleetServer(registry, [TenantConfig("stream")], max_wait_ms=2.0)
+
+
+def _serve(fleet, requests):
+    tickets = [fleet.submit("stream", views, model="deepmood")
+               for views in requests]
+    fleet.flush()
+    return tickets
+
+
 def _best_pass(serve_stream):
     """Run the stream REPS times; keep the fastest pass's numbers."""
     best_total, best_latencies = float("inf"), None
@@ -159,15 +174,11 @@ def test_serving_strategies(workload):
     _record("plan", plan_total, plan_latencies)
 
     # -- plan + dynamic batching ---------------------------------------
-    batched_plan = compile_plan(model, collator.collate(
-        [requests[0]] * MAX_BATCH, MAX_BATCH))
+    fleet = _batcher(model, collator, requests[0])
 
     def batched_stream():
-        server = InferenceServer(batched_plan, collator,
-                                 max_batch_size=MAX_BATCH, max_wait_ms=2.0)
         start = time.perf_counter()
-        tickets = [server.submit(views) for views in requests]
-        server.flush()
+        tickets = _serve(fleet, requests)
         total = time.perf_counter() - start
         assert all(t.done and not t.failed for t in tickets)
         return total, [t.latency for t in tickets]
@@ -189,18 +200,12 @@ def test_serving_strategies(workload):
 def test_no_serving_allocations_after_warmup(workload):
     model, requests = workload
     collator = MultiViewCollator(VIEW_DIMS, max_length=8)
-    plan = compile_plan(model, collator.collate(
-        [requests[0]] * MAX_BATCH, MAX_BATCH))
-    server = InferenceServer(plan, collator, max_batch_size=MAX_BATCH,
-                             max_wait_ms=2.0)
-    # Warm-up: trace every bucket shape the stream will produce.
-    for views in requests[:MAX_BATCH]:
-        server.submit(views)
-    server.flush()
+    # Warm-up: the registry freeze traces every bucket shape the stream
+    # will produce.
+    fleet = _batcher(model, collator, requests[0])
     profiler.reset()
     with profiler.profile():
-        tickets = [server.submit(views) for views in requests]
-        server.flush()
+        tickets = _serve(fleet, requests)
     stats = profiler.get_stats()
     profiler.reset()
     assert all(t.done and not t.failed for t in tickets)

@@ -162,9 +162,9 @@ def fleet_soak(mutant=None):
     def scenario(log, perturbation):
         del perturbation  # arrival schedule is canonical; axes: clock+global
         from ... import nn
-        from ...faults import FaultInjector, FaultSpec
+        from ...faults import FaultInjector, FaultSpec, SimulatedClock
         from ...serve import FleetServer, ModelRegistry, TenantConfig
-        from ...serve.server import SimulatedClock, VectorCollator
+        from ...serve.server import VectorCollator
         from ...serve.traffic import (OpenLoopTraffic, TenantLoad,
                                       TrafficSpec, run_soak)
 

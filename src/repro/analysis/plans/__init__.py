@@ -25,7 +25,7 @@ spends the result:
 * :mod:`repro.analysis.plans.concurrency` — a happens-before model of
   :class:`~repro.train.parallel.ParallelTrainer`'s shared-memory
   protocol (race detection over param/grad segments) and a dynamic
-  per-ticket isolation check for the batching ``InferenceServer``;
+  per-ticket isolation check for the batching ``FleetServer``;
 * :mod:`repro.analysis.plans.coverage` — cross-checks the serve/train
   plan-rule registries against the shapes registry, so a new layer
   without rules fails ``make check``;

@@ -17,11 +17,11 @@ layout against live numpy arrays shaped like the real slabs (row
 disjointness and coverage via byte bounds), so the model cannot drift
 from the code.
 
-:func:`audit_server_isolation` is dynamic: it drives a real batching
-:class:`~repro.serve.server.InferenceServer` over a compiled plan and
-verifies each ticket's result is numerically correct and owns its
-memory — no aliasing with other tickets or with the plan's reused
-output buffer.
+:func:`audit_server_isolation` is dynamic: it drives the serving
+runtime, a :class:`~repro.serve.fleet.FleetServer` over a frozen,
+slot-colored registry, and verifies each ticket's result is numerically
+correct and owns its memory — no aliasing with other tickets or with
+any warm trace's reused output buffer.
 """
 
 from __future__ import annotations
@@ -235,32 +235,40 @@ def audit_parallel_trainer(workers=3, flat_size=17, itemsize=8, case=None):
 
 
 def audit_server_isolation(case=None):
-    """Drive a real batching server; check per-ticket memory isolation.
+    """Drive the serving fleet; check per-ticket memory isolation.
 
-    Submits more vectors than one batch holds (so both the batch-full
-    and flush paths run), then verifies every ticket's result row is
-    numerically correct and shares no memory with any other ticket's
-    result or with the plan's internal output buffer, which the server
-    reads via ``run(copy=False)``.
+    A one-model, one-tenant registry is frozen, so its traces are
+    audited and slot-colored over the shared arena pool.  More vectors
+    than one batch holds are then submitted (so both the batch-full and
+    the deadline flush run, at two batch sizes), and every ticket's
+    result row must be numerically correct and share no memory with any
+    other ticket's result or with the output buffer of any warm trace:
+    the fleet reads each replay via ``run(copy=False)``, and pooled
+    traces lease the same arena slabs.
     """
     from ... import nn
-    from ...serve.plan import Plan, _call_eager, _strip_output
-    from ...serve.server import InferenceServer, SimulatedClock, VectorCollator
+    from ...faults import SimulatedClock
+    from ...serve.fleet import FleetServer, ModelRegistry, TenantConfig
+    from ...serve.plan import _call_eager, _strip_output
+    from ...serve.server import VectorCollator
 
     case = case or "server-isolation"
     rng = np.random.default_rng(7)
     model = nn.Sequential(nn.Linear(6, 4, rng=rng), nn.Tanh())
     model.train(False)
-    plan = Plan(model)
+    registry = ModelRegistry()
+    entry = registry.register("model", model, VectorCollator(),
+                              [np.zeros(6)], max_batch=4)
+    registry.freeze()
     clock = SimulatedClock()
-    server = InferenceServer(plan, VectorCollator(), max_batch_size=4,
-                             max_wait_ms=1.0, clock=clock)
+    fleet = FleetServer(registry, [TenantConfig("tenant")], clock=clock,
+                        max_wait_ms=1.0)
 
     payloads = [rng.standard_normal(6) for _ in range(9)]
-    tickets = [server.submit(p) for p in payloads]
+    tickets = [fleet.submit("tenant", p, model="model") for p in payloads]
     clock.advance(0.01)
-    server.poll()
-    server.flush()
+    fleet.poll()
+    fleet.flush()
 
     violations = []
     results = []
@@ -272,7 +280,7 @@ def audit_server_isolation(case=None):
             continue
         results.append((index, ticket.result()))
 
-    trace = plan._traces[next(iter(plan._traces))] if plan._traces else None
+    outputs = [trace.output for trace in entry.plan._traces.values()]
     for index, row in results:
         expected = _strip_output(
             _call_eager(model, payloads[index][None, :]))[0]
@@ -283,10 +291,10 @@ def audit_server_isolation(case=None):
                     index),
                 case=case,
             ))
-        if trace is not None and np.shares_memory(row, trace.output):
+        if any(np.shares_memory(row, output) for output in outputs):
             violations.append(Violation(
                 "isolation",
-                "ticket {} result aliases the plan's reused output "
+                "ticket {} result aliases a warm trace's reused output "
                 "buffer".format(index),
                 case=case,
             ))

@@ -2,7 +2,8 @@
 
 * :mod:`repro.faults.injector` — seeded, stateless fault oracles
   (dropout, stragglers, upload loss, corruption, staleness, link
-  windows) plus the simulated clock;
+  windows) plus the simulated clock, which the serving fleet also runs
+  on;
 * :mod:`repro.faults.link` — a :class:`FaultyLink` wrapper with
   availability windows;
 * :mod:`repro.faults.chaos` — random-but-seeded fault schedules for the

@@ -82,7 +82,12 @@ class FaultSpec:
 
 
 class SimulatedClock:
-    """Monotonic simulated time; the robustness layer never reads wall time."""
+    """Monotonic simulated time; the robustness layer never reads wall time.
+
+    Calling the clock returns ``now``, so it drops in wherever a
+    zero-argument time source such as ``time.monotonic`` is expected
+    (the serving fleet, its token buckets).
+    """
 
     def __init__(self, start=0.0):
         self.now = float(start)
@@ -91,6 +96,9 @@ class SimulatedClock:
         if seconds < 0:
             raise ValueError("cannot advance the clock backwards")
         self.now += float(seconds)
+        return self.now
+
+    def __call__(self):
         return self.now
 
 

@@ -13,12 +13,14 @@ inference-only path:
 * :class:`BufferArena` / :class:`ArenaPool` — the preallocated
   intermediate storage plans replay into, shareable across models
   (:mod:`repro.serve.arena`);
-* :class:`InferenceServer` — dynamic request batching with
-  latency/throughput policy knobs (:mod:`repro.serve.server`);
-* :class:`FleetServer` / :class:`ModelRegistry` — multi-tenant,
-  multi-model serving with admission control, priority scheduling,
-  SLO-aware batch sizing, and the early-exit speculative cascade
-  (:mod:`repro.serve.fleet`);
+* :class:`FleetServer` / :class:`ModelRegistry` — the serving runtime:
+  dynamic request batching with latency/throughput policy knobs, grown
+  to multi-tenant, multi-model serving with admission control, priority
+  scheduling, SLO-aware batch sizing, and the early-exit speculative
+  cascade (:mod:`repro.serve.fleet`); a one-model, one-tenant registry
+  is the plain batcher;
+* the request collators that validate, bucket and pad requests into
+  plan inputs (:mod:`repro.serve.server`);
 * :class:`OpenLoopTraffic` / :func:`run_soak` — seeded open-loop load
   generation and the deterministic soak harness
   (:mod:`repro.serve.traffic`).
@@ -33,7 +35,6 @@ from .plan import (
     compile_plan,
     register_plan_rule,
 )
-from .server import InferenceServer, Request, SimulatedClock
 from .fleet import (
     AdmissionError,
     CascadeRoute,
@@ -64,9 +65,6 @@ __all__ = [
     "UnsupportedModuleError",
     "compile_plan",
     "register_plan_rule",
-    "InferenceServer",
-    "Request",
-    "SimulatedClock",
     "AdmissionError",
     "CascadeRoute",
     "FleetServer",

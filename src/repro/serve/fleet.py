@@ -1,9 +1,16 @@
 """Multi-tenant, multi-model, SLO-aware serving fleet.
 
 The paper's premise is serving deep models to large mobile user
-populations under tight latency and resource budgets.  PR 5's
-:class:`~repro.serve.server.InferenceServer` serves *one* frozen model;
-this module grows it into a fleet:
+populations under tight latency and resource budgets.  Single requests
+arrive at arbitrary times, but a compiled plan is most efficient on
+batches, so :class:`FleetServer` coalesces them: requests are grouped
+into *buckets* by their model's collator (:mod:`repro.serve.server`),
+padded to a small set of batch sizes, and replayed through one frozen
+:class:`~repro.serve.plan.Plan`.  A bucket flushes as soon as it fills
+its target batch (throughput bound) or once its oldest request has
+waited ``max_wait_ms`` (latency bound).  A one-model, one-tenant
+registry with no SLO is exactly that dynamic batcher; the rest of the
+module grows it into a fleet:
 
 * :class:`ModelRegistry` — hosts multiple compiled plans.  At
   :meth:`~ModelRegistry.freeze` every (model, batch-size) trace is
@@ -29,9 +36,19 @@ this module grows it into a fleet:
   (:func:`repro.inference.earlyexit.exit_gate`) fires, wiring in the
   paper's distributed-DNN early-exit machinery as the gate.
 
-Time is injectable (``clock=SimulatedClock()``); with a
-``service_model`` the fleet charges deterministic simulated service
-time per batch, which is what the soak test replays.
+**Fault isolation**: a failing request must not poison its batchmates.
+Malformed payloads are rejected at submit time with the collator's
+error on that ticket alone; if a *batched* replay raises, the server
+falls back to running each request alone (counted under the
+``serve.batch_fallback`` profiler event) so only the genuinely bad
+request fails; and every output row is checked for NaN/Inf, so numeric
+corruption in one row raises
+:class:`~repro.analysis.sanitize.NumericError` on that ticket only.
+
+Time is injectable (``clock=SimulatedClock()``, from
+:mod:`repro.faults`); with a ``service_model`` the fleet charges
+deterministic simulated service time per batch, which is what the soak
+test replays.
 """
 
 from __future__ import annotations
@@ -48,7 +65,7 @@ from ..analysis.sanitize import NumericError
 from ..inference.earlyexit import exit_gate
 from .arena import ArenaPool, BufferArena
 from .plan import Plan, _signature, _to_arrays
-from .server import Request, _bucket_size
+from .server import _bucket_size
 
 __all__ = [
     "AdmissionError",
@@ -156,12 +173,11 @@ def slo_batch_size(max_batch, queue_delay_s, slo_s, estimate):
     """
     if max_batch < 1:
         raise ValueError("max_batch must be >= 1")
-    ceiling = _bucket_size(max_batch, max_batch)
     if slo_s is None or not math.isfinite(slo_s):
-        return ceiling
+        return max_batch
     best = 1
     size = 1
-    while size <= ceiling:
+    while size <= max_batch:
         if queue_delay_s + float(estimate(size)) <= slo_s:
             best = size
         size *= 2
@@ -220,12 +236,11 @@ class _ModelEntry:
         self.plan = plan
         self.collator = collator
         self.max_batch = max_batch
-        sizes = []
-        size = 1
-        while size <= _bucket_size(max_batch, max_batch):
-            sizes.append(size)
-            size *= 2
-        self.batch_sizes = tuple(sizes)
+        # Every size a dispatch of 1..max_batch tickets pads to: the
+        # powers of two below max_batch, and max_batch itself.
+        self.batch_sizes = tuple(sorted({
+            _bucket_size(count, max_batch)
+            for count in range(1, max_batch + 1)}))
         self.examples = examples
         self.estimator = ServiceEstimator()
         self.signatures = set()
@@ -264,7 +279,7 @@ class ModelRegistry:
     ``register`` accepts a module (compiled here) or a prebuilt
     :class:`~repro.serve.plan.Plan` together with its collator and one
     example payload per bucket shape the fleet must serve.  ``freeze``
-    then warms every (example bucket, power-of-two batch size) trace,
+    then warms every (example bucket, dispatch batch size) trace,
     audits each trace's buffer IR (write-before-read, aliasing, dead
     buffers), and applies verified slot coloring over the shared
     :class:`~repro.serve.arena.ArenaPool`.  After freeze the registry
@@ -277,18 +292,17 @@ class ModelRegistry:
         self.routes = {}
         self.frozen = False
 
-    def register(self, name, model, collator, examples, max_batch=8,
-                 hints=None, sparse_threshold=0.5):
-        """Add a model under ``name``; not servable until :meth:`freeze`."""
+    def register(self, name, model, collator, examples, max_batch=8):
+        """Add a model under ``name``; not servable until :meth:`freeze`.
+
+        Compressed models arrive as prebuilt plans (e.g. from
+        :meth:`~repro.compression.DeepCompressionPipeline.serving_plan`).
+        """
         if self.frozen:
             raise RuntimeError("registry is frozen; register before freeze")
         if name in self.entries:
             raise ValueError("model {!r} is already registered".format(name))
-        if isinstance(model, Plan):
-            plan = model
-        else:
-            plan = Plan(model, hints=hints,
-                        sparse_threshold=sparse_threshold)
+        plan = model if isinstance(model, Plan) else Plan(model)
         validated = [collator.validate(example) for example in examples]
         if not validated:
             raise ValueError("at least one example payload is required")
@@ -315,7 +329,7 @@ class ModelRegistry:
             for size in entry.batch_sizes:
                 yield entry.collator.collate([example] * size, size)
 
-    def freeze(self, color=True, min_reduction=None):
+    def freeze(self, color=True):
         """Warm, audit, color, and seal every registered plan.
 
         Two passes: the first extracts every trace's IR (raising
@@ -354,13 +368,6 @@ class ModelRegistry:
                 entry.plan, values, ir,
                 arena_factory=lambda sp: BufferArena(slot_plan=sp,
                                                      pool=self.pool))
-            # Note: with a shared pool a small trace leases slabs sized
-            # for the largest fleet member, so per-trace "reduction" can
-            # go negative; only gate on it when explicitly asked.
-            if min_reduction is not None and report.reduction < min_reduction:
-                raise RegistryAuditError(
-                    "coloring {} freed only {:.1%}".format(
-                        report.label, report.reduction))
             reports.setdefault(entry.name, []).append(report)
             entry.report = reports[entry.name]
         self.pool.freeze()
@@ -386,14 +393,26 @@ class ModelRegistry:
 # ----------------------------------------------------------------------
 # Tickets and the fleet server
 # ----------------------------------------------------------------------
-class FleetTicket(Request):
-    """A :class:`~repro.serve.server.Request` with fleet routing state."""
+class FleetTicket:
+    """Ticket for one submitted request; resolved when its batch runs.
 
-    __slots__ = ("tenant", "model", "route", "escalated", "seq",
+    Besides the outcome it carries the fleet's routing state: the
+    tenant, the model currently serving it, its cascade ``route`` (if
+    any) and whether it ``escalated``, its arrival ``seq``, and the
+    ``batch``/``slot`` that answered it.
+    """
+
+    __slots__ = ("payload", "submitted_at", "done", "_result", "_error",
+                 "latency", "tenant", "model", "route", "escalated", "seq",
                  "batch", "slot")
 
     def __init__(self, payload, submitted_at, tenant, model, route=None):
-        super().__init__(payload, submitted_at)
+        self.payload = payload
+        self.submitted_at = submitted_at
+        self.done = False
+        self._result = None
+        self._error = None
+        self.latency = None
         self.tenant = tenant
         self.model = model
         self.route = route
@@ -402,9 +421,35 @@ class FleetTicket(Request):
         self.batch = None
         self.slot = None
 
+    def result(self):
+        """Return the output row, or raise the error this request hit."""
+        if not self.done:
+            raise RuntimeError(
+                "request not completed yet; call fleet.flush() or poll()")
+        if self._error is not None:
+            raise self._error
+        return self._result
+
+    @property
+    def failed(self):
+        return self.done and self._error is not None
+
     @property
     def rejected(self):
         return self.done and isinstance(self._error, AdmissionError)
+
+    def _resolve(self, result, error, now):
+        if self.done:
+            # Conservation invariant: every ticket resolves exactly once
+            # (result, error, or rejection).  A second resolution means a
+            # scheduling bug — double dispatch, or a cascade escalation
+            # racing its own fast answer — and must never be silent.
+            raise RuntimeError("request ticket was already resolved")
+        self._result = result
+        self._error = error
+        self.done = True
+        self.latency = now - self.submitted_at
+        profiler.record_time("serve.request_latency", self.latency)
 
 
 class _TenantStats:
@@ -435,7 +480,7 @@ class FleetServer:
     clock:
         Zero-argument callable returning seconds (defaults to
         ``time.monotonic``); tests and the soak harness inject
-        :class:`~repro.serve.server.SimulatedClock`.
+        :class:`~repro.faults.SimulatedClock`.
     max_wait_ms:
         Deadline-based flush for partially filled batches.
     service_model:
@@ -479,10 +524,12 @@ class FleetServer:
         """Enqueue one request for ``tenant``; returns its ticket.
 
         Exactly one of ``route`` (a cascade name) or ``model`` (a
-        registry entry name) selects the serving path.  Admission
-        failures — unknown tenant budget states, an empty token
-        bucket, a full tenant queue — resolve the ticket immediately
-        with :class:`AdmissionError`.
+        registry entry name) selects the serving path; passing both or
+        neither raises :class:`ValueError`, and an unknown tenant, model
+        or route raises :class:`KeyError`.  Admission failures — an
+        empty token bucket, a full tenant queue — resolve the ticket
+        immediately with :class:`AdmissionError`; a payload the
+        collator rejects resolves it with the collator's error.
         """
         now = self.clock()
         config = self.tenants[tenant]

@@ -296,8 +296,6 @@ class Plan:
         Optional ``{id(param): QuantizedTensor}`` mapping letting layer
         rules pin weights from a compression codebook (see
         ``DeepCompressionPipeline.serving_plan``).
-    verify:
-        Self-check every trace against the eager forward (default on).
     sparse_threshold:
         Density below which a Linear weight is pinned as a scipy CSR
         matrix and served through SpMM.
@@ -311,11 +309,10 @@ class Plan:
         liveness-colored buffer reuse.
     """
 
-    def __init__(self, module, hints=None, verify=True, sparse_threshold=0.5,
+    def __init__(self, module, hints=None, sparse_threshold=0.5,
                  cache_limit=16, arena_factory=None):
         self.module = module
         self._hints = hints
-        self._verify = verify
         self._sparse_threshold = sparse_threshold
         self._cache_limit = cache_limit
         self._arena_factory = arena_factory or BufferArena
@@ -338,8 +335,7 @@ class Plan:
             trace = _CompiledTrace(input_buffers, output,
                                    tuple(context.steps), arena)
             trace.execute()
-            if self._verify:
-                _verify_close(trace.output, reference)
+            _verify_close(trace.output, reference)
             arena.freeze()
         finally:
             module.train(was_training)
@@ -417,11 +413,11 @@ class Plan:
         return sum(t.arena.nbytes for t in self._traces.values())
 
 
-def compile_plan(module, example_input, hints=None, verify=True,
-                 sparse_threshold=0.5, cache_limit=16):
+def compile_plan(module, example_input, hints=None, sparse_threshold=0.5,
+                 cache_limit=16):
     """Compile ``module`` against ``example_input`` and return the Plan."""
-    plan = Plan(module, hints=hints, verify=verify,
-                sparse_threshold=sparse_threshold, cache_limit=cache_limit)
+    plan = Plan(module, hints=hints, sparse_threshold=sparse_threshold,
+                cache_limit=cache_limit)
     plan._trace_for(_to_arrays(example_input))
     return plan
 

@@ -1,107 +1,32 @@
-"""Dynamic request batching in front of a compiled plan.
+"""Collators: validate, bucket and pad serving requests into batches.
 
 Mobile/edge serving (paper Sec. III) sees single requests arrive at
 arbitrary times, but the plan executor is most efficient on batches: one
 replay amortises the python-level step overhead over every row.  The
-:class:`InferenceServer` bridges the two with the standard
-latency/throughput policy pair:
+:class:`~repro.serve.fleet.FleetServer` coalesces requests, and a
+collator tells it how:
 
-* ``max_batch_size`` — flush as soon as this many compatible requests
-  are queued (throughput bound);
-* ``max_wait_ms`` — flush a partial batch once its oldest request has
-  waited this long (latency bound).
+* ``validate(payload)`` — reject a malformed request at submit time,
+  before it can enter a batch;
+* ``bucket_key(payload)`` — group compatible requests (feature
+  dimension, padded sequence length, dtype);
+* ``collate(payloads, batch_size)`` — pad a bucket's requests into one
+  plan input of ``batch_size`` rows.
 
-Requests are grouped into *buckets* by a collator-defined key (feature
-dimension, padded sequence length), padded to a small set of batch
-sizes, and replayed through one :class:`~repro.serve.plan.Plan` — so the
-plan compiles a handful of traces and then serves from frozen arenas.
-
-**Fault isolation**: a failing request must not poison its batchmates.
-Malformed inputs are rejected at submit time with the error stored on
-that request's ticket; if a *batched* replay raises, the server falls
-back to running each request alone (counted under the
-``serve.batch_fallback`` profiler event) so only the genuinely bad
-request fails; and every output row is checked for NaN/Inf so numeric
-corruption in one row (e.g. an injected sensor fault) raises
-:class:`~repro.analysis.sanitize.NumericError` on that ticket only.
-
-Time is injectable for tests: pass ``clock=SimulatedClock()`` and drive
-it with :meth:`SimulatedClock.advance`.
+Sequence lengths and batch sizes are rounded up by :func:`_bucket_size`,
+so a model compiles a handful of traces and then serves from frozen
+arenas.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from .. import profiler
-from ..analysis.sanitize import NumericError
-
 __all__ = [
-    "InferenceServer",
-    "Request",
-    "SimulatedClock",
     "VectorCollator",
     "SequenceCollator",
     "MultiViewCollator",
 ]
-
-
-class SimulatedClock:
-    """Deterministic clock for tests: starts at 0, advanced manually."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def advance(self, seconds):
-        self.now += float(seconds)
-        return self.now
-
-    def __call__(self):
-        return self.now
-
-
-class Request:
-    """Ticket for one submitted input; resolved when its batch runs."""
-
-    __slots__ = ("payload", "submitted_at", "done", "_result", "_error",
-                 "latency")
-
-    def __init__(self, payload, submitted_at):
-        self.payload = payload
-        self.submitted_at = submitted_at
-        self.done = False
-        self._result = None
-        self._error = None
-        self.latency = None
-
-    def result(self):
-        """Return the output row, or raise the error this request hit."""
-        if not self.done:
-            raise RuntimeError(
-                "request not completed yet; call server.flush() or poll()"
-            )
-        if self._error is not None:
-            raise self._error
-        return self._result
-
-    @property
-    def failed(self):
-        return self.done and self._error is not None
-
-    def _resolve(self, result, error, now):
-        if self.done:
-            # Conservation invariant: every ticket resolves exactly once
-            # (result, error, or rejection).  A second resolution means a
-            # scheduling bug — double dispatch, or a cascade escalation
-            # racing its own fast answer — and must never be silent.
-            raise RuntimeError("request ticket was already resolved")
-        self._result = result
-        self._error = error
-        self.done = True
-        self.latency = now - self.submitted_at
-        profiler.record_time("serve.request_latency", self.latency)
 
 
 def _bucket_size(count, maximum):
@@ -234,129 +159,3 @@ class MultiViewCollator:
                 mask[row, :view.shape[0]] = 1.0
             collated.append((padded, mask))
         return collated
-
-
-class InferenceServer:
-    """Queue requests, coalesce compatible ones, serve them from a plan.
-
-    Parameters
-    ----------
-    plan:
-        A :class:`~repro.serve.plan.Plan` (or anything with a matching
-        ``run(inputs, copy=...)``) producing one output row per batch row.
-    collator:
-        Groups and pads requests; one of the collators in this module or
-        a compatible object (``validate`` / ``bucket_key`` / ``collate``).
-    max_batch_size:
-        Flush a bucket as soon as it holds this many requests.
-    max_wait_ms:
-        Flush a bucket once its oldest request has waited this long.
-    clock:
-        Zero-argument callable returning seconds; defaults to
-        ``time.monotonic``.  Tests inject :class:`SimulatedClock`.
-    """
-
-    def __init__(self, plan, collator, max_batch_size=8, max_wait_ms=2.0,
-                 clock=None):
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        self.plan = plan
-        self.collator = collator
-        self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
-        self.clock = clock if clock is not None else time.monotonic  # repro-lint: allow[det-wall-clock] documented real-time default; simulated runs inject SimulatedClock
-        self._queues = {}  # bucket key -> list of Request
-        self.served = 0
-        self.batches = 0
-
-    # ------------------------------------------------------------------
-    # Submission and scheduling
-    # ------------------------------------------------------------------
-    def submit(self, payload):
-        """Enqueue one request; returns its :class:`Request` ticket.
-
-        Malformed payloads resolve immediately with the validation error
-        on the ticket — they never enter a batch.
-        """
-        now = self.clock()
-        try:
-            validated = self.collator.validate(payload)
-        except Exception as error:
-            ticket = Request(payload, now)
-            ticket._resolve(None, error, now)
-            return ticket
-        ticket = Request(validated, now)
-        key = self.collator.bucket_key(validated)
-        queue = self._queues.setdefault(key, [])
-        queue.append(ticket)
-        if len(queue) >= self.max_batch_size:
-            self._run_bucket(key)
-        return ticket
-
-    def poll(self):
-        """Flush every bucket whose oldest request exceeded ``max_wait_ms``."""
-        now = self.clock()
-        deadline = self.max_wait_ms / 1000.0
-        for key in list(self._queues):
-            queue = self._queues[key]
-            if queue and now - queue[0].submitted_at >= deadline:
-                self._run_bucket(key)
-
-    def flush(self):
-        """Run every pending bucket regardless of batching policy."""
-        for key in list(self._queues):
-            if self._queues[key]:
-                self._run_bucket(key)
-
-    @property
-    def pending(self):
-        """Number of queued, unresolved requests."""
-        return sum(len(queue) for queue in self._queues.values())
-
-    # ------------------------------------------------------------------
-    # Batch execution
-    # ------------------------------------------------------------------
-    def _run_bucket(self, key):
-        tickets = self._queues.pop(key, [])
-        if not tickets:
-            return
-        batch_size = _bucket_size(len(tickets), self.max_batch_size)
-        payloads = [t.payload for t in tickets]
-        try:
-            batch = self.collator.collate(payloads, batch_size)
-            rows = self.plan.run(batch, copy=False)
-        except Exception:
-            # The batch as a whole failed (shape mismatch, retrace error,
-            # numeric tripwire).  Retry each request alone so one bad
-            # input cannot poison its batchmates.
-            profiler.record_event("serve.batch_fallback")
-            self._run_individually(tickets)
-            return
-        self._resolve_rows(tickets, rows)
-        self.batches += 1
-
-    def _run_individually(self, tickets):
-        for ticket in tickets:
-            try:
-                batch = self.collator.collate([ticket.payload], 1)
-                rows = self.plan.run(batch, copy=False)
-            except Exception as error:  # repro-lint: allow[alloc-in-loop] fallback path, one request at a time
-                ticket._resolve(None, error, self.clock())
-                continue
-            self._resolve_rows([ticket], rows)
-        self.batches += 1
-
-    def _resolve_rows(self, tickets, rows):
-        now = self.clock()
-        rows = np.asarray(rows)
-        for index, ticket in enumerate(tickets):
-            row = np.array(rows[index], copy=True)  # repro-lint: allow[alloc-in-loop] per-request result copy out of the arena
-            if np.issubdtype(row.dtype, np.floating) \
-                    and not np.all(np.isfinite(row)):
-                ticket._resolve(None, NumericError(
-                    "inference output for this request contains NaN/Inf "
-                    "(row {} of a batch of {})".format(index, len(tickets))
-                ), now)
-            else:
-                ticket._resolve(row, None, now)
-            self.served += 1

@@ -22,7 +22,7 @@ The workload model follows the paper's mobile-population setting:
 Everything is fixed the moment ``seed`` is: the same spec and seed
 produce the identical arrival list, which is what makes the 10k-request
 soak test (:func:`run_soak`) replayable bit-for-bit on a
-:class:`~repro.serve.server.SimulatedClock`.
+:class:`~repro.faults.SimulatedClock`.
 """
 
 from __future__ import annotations

@@ -98,11 +98,11 @@ def shared_slab_layout(workers, flat_size, itemsize):
 
 
 def _worker_loop(conn, module, params_view, grad_row, seed_seq,
-                 loss, optimizer, optimizer_args, verify):
+                 loss, optimizer, optimizer_args):
     """Child process body: serve compiled gradient requests until EOF."""
     _reseed_dropouts(module, seed_seq)
     plan = TrainPlan(module, loss=loss, optimizer=optimizer,
-                     optimizer_args=optimizer_args, verify=verify)
+                     optimizer_args=optimizer_args)
     try:
         while True:
             message = conn.recv()
@@ -136,12 +136,12 @@ class ParallelTrainer:
 
     def __init__(self, module, example_input, example_target,
                  loss="cross_entropy", optimizer="sgd", optimizer_args=None,
-                 workers=None, seed=0, verify=True):
+                 workers=None, seed=0):
         self.module = module
         if workers is None:
             workers = _default_workers()
         self.plan = TrainPlan(module, loss=loss, optimizer=optimizer,
-                              optimizer_args=optimizer_args, verify=verify)
+                              optimizer_args=optimizer_args)
         # Compile (and gradcheck-verify) the parent trace up front.
         self.plan._trace_for(
             *_example_signature(self.plan, example_input, example_target))
@@ -188,7 +188,7 @@ class ParallelTrainer:
                 target=_worker_loop,
                 args=(child_conn, module, self._params, self._grads[index],
                       seed_children[index], loss, optimizer,
-                      optimizer_args, verify),
+                      optimizer_args),
                 daemon=True,
             )
             proc.start()
@@ -264,7 +264,7 @@ class ParallelTrainer:
 
 
 def _per_example_worker(conn, module, params_view, grad_row, transform,
-                        loss, verify):
+                        loss):
     """Child body for :class:`PerExampleGradientPool`.
 
     Each request carries a (features, labels) shard; the worker runs the
@@ -272,7 +272,7 @@ def _per_example_worker(conn, module, params_view, grad_row, transform,
     L2 clipping) to each flat per-example gradient, and leaves the shard
     *sum* in its shared row.
     """
-    plan = TrainPlan(module, loss=loss, optimizer=None, verify=verify)
+    plan = TrainPlan(module, loss=loss, optimizer=None)
     flat = np.empty_like(grad_row)
     try:
         while True:
@@ -312,10 +312,9 @@ class PerExampleGradientPool:
     """
 
     def __init__(self, module, example_input, example_target, transform=None,
-                 loss="cross_entropy", workers=2, verify=True):
+                 loss="cross_entropy", workers=2):
         self.module = module
-        self.plan = TrainPlan(module, loss=loss, optimizer=None,
-                              verify=verify)
+        self.plan = TrainPlan(module, loss=loss, optimizer=None)
         values, target = _example_signature(
             self.plan, example_input, example_target)
         one = _split_batch(values, _batch_size(values))[0]
@@ -353,7 +352,7 @@ class PerExampleGradientPool:
             proc = context.Process(
                 target=_per_example_worker,
                 args=(child_conn, module, self._params, self._grads[index],
-                      transform, loss, verify),
+                      transform, loss),
                 daemon=True,
             )
             proc.start()

@@ -550,15 +550,12 @@ class TrainPlan:
         :meth:`flat_grad` for DP-SGD style aggregation).
     optimizer_args:
         Hyperparameter overrides when ``optimizer`` is a name.
-    verify:
-        Self-check every trace against eager forward+backward.
     cache_limit:
         Maximum number of shape-signature traces kept.
     """
 
     def __init__(self, module, loss="cross_entropy", optimizer="sgd",
-                 optimizer_args=None, verify=True, cache_limit=8,
-                 arena_factory=None):
+                 optimizer_args=None, cache_limit=8, arena_factory=None):
         if loss not in _LOSS_BUILDERS:
             raise ValueError(
                 "loss must be one of {}; got {!r}".format(
@@ -566,7 +563,6 @@ class TrainPlan:
         self.module = module
         self.loss_kind = loss
         self.spec = _OptimizerSpec.resolve(optimizer, optimizer_args)
-        self._verify = verify
         self._cache_limit = cache_limit
         self._arena_factory = arena_factory or TrainingArena
         self._traces = OrderedDict()
@@ -701,11 +697,8 @@ class TrainPlan:
         dtype = reference["dtype"]
         _assert_close("loss", trace.loss, reference["loss"], dtype)
         for name, _, grad in trace.named_grads:
-            try:
-                _assert_close("grad[{}]".format(name), grad,
-                              reference["grads"][name], dtype)
-            except TrainVerificationError:
-                raise
+            _assert_close("grad[{}]".format(name), grad,
+                          reference["grads"][name], dtype)
         for mod, name, _ in self._bound_buffers:
             ref_value = next(v for m, n, v in reference["buffers"]
                              if m is mod and n == name)
@@ -763,8 +756,7 @@ class TrainPlan:
                 trace.run_forward()
                 trace.zero_grads()
                 trace.run_backward()
-            if self._verify:
-                self._verify_trace(trace, reference)
+            self._verify_trace(trace, reference)
             # Compilation is side-effect-free: restore the statistics the
             # trace run just updated and rewind the dropout generators, so
             # the first replayed step matches the first eager step.
@@ -962,11 +954,10 @@ class TrainPlan:
 
 def compile_train_plan(module, example_input, example_target,
                        loss="cross_entropy", optimizer="sgd",
-                       optimizer_args=None, verify=True, cache_limit=8):
+                       optimizer_args=None, cache_limit=8):
     """Compile a training step for ``module`` and return the TrainPlan."""
     plan = TrainPlan(module, loss=loss, optimizer=optimizer,
-                     optimizer_args=optimizer_args, verify=verify,
-                     cache_limit=cache_limit)
+                     optimizer_args=optimizer_args, cache_limit=cache_limit)
     plan._trace_for(_to_arrays(example_input),
                     plan._coerce_target(example_target))
     return plan

@@ -47,7 +47,7 @@ DET_FIXTURES = {
     ),
     "det-wall-clock": (
         "import time\n"
-        "from repro.serve.server import SimulatedClock\n"
+        "from repro.faults import SimulatedClock\n"
         "def stamp():\n"
         "    return time.monotonic()\n"
     ),

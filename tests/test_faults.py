@@ -135,6 +135,7 @@ class TestSimulatedClock:
         clock.advance(2.5)
         clock.advance(0.5)
         assert clock.now == pytest.approx(3.0)
+        assert clock() == clock.now  # a zero-argument time source
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

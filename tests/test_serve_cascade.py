@@ -20,6 +20,7 @@ import pytest
 
 from repro import nn
 from repro.compression import DeepCompressionPipeline
+from repro.faults import SimulatedClock
 from repro.inference import exit_gate
 from repro.nn import losses
 from repro.optim import Adam
@@ -28,7 +29,7 @@ from repro.serve import (
     ModelRegistry,
     TenantConfig,
 )
-from repro.serve.server import SimulatedClock, VectorCollator
+from repro.serve.server import VectorCollator
 from repro.synth import make_digits
 from repro.tensor import Tensor
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro import nn, profiler
 from repro.analysis.sanitize import NumericError
-from repro.faults import FaultInjector, FaultSpec
+from repro.faults import FaultInjector, FaultSpec, SimulatedClock
 from repro.serve import (
     AdmissionError,
     ArenaPool,
@@ -36,7 +36,7 @@ from repro.serve import (
     slo_batch_size,
 )
 from repro.serve.fleet import ServiceEstimator
-from repro.serve.server import SimulatedClock, VectorCollator
+from repro.serve.server import VectorCollator
 from repro.serve.traffic import (
     OpenLoopTraffic,
     TenantLoad,
