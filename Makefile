@@ -1,11 +1,12 @@
 # Developer entry points.  `make check` is the gate a PR must pass:
 # the full tier-1 suite, the repo lint, a sanitized re-run of the engine
-# tests, and a smoke run of the kernel microbenchmarks (which also
-# regenerates BENCH_kernels.json).
+# tests, and a smoke run of the kernel microbenchmarks.  It runs every
+# benchmark assertion but writes no BENCH_*.json result file; only
+# `make bench-record` rewrites those.
 
 export PYTHONPATH := src
 
-.PHONY: check test lint sanitize-check chaos-check privacy-audit serve-check fleet-check train-check fleetsim-check plan-audit determinism-check bench-smoke bench
+.PHONY: check test lint sanitize-check chaos-check privacy-audit serve-check fleet-check train-check fleetsim-check plan-audit determinism-check bench-smoke bench-record bench
 
 check: test lint sanitize-check chaos-check privacy-audit serve-check fleet-check train-check fleetsim-check plan-audit determinism-check bench-smoke
 
@@ -41,8 +42,8 @@ privacy-audit:
 
 # Serving gate: plan/eager equivalence across every registered module,
 # batcher policy + fault isolation, and the serving benchmark (which
-# regenerates BENCH_serving.json and asserts plan+batching >= 3x eager
-# with zero arena allocations after warm-up).
+# asserts plan+batching >= 3x eager with zero arena allocations after
+# warm-up).
 serve-check:
 	python -m pytest tests/test_serve_plan.py tests/test_serve_server.py -q
 	python -m pytest benchmarks/test_serving_bench.py -q
@@ -59,8 +60,8 @@ fleet-check:
 # Training gate: compiled plan/eager training equivalence across every
 # registered module, the multi-process trainer's determinism and its
 # DP-SGD / FedAvg integrations, and the training benchmark (which
-# regenerates BENCH_training.json and asserts the compiled step >= 2x
-# eager with zero arena allocations after the compile-time freeze).
+# asserts the compiled step >= 2x eager with zero arena allocations
+# after the compile-time freeze).
 train-check:
 	python -m pytest tests/test_train_plan.py tests/test_train_parallel.py -q
 	python -m pytest benchmarks/test_training_bench.py -q
@@ -69,8 +70,8 @@ train-check:
 # keystream bit-identity against live numpy, batch fault oracles vs the
 # scalar ones, vectorized/scalar round-engine equivalence, two-tier
 # quorum byte conservation, streaming checkpoint kill/resume at 100k,
-# and the fleet benchmark (which regenerates BENCH_fleetsim.json and
-# asserts >= 50x per-client speedup over the object path at 10k).
+# and the fleet benchmark (which asserts >= 50x per-client speedup over
+# the object path at 10k).
 fleetsim-check:
 	python -m pytest tests/test_fleet.py -q
 	python -m pytest benchmarks/test_fleetsim_bench.py -q
@@ -95,6 +96,14 @@ determinism-check:
 
 bench-smoke:
 	python -m pytest benchmarks/test_perf_microbench.py -q
+
+# Rewrite the committed BENCH_*.json result files: the four performance
+# benchmarks above, run with REPRO_BENCH_RECORD=1.  One file alone:
+#   REPRO_BENCH_RECORD=1 python -m pytest benchmarks/test_fleetsim_bench.py
+bench-record:
+	REPRO_BENCH_RECORD=1 python -m pytest -q \
+		benchmarks/test_perf_microbench.py benchmarks/test_serving_bench.py \
+		benchmarks/test_training_bench.py benchmarks/test_fleetsim_bench.py
 
 bench:
 	python -m pytest benchmarks/ --benchmark-only -s

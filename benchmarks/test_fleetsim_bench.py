@@ -14,10 +14,10 @@ The headline numbers for the million-client federated fleet:
   per round over a 1M-client fleet under faults, plus streaming
   checkpoint write cost at that scale.
 
-Results go to ``BENCH_fleetsim.json`` at the repo root.
+``make bench-record`` writes the results to ``BENCH_fleetsim.json`` at
+the repo root.
 """
 
-import json
 import pathlib
 import subprocess
 import sys
@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import run_once
+from conftest import record_results, run_once
 
 from repro.faults import FaultInjector, FaultSpec
 from repro.federated import RobustnessPolicy
@@ -83,7 +83,7 @@ def write_results():
         },
     }
     payload.update(_results)
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    record_results(RESULTS_PATH, payload)
 
 
 def test_vectorized_speedup_over_object_path(benchmark):

@@ -12,16 +12,18 @@ replaced and asserts the speedups hold:
   stepwise seed loop; hoisted must win.
 
 All timings take the min over ``REPS`` repetitions of ``INNER`` calls
-(single-shot timings on this path are noisy by 2-3x).  Results are
-written to ``BENCH_kernels.json`` at the repo root.
+(single-shot timings on this path are noisy by 2-3x).  ``make
+bench-record`` writes the results to ``BENCH_kernels.json`` at the repo
+root.
 """
 
-import json
 import pathlib
 import time
 
 import numpy as np
 import pytest
+
+from conftest import record_results
 
 from repro import nn
 from repro.tensor import (
@@ -76,7 +78,7 @@ def write_results():
             },
             "kernels": _results,
         }
-        RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        record_results(RESULTS_PATH, payload)
 
 
 @pytest.fixture(scope="module")

@@ -13,16 +13,17 @@ built for.  Three strategies serve the same stream:
 
 Asserts the acceptance bar — plan+batching at least 3x the eager
 throughput — and the arena contract: zero new serving allocations after
-warm-up.  Results (throughput, p50/p99 per-request latency) go to
-``BENCH_serving.json`` at the repo root.
+warm-up.  ``make bench-record`` writes the results (throughput, p50/p99
+per-request latency) to ``BENCH_serving.json`` at the repo root.
 """
 
-import json
 import pathlib
 import time
 
 import numpy as np
 import pytest
+
+from conftest import record_results
 
 from repro import nn, profiler
 from repro.core.model import MultiViewGRUClassifier
@@ -97,7 +98,7 @@ def write_results():
             payload["arena_slot_coloring"] = dict(_coloring)
         if _fleet:
             payload["fleet"] = dict(_fleet)
-        RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        record_results(RESULTS_PATH, payload)
 
 
 def _record(name, total, latencies):

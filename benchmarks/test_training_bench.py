@@ -16,17 +16,18 @@ fixed-shape step stream from identical initial weights:
 
 Asserts the acceptance bar — compiled single-process training at least
 2x the eager step rate — and the arena contract: zero new training
-allocations after the compile-time freeze.  Results go to
-``BENCH_training.json`` at the repo root.
+allocations after the compile-time freeze.  ``make bench-record``
+writes the results to ``BENCH_training.json`` at the repo root.
 """
 
-import json
 import os
 import pathlib
 import time
 
 import numpy as np
 import pytest
+
+from conftest import record_results
 
 from repro import profiler
 from repro.core.model import MultiViewGRUClassifier
@@ -95,7 +96,7 @@ def write_results():
                 / _results["plan_parallel"]["total_s"], 2)
         if _coloring:
             payload["arena_slot_coloring"] = dict(_coloring)
-        RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        record_results(RESULTS_PATH, payload)
 
 
 def _record(name, total, extra=None):

@@ -20,6 +20,13 @@ uint32/uint64 **array** arithmetic, so one call produces the first
 * the XSL-RR output function plus the ``>> 11`` 53-bit double
   conversion of ``Generator.random()``.
 
+Every pass updates a batch-shaped buffer in place.  A stream allocates
+two blocks, one of uint32 rows for seeding and one of uint64 rows for
+the generator, and each draw allocates only the array of doubles it
+returns.  Scalar key positions stay Python ints until they meet a
+vector position, so a shared ``(seed, tag, round)`` prefix is hashed
+once, not per client.
+
 Bit-identity with ``default_rng(key).random()`` is a tested invariant
 (`tests/test_fleet.py` proves it property-style against live numpy), so
 the batch oracles built on top are replay-compatible with every scalar
@@ -41,131 +48,166 @@ _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
-_MIX_L = np.uint32(0xCA01F9DD)
-_MIX_R = np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
+_MIX_L = 0xCA01F9DD
+_MIX_R = 0x4973F715
+_XSHIFT = 16
 _POOL_WORDS = 4
 
-# PCG64's default 128-bit multiplier, split into uint64 halves.
+# PCG64's default 128-bit multiplier, split into uint64 halves; the low
+# half also as the two 32-bit limbs of the 64x64 high product.
 _MUL_HI = np.uint64(0x2360ED051FC65DA4)
 _MUL_LO = np.uint64(0x4385DF649FCCF645)
-
 _M32 = np.uint64(0xFFFFFFFF)
-_U32_MASK = 0xFFFFFFFF
 _SHIFT32 = np.uint64(32)
+_MUL_LO_0 = _MUL_LO & _M32
+_MUL_LO_1 = _MUL_LO >> _SHIFT32
+
+_U32_MASK = 0xFFFFFFFF
 _DOUBLE_SCALE = 1.0 / 9007199254740992.0  # 2**-53
 
 
 def entropy_words(*components):
     """Split key components into SeedSequence's uint32 entropy words.
 
-    Scalar ints may be any non-negative size (they split into as many
-    little-endian 32-bit words as they need, exactly like numpy's
-    ``_coerce_to_uint32_array``); array components must fit in one word
-    each (every id/round/attempt coordinate in this repo is ``< 2**32``)
-    so the whole batch shares a single word layout.
+    Scalar ints (and 0-d integer arrays) may be any non-negative size:
+    they split into as many little-endian 32-bit words as they need,
+    exactly like numpy's ``_coerce_to_uint32_array``, and stay Python
+    ints.  Array components must fit in one word each (every
+    id/round/attempt coordinate in this repo is ``< 2**32``) so the
+    whole batch shares a single word layout; they become uint32 arrays.
     """
     words = []
     for component in components:
-        if isinstance(component, (int, np.integer)):
-            value = int(component)
-            if value < 0:
-                raise ValueError("entropy components must be non-negative")
-            if value == 0:
-                words.append(0)
-                continue
-            while value > 0:
-                words.append(value & _U32_MASK)
-                value >>= 32
-        else:
+        if not isinstance(component, (int, np.integer)):
             array = np.asarray(component)
             if array.dtype.kind not in "iu":
                 raise TypeError("array key components must be integers")
-            if array.size and (int(array.min()) < 0
-                               or int(array.max()) > _U32_MASK):
-                raise ValueError(
-                    "array key components must lie in [0, 2**32) so every "
-                    "element shares one entropy-word layout")
-            words.append(array.astype(np.uint32))
+            if array.ndim:
+                if array.size and (int(array.min()) < 0
+                                   or int(array.max()) > _U32_MASK):
+                    raise ValueError(
+                        "array key components must lie in [0, 2**32) so "
+                        "every element shares one entropy-word layout")
+                words.append(array.astype(np.uint32))
+                continue
+            component = array[()]
+        value = int(component)
+        if value < 0:
+            raise ValueError("entropy components must be non-negative")
+        if value == 0:
+            words.append(0)
+            continue
+        while value > 0:
+            words.append(value & _U32_MASK)
+            value >>= 32
     return words
 
 
-def _hashmix(value, hash_const):
-    """One seed_seq hash step; ``hash_const`` is a 1-slot mutable cell.
+def _hash_constants(init, mult):
+    """seed_seq's running hash constant: one (xor, multiply) pair a step."""
+    const = init
+    while True:
+        following = (const * mult) & _U32_MASK
+        yield const, following
+        const = following
 
-    The running constant is tracked as a Python int masked to 32 bits
-    (scalar numpy uint32 multiplies warn on overflow; array ones wrap
-    silently, which is the behaviour we need).
+
+def _xorshift(word, tmp):
+    """``word ^= word >> 16`` in place, through the scratch array ``tmp``."""
+    np.right_shift(word, np.uint32(_XSHIFT), out=tmp)
+    word ^= tmp
+
+
+def _rows(block):
+    """The rows of ``block`` as arrays (``block[k, ...]`` stays an ndarray
+    for a 0-d row, where ``block[k]`` would be a numpy scalar)."""
+    return [block[k, ...] for k in range(block.shape[0])]
+
+
+def _hashmix(value, constants, out, tmp):
+    """One seed_seq hash step of ``value``, a Python int or uint32 array.
+
+    An int hashes to an int.  An array hashes into ``out``.
     """
-    value = value ^ np.uint32(hash_const[0])
-    hash_const[0] = (hash_const[0] * _MULT_A) & _U32_MASK
-    value = (value * np.uint32(hash_const[0])).astype(np.uint32)
-    value ^= value >> _XSHIFT
-    return value
-
-
-def _mix(x, y):
-    result = (x * _MIX_L - y * _MIX_R).astype(np.uint32)
-    result ^= result >> _XSHIFT
-    return result
-
-
-def _mixed_pool(words):
-    """The 4-word entropy pool for every element of the batch.
-
-    Scalar key positions stay 0-d arrays as long as possible: the hash
-    chain over a (seed, tag, round) prefix is computed once, not per
-    client — broadcasting promotes a pool word to full batch shape only
-    at its first contact with a vector word.
-    """
-    sources = [np.asarray(w, dtype=np.uint32).reshape(np.shape(w))
-               for w in words]
-    hash_const = [_INIT_A]
-    zero = np.zeros((), dtype=np.uint32)
-    pool = []
-    for index in range(_POOL_WORDS):
-        source = sources[index] if index < len(sources) else zero
-        pool.append(_hashmix(source, hash_const))
-    for i_src in range(_POOL_WORDS):
-        for i_dst in range(_POOL_WORDS):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst],
-                                   _hashmix(pool[i_src], hash_const))
-    for i_src in range(_POOL_WORDS, len(sources)):
-        for i_dst in range(_POOL_WORDS):
-            pool[i_dst] = _mix(pool[i_dst],
-                               _hashmix(sources[i_src], hash_const))
-    return pool
-
-
-def _generated_state(pool):
-    """``generate_state(4, uint64)`` — eight hashed uint32 output words."""
-    hash_const = [_INIT_B]
-    out = []
-    for index in range(2 * _POOL_WORDS):
-        value = pool[index % _POOL_WORDS] ^ np.uint32(hash_const[0])
-        hash_const[0] = (hash_const[0] * _MULT_B) & _U32_MASK
-        value = (value * np.uint32(hash_const[0])).astype(np.uint32)
-        value ^= value >> _XSHIFT
-        out.append(value)
+    xor_const, mul_const = next(constants)
+    if isinstance(value, int):
+        value = ((value ^ xor_const) * mul_const) & _U32_MASK
+        return value ^ (value >> _XSHIFT)
+    out = np.bitwise_xor(value, np.uint32(xor_const), out=out)
+    out *= np.uint32(mul_const)
+    _xorshift(out, tmp)
     return out
 
 
-def _u64(lo32, hi32):
-    return lo32.astype(np.uint64) | (hi32.astype(np.uint64) << _SHIFT32)
+def _mix(x, y, tmp, row):
+    """seed_seq's ``mix(x, y)`` of pool word ``x`` and hashed word ``y``.
+
+    An array ``x`` is updated in place and an array ``y`` is consumed
+    (it is the caller's hash scratch).  An int ``x`` meeting an array
+    ``y`` becomes an array in ``row``, the pool word's own row.
+    """
+    if isinstance(y, int):
+        y = (y * _MIX_R) & _U32_MASK
+        if isinstance(x, int):
+            result = (x * _MIX_L - y) & _U32_MASK
+            return result ^ (result >> _XSHIFT)
+        x *= np.uint32(_MIX_L)
+        x -= np.uint32(y)
+    else:
+        y *= np.uint32(_MIX_R)
+        if isinstance(x, int):
+            x = np.subtract(np.uint32((x * _MIX_L) & _U32_MASK), y,
+                            out=row)
+        else:
+            x *= np.uint32(_MIX_L)
+            x -= y
+    _xorshift(x, tmp)
+    return x
 
 
-def _mulhi64(a, b):
-    """High 64 bits of a 64x64 product, by 32-bit limbs."""
-    a0 = a & _M32
-    a1 = a >> _SHIFT32
-    b0 = b & _M32
-    b1 = b >> _SHIFT32
-    lo_lo = a0 * b0
-    mid1 = a1 * b0
-    mid2 = a0 * b1
-    carry = ((lo_lo >> _SHIFT32) + (mid1 & _M32) + (mid2 & _M32)) >> _SHIFT32
-    return a1 * b1 + (mid1 >> _SHIFT32) + (mid2 >> _SHIFT32) + carry
+def _mixed_pool(words, shape, rows, hashed, tmp):
+    """The 4-word entropy pool for every element of the batch.
+
+    Scalar key positions stay Python ints as long as possible: the hash
+    chain over a (seed, tag, round) prefix is computed once, not per
+    client — pool word ``i`` becomes a batch array, in ``rows[i]``, only
+    at its first contact with a vector word.
+    """
+    sources = [word if isinstance(word, int)
+               else np.broadcast_to(word, shape) for word in words]
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = []
+    for index in range(_POOL_WORDS):
+        source = sources[index] if index < len(sources) else 0
+        pool.append(_hashmix(source, constants, rows[index], tmp))
+    for i_src in range(_POOL_WORDS):
+        for i_dst in range(_POOL_WORDS):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(
+                    pool[i_dst],
+                    _hashmix(pool[i_src], constants, hashed, tmp), tmp,
+                    rows[i_dst])
+    for source in sources[_POOL_WORDS:]:
+        for i_dst in range(_POOL_WORDS):
+            pool[i_dst] = _mix(pool[i_dst],
+                               _hashmix(source, constants, hashed, tmp), tmp,
+                               rows[i_dst])
+    return pool
+
+
+def _state_words(pool, words, low, high, tmp):
+    """``generate_state(4, uint64)`` into the four uint64 arrays ``words``.
+
+    Eight hashed uint32 outputs, paired little-endian (low word first).
+    """
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    for index, word in enumerate(words):
+        lo32 = _hashmix(pool[2 * index % _POOL_WORDS], constants, low, tmp)
+        hi32 = _hashmix(pool[(2 * index + 1) % _POOL_WORDS], constants,
+                        high, tmp)
+        word[...] = hi32
+        word <<= _SHIFT32
+        word |= lo32
 
 
 class KeyedStream:
@@ -174,55 +216,94 @@ class KeyedStream:
     Construction runs the full SeedSequence + PCG64 seeding for every
     element; each :meth:`next_uniform` call then advances every stream by
     exactly one draw, matching ``Generator.random()`` bit-for-bit.
+
+    Every batch-shaped array is a row of one of two blocks: seven uint32
+    rows for seeding (the pool, two hash outputs, a scratch word) and
+    eight uint64 rows for the generator (the 128-bit state and increment,
+    four scratch words), updated in place.  Rows are ndarrays even for an
+    all-scalar key's 0-d shape, never numpy scalars, which would rebind
+    on ``*=`` and drop the update.
     """
 
     def __init__(self, components):
-        with np.errstate(over="ignore"):
-            self._init(components)
-
-    def _init(self, components):
-        # Modular wraparound is the algorithm here, not an accident; the
-        # errstate guard covers the 0-d "scalar" ops numpy would warn on.
         words = entropy_words(*components)
-        shape = np.broadcast_shapes(*[np.shape(w) for w in words])
-        state = _generated_state(_mixed_pool(words))
-        init_hi = _u64(state[0], state[1])
-        init_lo = _u64(state[2], state[3])
-        seq_hi = _u64(state[4], state[5])
-        seq_lo = _u64(state[6], state[7])
+        shape = np.broadcast_shapes(*[np.shape(word) for word in words])
+        seeding = _rows(np.empty((7,) + shape, dtype=np.uint32))
+        generator = _rows(np.empty((8,) + shape, dtype=np.uint64))
+        low, high, tmp = seeding[4:]
+        init_hi, init_lo, seq_hi, seq_lo = generator[:4]
+        _state_words(_mixed_pool(words, shape, seeding[:4], low, tmp),
+                     generator[:4], low, high, tmp)
+        self._scratch = tuple(generator[4:])
+        self._carry = np.empty(shape, dtype=bool)
         # pcg_setseq_128_srandom: inc = (initseq << 1) | 1; step;
-        # state += initstate; step.
-        self._inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
-        self._inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
-        # First srandom step from state 0 is just state = inc.
-        lo = np.broadcast_to(self._inc_lo, shape) + init_lo
-        hi = (np.broadcast_to(self._inc_hi, shape) + init_hi
-              + (lo < self._inc_lo).astype(np.uint64))
-        self._state_hi = hi
-        self._state_lo = lo
+        # state += initstate; step.  The first step from state 0 is just
+        # state = inc.
+        spill = self._scratch[0]
+        np.right_shift(seq_lo, np.uint64(63), out=spill)
+        seq_hi <<= np.uint64(1)
+        seq_hi |= spill
+        seq_lo <<= np.uint64(1)
+        seq_lo |= np.uint64(1)
+        self._inc_hi, self._inc_lo = seq_hi, seq_lo
+        init_lo += seq_lo
+        init_hi += seq_hi
+        np.less(init_lo, seq_lo, out=self._carry)
+        init_hi += self._carry
+        self._state_hi, self._state_lo = init_hi, init_lo
         self._step()
 
     def _step(self):
-        """128-bit LCG advance: state = state * MUL + inc."""
-        hi, lo = self._state_hi, self._state_lo
-        new_hi = hi * _MUL_LO + lo * _MUL_HI + _mulhi64(lo, _MUL_LO)
-        new_lo = lo * _MUL_LO
-        lo2 = new_lo + self._inc_lo
-        self._state_hi = new_hi + self._inc_hi + (lo2 < new_lo).astype(np.uint64)
-        self._state_lo = lo2
+        """128-bit LCG advance in place: state = state * MUL + inc.
 
-    def next_uint64(self):
-        """One XSL-RR output per stream (advances every stream)."""
-        with np.errstate(over="ignore"):
-            self._step()
-            rot = self._state_hi >> np.uint64(58)
-            value = self._state_hi ^ self._state_lo
-            return (value >> rot) | (value << ((np.uint64(64) - rot)
-                                               & np.uint64(63)))
+        The high word gathers ``hi*MUL_LO + lo*MUL_HI`` plus the high 64
+        bits of ``lo*MUL_LO``, built from 32-bit limbs; the low word's
+        ``+ inc`` carries into it.
+        """
+        hi, lo = self._state_hi, self._state_lo
+        a, b, c, d = self._scratch
+        hi *= _MUL_LO
+        np.multiply(lo, _MUL_HI, out=a)
+        hi += a
+        np.bitwise_and(lo, _M32, out=a)       # low limb of lo
+        np.right_shift(lo, _SHIFT32, out=b)   # high limb of lo
+        np.multiply(a, _MUL_LO_1, out=c)      # low x high cross product
+        np.multiply(b, _MUL_LO_0, out=d)      # high x low cross product
+        a *= _MUL_LO_0                        # low x low
+        a >>= _SHIFT32
+        b *= _MUL_LO_1                        # high x high
+        hi += b
+        np.right_shift(c, _SHIFT32, out=b)
+        hi += b
+        np.right_shift(d, _SHIFT32, out=b)
+        hi += b
+        c &= _M32
+        d &= _M32
+        a += c
+        a += d
+        a >>= _SHIFT32                        # carry out of the low half
+        hi += a
+        lo *= _MUL_LO
+        lo += self._inc_lo
+        hi += self._inc_hi
+        np.less(lo, self._inc_lo, out=self._carry)
+        hi += self._carry
 
     def next_uniform(self):
         """One ``Generator.random()`` double in [0, 1) per stream."""
-        return (self.next_uint64() >> np.uint64(11)) * _DOUBLE_SCALE
+        self._step()
+        hi, lo = self._state_hi, self._state_lo
+        rot, value, spill, _ = self._scratch
+        # XSL-RR: rotate hi ^ lo right by the top six bits of hi.
+        np.right_shift(hi, np.uint64(58), out=rot)
+        np.bitwise_xor(hi, lo, out=value)
+        np.right_shift(value, rot, out=spill)
+        np.subtract(np.uint64(64), rot, out=rot)
+        rot &= np.uint64(63)
+        value <<= rot
+        value |= spill
+        value >>= np.uint64(11)
+        return value * _DOUBLE_SCALE
 
 
 def keyed_uniforms(components, ndraws):

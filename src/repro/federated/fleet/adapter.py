@@ -151,12 +151,12 @@ class FleetFedAvg:
         """Train for ``num_rounds`` rounds; returns a FederatedHistory."""
         history = FederatedHistory()
         for _ in range(num_rounds):
-            self.run_round()
+            summary = self.run_round()
             if eval_data is not None and self.round_index % eval_every == 0:
                 accuracy = self.server.evaluate(*eval_data)
                 history.records.append(RoundRecord(
                     round_index=self.round_index, accuracy=accuracy,
-                    participants=len(self.clients),
+                    participants=int(summary.participants.sum()),
                     cumulative_megabytes=self.ledger.total_megabytes()))
         history.ledger = self.ledger
         return history

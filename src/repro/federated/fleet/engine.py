@@ -4,15 +4,20 @@ This is the vectorized counterpart of
 :meth:`repro.federated.FedAvg._robust_client_round` — the same attempt
 loop (backoff, link windows, straggler cutoff, timeout, dropout,
 staleness rejection, corruption, upload loss), the same decision
-*order*, and the same keyed fault oracles, evaluated for every
-participant at once.  The only Python loop is over attempts
+*order*, and the same keyed fault oracles, evaluated for all
+participants at once.  The only Python loop is over attempts
 (``policy.max_retries + 1`` iterations); nothing iterates over clients.
 
 Two implementations share the entry point:
 
 * :func:`decide_round` with ``vectorized=True`` (default) — whole-round
   arrays through the batch oracles of
-  :class:`repro.faults.FaultInjector`;
+  :class:`repro.faults.FaultInjector`.  Each attempt compresses to the
+  rows it runs (pending, link open, feasible) and asks every oracle
+  only about the rows whose fate still depends on it — exactly the
+  queries the scalar twin makes — so a device that succeeded, or that
+  an earlier stage of the cascade already decided, costs no keyed
+  stream;
 * ``vectorized=False`` — a per-client scalar reference twin driving the
   scalar oracles, bit-identical to the vectorized path in every output
   (outcome codes, byte tallies, per-client timelines, staleness lags).
@@ -56,6 +61,12 @@ OUT_LOST = 8        # upload lost mid-transfer
 OUTCOME_NAMES = ("success", "blocked", "infeasible", "straggler_cut",
                  "timeout", "dropout", "stale_rejected",
                  "corrupt_rejected", "upload_lost")
+
+# Per outcome code of an attempt that ran: model transfers it put on the
+# wire (the download, plus the upload unless it failed before sending
+# one), and how many of those bought nothing.
+_SENT_TRANSFERS = np.asarray([2, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.int64)
+_WASTED_TRANSFERS = np.asarray([0, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.int64)
 
 
 @dataclass
@@ -150,44 +161,46 @@ def _decide_vectorized(state, injector, policy, round_index, rows,
         active = pending & available & feasible
         if not active.any():
             continue
-        # All oracles answer for every participant (they are pure keyed
-        # functions, so the extra reads cost draws, not correctness);
-        # the cascade below replays the scalar loop's decision order.
-        factor = injector.straggler_factor_array(round_index, client_ids,
-                                                 attempt)
-        compute_s = policy.base_compute_s * slowdown * factor
-        attempt_s = down_s + compute_s + up_s
+        # Compress to the rows this attempt runs, then ask each oracle
+        # only about the rows whose fate still depends on it: the scalar
+        # twin's decision order as shrinking index arrays into ``run``.
+        # Straggler and staleness answer for every running row (the twin
+        # reads both before the cut check, and ``lag`` records the draw).
+        run = np.flatnonzero(active)
+        ids = client_ids[run]
+        factor = injector.straggler_factor_array(round_index, ids, attempt)
+        lag_now = injector.staleness_array(round_index, ids, attempt)
+        compute_s = policy.base_compute_s * slowdown[run] * factor
+        attempt_s = down_s[run] + compute_s + up_s[run]
         cut = compute_s > policy.straggler_cutoff_s
         timed_out = attempt_s > policy.timeout_s
-        dropped = injector.drops_out_array(round_index, client_ids, attempt)
-        lag_now = injector.staleness_array(round_index, client_ids, attempt)
-        stale = lag_now > policy.max_staleness
-        corrupt = injector.corrupts_array(round_index, client_ids, attempt)
-        lost = injector.upload_lost_array(round_index, client_ids, attempt)
-        code = np.select(
-            [cut, timed_out, dropped, stale, corrupt, lost],
-            [OUT_CUT, OUT_TIMEOUT, OUT_DROPOUT, OUT_STALE, OUT_CORRUPT,
-             OUT_LOST],
-            default=OUT_SUCCESS)
-        elapsed = np.select(
-            [cut, timed_out | dropped],
-            [down_s, policy.timeout_s],
-            default=attempt_s)
-        t = t + np.where(active, elapsed, 0.0)
-        waste_now = np.select(
-            [cut | timed_out | dropped, stale | corrupt | lost],
-            [model_bytes, 2 * model_bytes],
-            default=0)
-        wasted += np.where(active, waste_now, 0)
-        sent += np.where(
-            active,
-            np.where(code == OUT_SUCCESS, 2 * model_bytes, waste_now), 0)
-        succeeded = active & (code == OUT_SUCCESS)
-        up += succeeded * model_bytes
-        down += succeeded * model_bytes
-        outcome = np.where(active, code, outcome)
-        lag = np.where(active, lag_now, lag)
-        pending = pending & ~succeeded
+        code = np.where(cut, OUT_CUT, OUT_TIMEOUT)
+        elapsed = np.where(cut, down_s[run], policy.timeout_s)
+        # Dropout: asked of the rows neither cut nor timed out.  The rows
+        # that upload stay marked stale until the staleness check clears
+        # them.
+        asked = np.flatnonzero(~(cut | timed_out))
+        dropped = injector.drops_out_array(round_index, ids[asked], attempt)
+        code[asked] = np.where(dropped, OUT_DROPOUT, OUT_STALE)
+        uploaded = asked[~dropped]
+        elapsed[uploaded] = attempt_s[uploaded]
+        # Corruption: asked of the uploads that were not stale.
+        fresh = uploaded[lag_now[uploaded] <= policy.max_staleness]
+        corrupt = injector.corrupts_array(round_index, ids[fresh], attempt)
+        code[fresh] = OUT_CORRUPT
+        # Upload loss: asked of the uploads that were not corrupted.
+        clean = fresh[~corrupt]
+        lost = injector.upload_lost_array(round_index, ids[clean], attempt)
+        code[clean] = np.where(lost, OUT_LOST, OUT_SUCCESS)
+        won = run[clean[~lost]]
+        t[run] += elapsed
+        sent[run] += model_bytes * _SENT_TRANSFERS[code]
+        wasted[run] += model_bytes * _WASTED_TRANSFERS[code]
+        up[won] += model_bytes
+        down[won] += model_bytes
+        outcome[run] = code
+        lag[run] = lag_now
+        pending[won] = False
     survived = outcome == OUT_SUCCESS
     return RoundDecisions(
         rows=rows, client_ids=client_ids, outcome=outcome,

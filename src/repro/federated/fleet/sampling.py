@@ -60,7 +60,7 @@ def sample_clients(state, round_index, fraction, policy="uniform", seed=0,
         keys = uniforms
     else:  # battery-aware
         keys = -np.log1p(-uniforms) / np.maximum(state.battery, _MIN_WEIGHT)
-    keys = np.where(eligible, keys, np.inf)
+    keys[~eligible] = np.inf  # in place: keys is this call's own array
     picks = np.argpartition(keys, count - 1)[:count]
     return np.sort(picks).astype(np.int64)
 

@@ -164,11 +164,14 @@ class FleetState:
 
         ``rows`` indexes the participating devices; the other arrays are
         aligned with it.  Non-participants recharge, participants drain;
-        battery clamps to [0, 1].
+        battery clamps to [0, 1].  The battery column updates in place:
+        the drained rows are computed first, the whole column recharges,
+        and the drained rows are written back over it.
         """
-        delta = self.charge_rate.copy()
-        delta[rows] = -self.drain[rows]
-        np.clip(self.battery + delta, 0.0, 1.0, out=self.battery)
+        drained = self.battery[rows] - self.drain[rows]
+        self.battery += self.charge_rate
+        self.battery[rows] = drained
+        np.clip(self.battery, 0.0, 1.0, out=self.battery)
         self.staleness[rows] = lag
         self.bytes_up[rows] += up
         self.bytes_down[rows] += down

@@ -6,7 +6,9 @@ The load-bearing invariants:
   bit-for-bit, so the batch fault oracles equal the scalar ones on any
   overlapping (round, client, attempt) grid;
 * the vectorized round engine is bit-identical to its scalar reference
-  twin — outcomes, byte tallies, timelines, lags — on fleets <= 256;
+  twin — outcomes, byte tallies, timelines, lags — on fleets <= 256,
+  and asks each batch oracle about exactly the rows the twin asks its
+  scalar oracle about;
 * the decision hot path runs no per-client Python (line-event counts
   are fleet-size-independent);
 * two-tier quorum re-booking conserves bytes: sent == delivered + wasted
@@ -19,9 +21,14 @@ The load-bearing invariants:
 
 import os
 import sys
+from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import nn
 from repro.data import ArrayDataset
@@ -35,6 +42,7 @@ from repro.federated import (
 )
 from repro.federated.fleet import (
     OUT_BLOCKED,
+    OUT_CUT,
     OUT_INFEASIBLE,
     OUT_SUCCESS,
     OUTCOME_NAMES,
@@ -73,6 +81,30 @@ def assert_conserved(ledger):
 # ----------------------------------------------------------------------
 # Keystream: the vectorized seeding pipeline vs live numpy
 # ----------------------------------------------------------------------
+# Scalar key words: zero (a word that also pads short keys), one-word
+# values, and multi-word values at and past 2**32.
+SCALAR_KEY_WORDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1),
+                             st.integers(2**32, 2**96))
+
+
+@st.composite
+def key_layouts(draw):
+    """A 1-6 component key; at most one position holds an id array.
+
+    Returns ``(key, position)`` with ``position`` None for an all-scalar
+    key.  Id arrays may be 0-d, empty or 2-D and of any integer dtype.
+    """
+    width = draw(st.integers(1, 6))
+    key = draw(st.lists(SCALAR_KEY_WORDS, min_size=width, max_size=width))
+    position = draw(st.one_of(st.none(), st.integers(0, width - 1)))
+    if position is not None:
+        key[position] = draw(hnp.arrays(
+            draw(st.sampled_from([np.int64, np.uint32, np.uint64])),
+            draw(st.sampled_from([(), (0,), (1,), (6,), (2, 3), (0, 4)])),
+            elements=st.integers(0, 2**32 - 1)))
+    return key, position
+
+
 class TestKeystream:
     def test_scalar_keys_match_default_rng(self):
         rng = np.random.default_rng(123)
@@ -99,6 +131,26 @@ class TestKeystream:
         draws = keyed_uniforms([1, np.arange(5), 0], 2)
         assert len(draws) == 2
         assert all(d.shape == (5,) for d in draws)
+
+    @settings(max_examples=80, deadline=None)
+    @given(layout=key_layouts(), ndraws=st.integers(1, 3))
+    def test_random_key_layouts_match_default_rng(self, layout, ndraws):
+        key, position = layout
+        draws = keyed_uniforms(key, ndraws)
+        assert len(draws) == ndraws
+        if position is None:
+            reference = np.random.default_rng(tuple(key)).random(ndraws)
+            assert all(np.shape(d) == () for d in draws)
+            assert [float(d) for d in draws] == reference.tolist()
+            return
+        ids = key[position]
+        assert all(d.shape == ids.shape for d in draws)
+        got = np.stack([d.reshape(-1) for d in draws], axis=-1)
+        for i, cid in enumerate(ids.reshape(-1).tolist()):
+            element_key = tuple(key[:position]) + (cid,) \
+                + tuple(key[position + 1:])
+            reference = np.random.default_rng(element_key).random(ndraws)
+            assert np.array_equal(got[i], reference), element_key
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +327,38 @@ def assert_decisions_equal(a, b):
     assert a.duration == b.duration
 
 
+ORACLES = ("straggler_factor", "staleness", "drops_out", "corrupts",
+           "upload_lost")
+
+
+class CountingInjector(FaultInjector):
+    """A FaultInjector that logs the client ids each oracle is asked about.
+
+    Scalar and batch twins log under the same oracle name, one entry per
+    call, so a vectorized round's log compares call for call with the
+    scalar twin's.
+    """
+
+    def __init__(self, spec, seed):
+        super().__init__(spec=spec, seed=seed)
+        self._log = defaultdict(list)
+        for oracle in ORACLES:
+            for method in (oracle, oracle + "_array"):
+                setattr(self, method,
+                        self._counted(oracle, getattr(self, method)))
+
+    def _counted(self, oracle, answer):
+        def counted(round_index, client_ids, attempt=0):
+            self._log[oracle, attempt].append(
+                np.ravel(client_ids).tolist())
+            return answer(round_index, client_ids, attempt)
+        return counted
+
+    def queries(self):
+        """``{(oracle, attempt): [ids asked in each call]}``."""
+        return {key: list(calls) for key, calls in self._log.items()}
+
+
 class TestEngineParity:
     @pytest.mark.parametrize("spec", [FaultSpec(), MILD, CHAOS,
                                       FaultSpec(dropout_rate=0.9,
@@ -351,6 +435,78 @@ class TestEngineParity:
         assert (decisions.outcome == OUT_BLOCKED).all()
         assert (decisions.attempts == policy.max_retries + 1).all()
         assert decisions.sent.sum() == 0
+
+    def test_oracles_see_only_undecided_rows(self):
+        """Each batch oracle is asked, once per attempt, about exactly the
+        rows the scalar twin asks its scalar oracle about: the pending,
+        link-open, feasible rows for straggler and staleness, and only
+        rows no earlier stage decided for dropout, corruption and loss."""
+        state = FleetState.build(256, seed=11, num_edges=4)
+        state.link_bw[::17] = 0.0  # some infeasible devices
+        policy = RobustnessPolicy(max_retries=3, max_staleness=1,
+                                  timeout_s=80, straggler_cutoff_s=40)
+        rows = sample_clients(state, 1, 0.8, seed=31, min_battery=0.0)
+        vec_injector = CountingInjector(spec=CHAOS, seed=21)
+        ref_injector = CountingInjector(spec=CHAOS, seed=21)
+        vec = decide_round(state, vec_injector, policy, 4, rows,
+                           clock_start=12.5)
+        ref = decide_round(state, ref_injector, policy, 4, rows,
+                           clock_start=12.5, vectorized=False)
+        assert_decisions_equal(vec, ref)
+        batch, scalar = vec_injector.queries(), ref_injector.queries()
+        assert set(batch) == set(scalar)
+        for (oracle, attempt), calls in batch.items():
+            assert len(calls) == 1, (oracle, attempt)
+            assert calls[0] == [ids[0] for ids in scalar[oracle, attempt]]
+        # Independently of the twin: a later attempt asks only devices
+        # still pending then, and each stage asks a subset of the last,
+        # minus the rows that stage's predecessor decided.
+        reference = FaultInjector(spec=CHAOS, seed=21)
+        feasible_ids = set(rows[state.link_bw[rows] > 0.0].tolist())
+        attempts = dict(zip(rows.tolist(), vec.attempts.tolist()))
+        retried = 0
+        for attempt in range(policy.max_retries + 1):
+            asked = {name: batch.get((name, attempt), [[]])[0]
+                     for name in ORACLES}
+            assert asked["staleness"] == asked["straggler_factor"]
+            assert set(asked["straggler_factor"]) <= feasible_ids
+            assert all(attempts[cid] > attempt
+                       for cid in asked["straggler_factor"])
+            if attempt:
+                retried += len(asked["straggler_factor"])
+            assert set(asked["drops_out"]) <= set(asked["straggler_factor"])
+            for cid in asked["corrupts"]:
+                assert cid in asked["drops_out"]
+                assert not reference.drops_out(4, cid, attempt)
+                assert reference.staleness(4, cid, attempt) \
+                    <= policy.max_staleness
+            for cid in asked["upload_lost"]:
+                assert cid in asked["corrupts"]
+                assert not reference.corrupts(4, cid, attempt)
+        assert retried > 0
+        # Later stages ask strictly fewer rows than the first.
+        first = len(batch["straggler_factor", 0][0])
+        assert len(batch["upload_lost", 0][0]) < first
+
+    def test_all_cut_round_matches_scalar_twin(self):
+        """Every running row is cut, so the dropout, corruption and loss
+        oracles are asked about empty subsets — still bit-identical."""
+        spec = replace(CHAOS, straggler_rate=1.0)
+        policy = RobustnessPolicy(max_retries=2, straggler_cutoff_s=1e-6)
+        state = FleetState.build(128, seed=3)
+        rows = np.arange(128, dtype=np.int64)
+        injector = CountingInjector(spec=spec, seed=5)
+        vec = decide_round(state, injector, policy, 2, rows,
+                           clock_start=12.5)
+        ref = decide_round(state, FaultInjector(spec=spec, seed=5), policy,
+                           2, rows, clock_start=12.5, vectorized=False)
+        assert_decisions_equal(vec, ref)
+        assert set(vec.outcome.tolist()) <= {OUT_CUT, OUT_BLOCKED}
+        assert (vec.outcome == OUT_CUT).any()
+        queries = injector.queries()
+        for oracle in ("drops_out", "corrupts", "upload_lost"):
+            for attempt in range(policy.max_retries + 1):
+                assert queries[oracle, attempt] == [[]]
 
     def test_hot_path_has_no_per_client_python(self):
         """Line-event counts in repro code are fleet-size-independent."""
@@ -722,6 +878,20 @@ class TestFleetFedAvg:
         legacy_history = legacy.run(5, eval_data)
         assert [r.accuracy for r in fleet_history.records] \
             == [r.accuracy for r in legacy_history.records]
+
+    def test_history_records_sampled_participants(self, federation):
+        shards, eval_data = federation
+        fleet = FleetFedAvg(make_clients(shards), model_fn, local_epochs=1,
+                            client_fraction=0.25, min_battery=0.0, seed=6)
+        fleet_history = fleet.run(3, eval_data=eval_data)
+        legacy = FedAvg(make_clients(shards), model_fn, local_epochs=1,
+                        client_fraction=0.25, seed=6)
+        legacy_history = legacy.run(3, eval_data)
+        sampled = round(0.25 * len(shards))
+        assert [r.participants for r in fleet_history.records] \
+            == [sampled] * 3
+        assert [r.participants for r in legacy_history.records] \
+            == [sampled] * 3
 
     def test_quorum_abort_skips_version_bump(self, federation):
         shards, _ = federation
