@@ -80,8 +80,9 @@ fleetsim-check:
 # compiled serve and train plans (both float dtypes), prove the
 # write-before-read / no-aliasing / no-dead-buffer contracts, race-check
 # the ParallelTrainer protocol, verify batching-server ticket isolation,
-# cross-check the plan-rule registries against the shapes registry, and
-# apply verified arena slot coloring.  Exits non-zero on any violation.
+# cross-check the one layer-rule registry both compilers build from
+# against the shapes registry, and apply verified arena slot coloring.
+# Exits non-zero on any violation.
 plan-audit:
 	python -m repro.analysis.plans audit --dtype float32 --dtype float64
 

@@ -26,9 +26,9 @@ spends the result:
   :class:`~repro.train.parallel.ParallelTrainer`'s shared-memory
   protocol (race detection over param/grad segments) and a dynamic
   per-ticket isolation check for the batching ``FleetServer``;
-* :mod:`repro.analysis.plans.coverage` — cross-checks the serve/train
-  plan-rule registries against the shapes registry, so a new layer
-  without rules fails ``make check``;
+* :mod:`repro.analysis.plans.coverage` — cross-checks the layer-rule
+  registry both plan compilers share against the shapes registry, so a
+  new layer without a rule fails ``make check``;
 * :mod:`repro.analysis.plans.audit` — the CLI:
   ``python -m repro.analysis.plans audit`` audits every registry module
   and exits non-zero on any violation.

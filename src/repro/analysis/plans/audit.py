@@ -10,7 +10,7 @@ in the audit registry at every requested dtype:
   backward, optimizer updates);
 * the happens-before race audit of the ``ParallelTrainer`` protocol and
   the dynamic batching-server isolation audit;
-* the plan-rule coverage cross-check against the shapes registry.
+* the layer-rule coverage cross-check against the shapes registry.
 
 Exit status is non-zero iff any violation is found.  ``--inject``
 plants one synthetic violation of a chosen class and expects the audit

@@ -1,13 +1,13 @@
-"""Plan-rule coverage audit: every shaped layer must compile.
+"""Layer-rule coverage audit: every shaped layer must compile.
 
 The shapes registry (:mod:`repro.analysis.shapes`) defines which
-``repro.nn`` layers the static analyses understand; the serve and train
-plan compilers keep their own rule registries.  A layer that gains a
-shape rule but not a plan rule silently falls back to an error at the
-first trace — this audit turns that gap into a ``make check`` failure:
-every class in ``shapes.covered_layers()`` must resolve a serve rule in
-``repro.serve.plan._PLAN_RULES`` and a train rule in
-``repro.train.plan._TRAIN_RULES`` through its MRO.
+``repro.nn`` layers the static analyses understand; the plan compilers
+share one layer-rule registry, ``repro.train.plan._TRAIN_RULES``
+(serving plans build through its forward-only mode).  A layer that
+gains a shape rule but not a layer rule silently falls back to an
+error at the first trace — this audit turns that gap into a
+``make check`` failure: every class in ``shapes.covered_layers()``
+must resolve a rule through its MRO.
 """
 
 from __future__ import annotations
@@ -17,38 +17,25 @@ from .ir import Violation
 __all__ = ["audit_rule_coverage"]
 
 
-def _resolves(cls, registry):
-    return any(base in registry for base in cls.__mro__)
-
-
 def audit_rule_coverage(extra_classes=()):
-    """Cross-check plan-rule registries against the shapes registry.
+    """Cross-check the layer-rule registry against the shapes registry.
 
     ``extra_classes`` adds module classes beyond the shapes registry
     (the missing-rule injection hook used by the negative tests).
     """
-    from ...serve.plan import _PLAN_RULES
     from ...train.plan import _TRAIN_RULES
     from .. import shapes
 
-    violations = []
     classes = sorted(set(shapes.covered_layers()) | set(extra_classes),
                      key=lambda cls: cls.__name__)
-    for cls in classes:
-        if not _resolves(cls, _PLAN_RULES):
-            violations.append(Violation(
-                "missing-rule",
-                "layer {!r} has a shapes rule but no serve plan rule — "
-                "register one with repro.serve.plan.register_plan_rule".format(
-                    cls.__name__),
-                case="rule-coverage",
-            ))
-        if not _resolves(cls, _TRAIN_RULES):
-            violations.append(Violation(
-                "missing-rule",
-                "layer {!r} has a shapes rule but no train plan rule — "
-                "register one with repro.train.plan.register_train_rule".format(
-                    cls.__name__),
-                case="rule-coverage",
-            ))
-    return violations
+    return [
+        Violation(
+            "missing-rule",
+            "layer {!r} has a shapes rule but no layer rule — register "
+            "one with repro.train.plan.register_train_rule".format(
+                cls.__name__),
+            case="rule-coverage",
+        )
+        for cls in classes
+        if not any(base in _TRAIN_RULES for base in cls.__mro__)
+    ]

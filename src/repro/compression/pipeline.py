@@ -187,27 +187,3 @@ class DeepCompressionPipeline:
             huffman_total += bit_length
         report.add("huffman", huffman_total, self._accuracy(eval_x, eval_y))
         return report
-
-    def serving_plan(self, example_input, sparse_threshold=0.5):
-        """Compile the compressed model into a :class:`repro.serve.Plan`.
-
-        The compression stages produce exactly the weight structure the
-        plan executor's Linear fast paths exploit: pruning leaves weights
-        below ``sparse_threshold`` density, which the plan pins as scipy
-        CSR matrices and serves through SpMM; k-means weight sharing (if
-        stage 2 ran) is passed as per-parameter hints, so the plan pins
-        each codebook's dequantized dense weight once at compile time and
-        replays it at dense-matmul speed — the compressed model serves
-        without touching codebooks or masks per request.
-        """
-        from ..serve import compile_plan
-
-        hints = {}
-        if self.quantized_:
-            parameters = dict(self.model.named_parameters())
-            for name, quantized in self.quantized_.items():
-                param = parameters.get(name)
-                if param is not None:
-                    hints[id(param)] = quantized
-        return compile_plan(self.model, example_input, hints=hints,
-                            sparse_threshold=sparse_threshold)

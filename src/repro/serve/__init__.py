@@ -9,7 +9,9 @@ inference-only path:
 
 * :func:`compile_plan` / :class:`Plan` — capture a module's forward once
   and replay it with zero graph construction and zero per-request
-  allocation (:mod:`repro.serve.plan`);
+  allocation (:mod:`repro.serve.plan`).  Traces are built by the
+  training compiler's layer rules in their forward-only mode
+  (:mod:`repro.train.plan`), the one rule registry of both compilers;
 * :class:`BufferArena` / :class:`ArenaPool` — the preallocated
   intermediate storage plans replay into, shareable across models
   (:mod:`repro.serve.arena`);
@@ -29,11 +31,9 @@ inference-only path:
 from .arena import ArenaFrozenError, ArenaPool, BufferArena
 from .plan import (
     Plan,
-    PlanContext,
     PlanVerificationError,
     UnsupportedModuleError,
     compile_plan,
-    register_plan_rule,
 )
 from .fleet import (
     AdmissionError,
@@ -60,11 +60,9 @@ __all__ = [
     "ArenaPool",
     "BufferArena",
     "Plan",
-    "PlanContext",
     "PlanVerificationError",
     "UnsupportedModuleError",
     "compile_plan",
-    "register_plan_rule",
     "AdmissionError",
     "CascadeRoute",
     "FleetServer",

@@ -295,8 +295,9 @@ class ModelRegistry:
     def register(self, name, model, collator, examples, max_batch=8):
         """Add a model under ``name``; not servable until :meth:`freeze`.
 
-        Compressed models arrive as prebuilt plans (e.g. from
-        :meth:`~repro.compression.DeepCompressionPipeline.serving_plan`).
+        ``model`` is a module (compiled here) or a prebuilt plan.  A
+        Deep-Compression model registers as ``pipeline.model``: pruning
+        and quantization leave plain dense weights in ``param.data``.
         """
         if self.frozen:
             raise RuntimeError("registry is frozen; register before freeze")

@@ -53,10 +53,10 @@ def sigmoid_fast_(x, out):
 
     The clip keeps ``e^-x`` finite in float64 (``e^500 < inf``), so the
     branchless form never overflows; it agrees with :func:`sigmoid_` to
-    rounding but runs six ufuncs instead of ten.  Used by training-plan
-    recurrent rules where the per-call cost dominates; serving plans keep
-    :func:`sigmoid_` for bit-equality with the eager forward.  ``x`` may
-    alias ``out``.
+    rounding but runs six ufuncs instead of ten.  Used by the GRU
+    sequence rule's fused r/z gates, where the per-call cost dominates,
+    in training and serving plans alike; the other rules keep
+    :func:`sigmoid_`.  ``x`` may alias ``out``.
     """
     np.minimum(x, 500.0, out=out)
     np.maximum(out, -500.0, out=out)

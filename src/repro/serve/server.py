@@ -37,6 +37,17 @@ def _bucket_size(count, maximum):
     return min(size, maximum)
 
 
+def _check_length(array, max_length):
+    """Reject a sequence the padded buckets cannot hold."""
+    if array.shape[0] > max_length:
+        raise ValueError(
+            "sequence length {} exceeds max_length {}".format(
+                array.shape[0], max_length
+            )
+        )
+    return array
+
+
 class VectorCollator:
     """Batch fixed-size feature vectors: key = (features, dtype)."""
 
@@ -77,13 +88,7 @@ class SequenceCollator:
                     array.shape
                 )
             )
-        if array.shape[0] > self.max_length:
-            raise ValueError(
-                "sequence length {} exceeds max_length {}".format(
-                    array.shape[0], self.max_length
-                )
-            )
-        return array
+        return _check_length(array, self.max_length)
 
     def bucket_key(self, payload):
         return (
@@ -135,7 +140,7 @@ class MultiViewCollator:
                         dim, array.shape
                     )
                 )
-            views.append(array)
+            views.append(_check_length(array, self.max_length))
         return views
 
     def bucket_key(self, payload):

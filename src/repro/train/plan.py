@@ -22,12 +22,20 @@ then replays them with
   scatter in conv backward (no ``out=`` form) and numpy-internal
   buffering for dtype-mixed ufuncs.
 
-Unlike inference plans, weights are **live**, not pinned: forward and
-backward matmuls read transposed *views* of ``param.data`` and the
-update closures modify the same arrays in place, so a compiled step is
-a complete SGD/Adam iteration.  ``TrainPlan`` re-binds parameters that
-user code rebinds (``load_state_dict``, an eager optimizer step) back
-onto the captured arrays before each replay.
+Weights are **live**: forward and backward matmuls read transposed
+*views* of ``param.data`` and the update closures modify the same
+arrays in place, so a compiled step is a complete SGD/Adam iteration.
+``TrainPlan`` re-binds parameters that user code rebinds
+(``load_state_dict``, an eager optimizer step) back onto the captured
+arrays before each replay.
+
+The same rules compile serving plans.  ``TrainContext(arena,
+training=False)`` is a forward-only mode: :meth:`TrainContext.grad`
+returns ``None``, so every rule returns after its forward steps and no
+gradient, loss or optimizer buffer is built; dropout is the identity,
+batch norm normalises with its running statistics, and no rule keeps a
+buffer that only backward reads.  :class:`repro.serve.Plan` builds
+every trace this way and keeps only the forward steps.
 
 Every compile self-verifies: the traced step runs once on the example
 and its loss, every parameter gradient, and every updated buffer
@@ -85,18 +93,20 @@ class TrainVerificationError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Rule registry (mirrors repro.serve.plan.register_plan_rule)
+# Rule registry (mirrors repro.analysis.shapes.register_rule)
 # ----------------------------------------------------------------------
 _TRAIN_RULES = {}
 
 
 def register_train_rule(*classes):
-    """Decorator: register a training rule ``fn(module, inputs, ctx)``.
+    """Decorator: register a layer rule ``fn(module, inputs, ctx)``.
 
-    The rule allocates its output buffer(s), appends forward steps with
-    :meth:`TrainContext.fwd`, and appends one backward closure with
-    :meth:`TrainContext.bwd` that *accumulates* (``+=``) into the
-    gradient buffers of its inputs and parameters.
+    The one rule registry of both compilers.  The rule allocates its
+    output buffer(s) and appends forward steps with
+    :meth:`TrainContext.fwd`.  When its output has a gradient buffer it
+    then appends one backward closure with :meth:`TrainContext.bwd`
+    that *accumulates* (``+=``) into the gradient buffers of its inputs
+    and parameters; in forward-only mode it returns after the forward.
     """
     def decorate(fn):
         for cls in classes:
@@ -131,10 +141,16 @@ class TrainContext:
     Backward closures are registered in build (forward) order and
     executed **reversed**, which is reverse-topological order for the
     traced graph; the loss rule registers last and therefore runs first.
+
+    ``training=False`` is the forward-only mode serving plans compile
+    through: :meth:`grad` returns ``None`` for every buffer, rules
+    apply eval semantics (dropout is the identity, batch norm reads its
+    running statistics) and keep no buffer that only backward reads.
     """
 
-    def __init__(self, arena):
+    def __init__(self, arena, training=True):
         self.arena = arena
+        self.training = training
         self.fwd_steps = []
         self.bwd_steps = []
         self.param_grads = OrderedDict()
@@ -184,9 +200,10 @@ class TrainContext:
         self._keepalive.append(view)
 
     def grad(self, buffer):
-        """Gradient buffer paired with ``buffer`` (``None`` if constant)."""
+        """Gradient buffer paired with ``buffer`` (``None`` if constant
+        or in forward-only mode)."""
         key = id(buffer)
-        if key in self._constants:
+        if not self.training or key in self._constants:
             return None
         base = self._alias.get(key)
         if base is not None:
@@ -225,7 +242,7 @@ class TrainContext:
         rule = _find_train_rule(module)
         if rule is None:
             raise UnsupportedModuleError(
-                "no training rule registered for {}; add one with "
+                "no layer rule registered for {}; add one with "
                 "@register_train_rule({})".format(
                     type(module).__name__, type(module).__name__
                 )
@@ -985,7 +1002,7 @@ def _train_identity(module, inputs, ctx):
 @register_train_rule(nn.Dropout)
 def _train_dropout(module, inputs, ctx):
     x = _expect_array(module, inputs)
-    if module.rate <= 0.0:
+    if module.rate <= 0.0 or not ctx.training:
         return x
     keep = 1.0 - module.rate
     rng = module.rng
@@ -1175,6 +1192,8 @@ def _train_linear(module, inputs, ctx, activation=None):
 
     g_x = ctx.grad(x)
     g_out = ctx.grad(out)
+    if g_out is None:
+        return out
     g_out2 = ctx.keep(g_out.reshape(-1, out_features))
     g_x2 = None if g_x is None else ctx.keep(g_x.reshape(-1, in_features))
     g_w = ctx.param_grad(weight)
@@ -1221,9 +1240,33 @@ def _norm_backward_steps(g_out, norm, denom, dxhat, tmp, tmp2, s1, s2,
     g_x += tmp
 
 
+def _eval_batchnorm(module, x, ctx):
+    """Forward-only batch norm: the running statistics, read in place."""
+    run_mean = module._buffers["running_mean"]
+    run_var = module._buffers["running_var"]
+    eps = module.eps
+    g, b = module.gamma.data, module.beta.data
+    denom = ctx.alloc(run_var.shape, run_var.dtype)
+    out = ctx.alloc(x.shape, np.result_type(x.dtype, run_mean.dtype,
+                                            g.dtype, b.dtype))
+
+    def forward():
+        np.add(run_var, eps, out=denom)
+        np.sqrt(denom, out=denom)
+        np.subtract(x, run_mean, out=out)
+        np.divide(out, denom, out=out)
+        np.multiply(out, g, out=out)
+        np.add(out, b, out=out)
+
+    ctx.fwd(forward)
+    return out
+
+
 @register_train_rule(nn.BatchNorm1d)
 def _train_batchnorm(module, inputs, ctx):
     x = _expect_array(module, inputs)
+    if not ctx.training:
+        return _eval_batchnorm(module, x, ctx)
     batch = x.shape[0]
     gamma, beta = module.gamma, module.beta
     run_mean = module._buffers["running_mean"]
@@ -1299,10 +1342,15 @@ def _train_layernorm(module, inputs, ctx):
     dtype = np.result_type(x.dtype, gamma.data.dtype)
     red_shape = x.shape[:-1] + (1,)
     red = ctx.alloc(red_shape, dtype)
-    denom = ctx.alloc(red_shape, dtype)
+    # Backward reads denom and norm; forward-only mode computes them in
+    # the reduction and output buffers instead.
+    denom = ctx.alloc(red_shape, dtype) if ctx.training else red
     centered = ctx.alloc(x.shape, dtype)
-    norm = ctx.alloc(x.shape, dtype)
-    out = ctx.alloc(x.shape, dtype)
+    if ctx.training:
+        norm = ctx.alloc(x.shape, dtype)
+        out = ctx.alloc(x.shape, dtype)
+    else:
+        norm = out = ctx.alloc(x.shape, dtype)
     g = gamma.data
     b = beta.data
     lead_axes = tuple(range(x.ndim - 1))
@@ -1322,6 +1370,8 @@ def _train_layernorm(module, inputs, ctx):
 
     g_x = ctx.grad(x)
     g_out = ctx.grad(out)
+    if g_out is None:
+        return out
     g_gamma = ctx.param_grad(gamma)
     g_beta = ctx.param_grad(beta)
     tmp = ctx.alloc(x.shape, g_out.dtype)
@@ -1390,7 +1440,10 @@ def _train_conv2d(module, inputs, ctx, activation=None):
     flat = ctx.keep(padded.reshape(-1))
     index = conv_mod._gather_index(n, c, h, w, kh, kw, stride, padding, oh, ow)
     group_rows = c_per_group * kh * kw
-    cols = ctx.alloc((groups * group_rows, n * oh * ow), dtype)
+    # Backward reuses every group's im2col columns; forward-only mode
+    # gathers the groups one after another into one group's columns.
+    col_groups = groups if ctx.training else 1
+    cols = ctx.alloc((col_groups * group_rows, n * oh * ow), dtype)
     feature_map = ctx.alloc((f, n * oh * ow), dtype)
     out = ctx.alloc((n, f, oh, ow), dtype)
     out_src = ctx.keep(feature_map.reshape(f, n, oh, ow).transpose(1, 0, 2, 3))
@@ -1405,7 +1458,7 @@ def _train_conv2d(module, inputs, ctx, activation=None):
         fslice = slice(g * f_per_group, (g + 1) * f_per_group)
         group_parts.append((  # repro-lint: allow[alloc-in-loop] compile-time view table, not a replay step
             ctx.keep(index[rows]),
-            ctx.keep(cols[rows]),
+            ctx.keep(cols[rows] if ctx.training else cols),
             ctx.keep(weight.data[fslice].reshape(f_per_group, group_rows)),
             ctx.keep(feature_map[fslice]),
         ))
@@ -1425,6 +1478,8 @@ def _train_conv2d(module, inputs, ctx, activation=None):
 
     g_x = ctx.grad(x)
     g_out = ctx.grad(out)
+    if g_out is None:
+        return out
     g_w = ctx.param_grad(weight)
     g_b = None if bias is None else ctx.param_grad(bias)
     if activation is None:
@@ -1488,9 +1543,26 @@ def _train_conv2d(module, inputs, ctx, activation=None):
     return out
 
 
+def _window_pool(ctx, x, kernel, stride, reducer):
+    """Forward pooling as one reduction over a strided window view."""
+    n, c, h, w = x.shape
+    reshaped = ctx.keep(x.reshape(n * c, 1, h, w))
+    windows, oh, ow = conv_mod._patch_view(reshaped, kernel, kernel,
+                                           stride, 0)
+    ctx.keep(windows)
+    out = ctx.alloc((n, c, oh, ow), x.dtype)
+    out_view = ctx.keep(out.reshape(n * c, oh, ow))
+    ctx.fwd(lambda: reducer(windows, axis=(3, 4, 5), out=out_view))
+    return out
+
+
 @register_train_rule(nn.MaxPool2d)
 def _train_maxpool(module, inputs, ctx):
     x = _expect_array(module, inputs)
+    if not ctx.training:
+        # Backward's argmax reads gathered window columns; the forward
+        # alone reduces over a view of the input.
+        return _window_pool(ctx, x, module.kernel, module.stride, np.max)
     n, c, h, w = x.shape
     kernel, stride = module.kernel, module.stride
     oh = conv_mod._out_size(h, kernel, stride, 0)
@@ -1535,18 +1607,13 @@ def _train_maxpool(module, inputs, ctx):
 @register_train_rule(nn.AvgPool2d)
 def _train_avgpool(module, inputs, ctx):
     x = _expect_array(module, inputs)
-    n, c, h, w = x.shape
     kernel, stride = module.kernel, module.stride
-    reshaped = ctx.keep(x.reshape(n * c, 1, h, w))
-    windows, oh, ow = conv_mod._patch_view(reshaped, kernel, kernel,
-                                           stride, 0)
-    ctx.keep(windows)
-    out = ctx.alloc((n, c, oh, ow), x.dtype)
-    out_view = ctx.keep(out.reshape(n * c, oh, ow))
-    ctx.fwd(lambda: np.mean(windows, axis=(3, 4, 5), out=out_view))
+    out = _window_pool(ctx, x, kernel, stride, np.mean)
 
     g_x = ctx.grad(x)
     if g_x is not None:
+        n, c, h, w = x.shape
+        oh, ow = out.shape[2:]
         kk = kernel * kernel
         ncoo = n * c * oh * ow
         index = conv_mod._gather_index(n * c, 1, h, w, kernel, kernel,
@@ -1654,6 +1721,24 @@ def _hoisted_projection_backward(ctx, x2, g_x2, parts):
     return run
 
 
+def _state_rows(ctx, steps, batch, hidden, dtype):
+    """Recurrent state rows: timestep ``t`` reads row ``t % len(rows)``.
+
+    Training keeps every timestep for backward (``steps + 1`` rows, row
+    0 the zero initial state written once here).  Forward-only mode
+    alternates between two rows, zeroed by a step of their own (the
+    whole buffer, so the plan auditor sees it fully written).
+    """
+    if ctx.training:
+        # Persistent: row 0 is the zero initial state, written once here.
+        rows = ctx.alloc((steps + 1, batch, hidden), dtype, persistent=True)
+        rows[0] = 0.0
+        return rows
+    rows = ctx.alloc((2, batch, hidden), dtype)
+    ctx.fwd(lambda: rows.fill(0.0))
+    return rows
+
+
 @register_train_rule(nn.GRUCell)
 def _train_gru_cell(module, inputs, ctx):
     if not isinstance(inputs, tuple) or len(inputs) != 2:
@@ -1706,6 +1791,8 @@ def _train_gru_cell(module, inputs, ctx):
     ctx.fwd(forward)
 
     g_out = ctx.grad(out)
+    if g_out is None:
+        return out
     g_x = ctx.grad(x)
     g_h = ctx.grad(h)
     gdt = g_out.dtype
@@ -1813,13 +1900,13 @@ def _train_gru(module, inputs, ctx):
     pz_half = ctx.keep(prz[:, hidden:])
     prz3 = ctx.keep(prz.reshape(batch, steps, 2 * hidden))
     ph3 = ctx.keep(ph.reshape(batch, steps, hidden))
-    # Persistent: row 0 is the zero initial state, written once here.
-    hs = ctx.alloc((steps + 1, batch, hidden), dtype, persistent=True)
-    hs[0] = 0.0  # h0 is a fresh zero state every step; never rewritten
-    rzs = ctx.alloc((steps, batch, 2 * hidden), dtype)
-    cs = ctx.alloc((steps, batch, hidden), dtype)
-    rhs = ctx.alloc((steps, batch, hidden), dtype)
-    omzs = ctx.alloc((steps, batch, hidden), dtype)
+    hs = _state_rows(ctx, steps, batch, hidden, dtype)
+    # Gate stacks: every timestep for backward, one in forward-only mode.
+    kept = steps if ctx.training else 1
+    rzs = ctx.alloc((kept, batch, 2 * hidden), dtype)
+    cs = ctx.alloc((kept, batch, hidden), dtype)
+    rhs = ctx.alloc((kept, batch, hidden), dtype)
+    omzs = ctx.alloc((kept, batch, hidden), dtype)
     # the optimizer mutates u_r/u_z in place every step, so the fused
     # copy is refreshed at the top of each forward pass
     urzT = ctx.alloc((hidden, 2 * hidden), dtype)
@@ -1835,9 +1922,10 @@ def _train_gru(module, inputs, ctx):
     fwd_table = []
     for t in range(steps):
         m_t = None if mcols is None else mcols[:, t:t + 1]
-        fwd_table.append((prz3[:, t, :], ph3[:, t, :], hs[t], hs[t + 1],
-                          rzs[t], rzs[t][:, :hidden], rzs[t][:, hidden:],
-                          cs[t], rhs[t], omzs[t], m_t))
+        k = t % kept
+        fwd_table.append((prz3[:, t, :], ph3[:, t, :], hs[t % len(hs)],
+                          hs[(t + 1) % len(hs)], rzs[k], rzs[k][:, :hidden],
+                          rzs[k][:, hidden:], cs[k], rhs[k], omzs[k], m_t))
 
     # prebound ufuncs + positional ``out``: the recurrent loops run
     # hundreds of tiny-array ops per step, so per-call dispatch overhead
@@ -1875,9 +1963,11 @@ def _train_gru(module, inputs, ctx):
             vadd(h_prev, tmp, h_next)
 
     ctx.fwd(forward)
-    out = ctx.keep(hs[steps])
+    out = ctx.keep(hs[steps % len(hs)])
 
     g_out = ctx.grad(out)
+    if g_out is None:
+        return out
     g_x = ctx.grad(x)
     gdt = g_out.dtype
     urd, uzd, uhd = cell.u_r.data, cell.u_z.data, cell.u_h.data
@@ -2067,6 +2157,8 @@ def _train_lstm_cell(module, inputs, ctx):
     ctx.fwd(forward)
 
     g_h_out = ctx.grad(h_out)
+    if g_h_out is None:
+        return (h_out, c_out)
     g_c_out = ctx.grad(c_out)
     g_x = ctx.grad(x)
     g_h = ctx.grad(h)
@@ -2147,13 +2239,12 @@ def _train_lstm(module, inputs, ctx):
     uT = ctx.keep(cell.u.data.T)
     p = ctx.alloc((rows, 4 * hidden), dtype)
     p3 = ctx.keep(p.reshape(batch, steps, 4 * hidden))
-    # Persistent: row 0 of each is the zero initial state, written once.
-    hs = ctx.alloc((steps + 1, batch, hidden), dtype, persistent=True)
-    cs = ctx.alloc((steps + 1, batch, hidden), dtype, persistent=True)
-    hs[0] = 0.0
-    cs[0] = 0.0
-    gates_saved = ctx.alloc((steps, batch, 4 * hidden), dtype)
-    tcs = ctx.alloc((steps, batch, hidden), dtype)
+    hs = _state_rows(ctx, steps, batch, hidden, dtype)
+    cs = _state_rows(ctx, steps, batch, hidden, dtype)
+    # Gate stacks: every timestep for backward, one in forward-only mode.
+    kept = steps if ctx.training else 1
+    gates_saved = ctx.alloc((kept, batch, 4 * hidden), dtype)
+    tcs = ctx.alloc((kept, batch, hidden), dtype)
     gbuf = ctx.alloc((batch, 4 * hidden), dtype)
     gb_i = ctx.keep(gbuf[:, :hidden])
     gb_f = ctx.keep(gbuf[:, hidden:2 * hidden])
@@ -2178,12 +2269,13 @@ def _train_lstm(module, inputs, ctx):
     fwd_table = []
     for t in range(steps):
         m_t = None if mcols is None else mcols[:, t:t + 1]
-        saved = gates_saved[t]
-        fwd_table.append((p3[:, t, :], hs[t], hs[t + 1], cs[t], cs[t + 1],
+        saved = gates_saved[t % kept]
+        now, nxt = t % len(hs), (t + 1) % len(hs)
+        fwd_table.append((p3[:, t, :], hs[now], hs[nxt], cs[now], cs[nxt],
                           saved, saved[:, :hidden],
                           saved[:, hidden:2 * hidden],
                           saved[:, 2 * hidden:3 * hidden],
-                          saved[:, 3 * hidden:], tcs[t], m_t))
+                          saved[:, 3 * hidden:], tcs[t % kept], m_t))
 
     def forward():
         np.matmul(x2, wT, out=p)
@@ -2215,9 +2307,11 @@ def _train_lstm(module, inputs, ctx):
                 np.add(tmp, pre, out=c_next)
 
     ctx.fwd(forward)
-    out = ctx.keep(hs[steps])
+    out = ctx.keep(hs[steps % len(hs)])
 
     g_out = ctx.grad(out)
+    if g_out is None:
+        return out
     g_x = ctx.grad(x)
     gdt = g_out.dtype
     g_x2 = None if g_x is None else ctx.keep(g_x.reshape(rows, features))
@@ -2364,6 +2458,8 @@ def _train_bidirectional(module, inputs, ctx):
     ctx.fwd(concat_step)
 
     g_out = ctx.grad(out)
+    if g_out is None:
+        return out
     g_ahead = ctx.grad(ahead)
     g_behind = ctx.grad(behind)
     g_out_a = ctx.keep(g_out[:, :split])
@@ -2456,6 +2552,8 @@ def _train_fc_fusion(module, inputs, ctx):
     ctx.fwd(forward)
 
     g_out = ctx.grad(out)
+    if g_out is None:
+        return out
     gdt = g_out.dtype
     g_w1 = ctx.param_grad(w1)
     g_w2 = ctx.param_grad(w2)
@@ -2496,7 +2594,8 @@ def _train_fm_fusion(module, inputs, ctx):
     out_dtype = np.result_type(q_dtype, module.w.data.dtype)
     q = ctx.alloc((batch, classes * factors), q_dtype)
     q3 = ctx.keep(q.reshape(batch, classes, factors))
-    sq = ctx.alloc((batch, classes * factors), q_dtype)
+    # Backward reads q; forward-only mode squares it in place.
+    sq = ctx.alloc((batch, classes * factors), q_dtype) if ctx.training else q
     sq3 = ctx.keep(sq.reshape(batch, classes, factors))
     quadratic = ctx.alloc((batch, classes), q_dtype)
     linear = ctx.alloc((batch, classes),
@@ -2514,6 +2613,8 @@ def _train_fm_fusion(module, inputs, ctx):
     ctx.fwd(forward)
 
     g_out = ctx.grad(out)
+    if g_out is None:
+        return out
     gdt = g_out.dtype
     ud, wd = module.u.data, module.w.data
     g_u = ctx.param_grad(module.u)
@@ -2564,13 +2665,21 @@ def _train_mvm_fusion(module, inputs, ctx):
         *([v.dtype for v in views] + [p.data.dtype for p in factor_params]))
     width = classes * factors
 
+    # Backward reads every view's projection; forward-only mode projects
+    # the first view straight into the product and shares one buffer
+    # among the others.
+    product = None if ctx.training else ctx.alloc((batch, width), dtype)
     stages = []
-    for view, param in zip(views, factor_params):
+    for index, (view, param) in enumerate(zip(views, factor_params)):
         vcat, fill, size, _ = _train_concat_with_ones(ctx, [view], view.dtype)  # repro-lint: allow[alloc-in-loop] compile-time per-view buffers
-        q_p = ctx.alloc((batch, width), dtype)  # repro-lint: allow[alloc-in-loop] compile-time per-view buffers
+        if ctx.training or index == 1:
+            q_p = ctx.alloc((batch, width), dtype)  # repro-lint: allow[alloc-in-loop] compile-time per-view buffers
+        else:
+            q_p = product if index == 0 else stages[1][3]
         stages.append((fill, vcat, ctx.keep(param.data.T), q_p, view, param,
                        size))
-    product = ctx.alloc((batch, width), dtype)
+    if product is None:
+        product = ctx.alloc((batch, width), dtype)
     product3 = ctx.keep(product.reshape(batch, classes, factors))
     out = ctx.alloc((batch, classes), dtype)
 
@@ -2578,6 +2687,8 @@ def _train_mvm_fusion(module, inputs, ctx):
         for index, (fill, vcat, uT, q_p, _, _, _) in enumerate(stages):
             fill()
             np.matmul(vcat, uT, out=q_p)
+            if q_p is product:
+                continue
             if index == 0:
                 np.copyto(product, q_p)
             else:
@@ -2587,6 +2698,8 @@ def _train_mvm_fusion(module, inputs, ctx):
     ctx.fwd(forward)
 
     g_out = ctx.grad(out)
+    if g_out is None:
+        return out
     gdt = g_out.dtype
     g_out3 = ctx.keep(g_out.reshape(batch, classes, 1))
     oth = ctx.alloc((batch, width), gdt)

@@ -52,7 +52,7 @@ def _train(model, x, y, epochs=6, lr=0.02, seed=0):
 
 @pytest.fixture(scope="module")
 def fleet_setup():
-    """A trained full model, its Deep-Compression plan, and the registry."""
+    """A trained full model, its Deep-Compression model, and the registry."""
     x, y = make_digits(600, seed=1)
     rng = np.random.default_rng(0)
     full = _train(nn.Sequential(
@@ -64,10 +64,9 @@ def fleet_setup():
     pipeline = DeepCompressionPipeline(compressed, prune_sparsity=0.6,
                                        quant_bits=5, retrain_epochs=2)
     pipeline.run((x, y), (x[:200], y[:200]))
-    fast_plan = pipeline.serving_plan(x[:1])
 
     registry = ModelRegistry()
-    registry.register("fast", fast_plan, VectorCollator(), [x[0]],
+    registry.register("fast", pipeline.model, VectorCollator(), [x[0]],
                       max_batch=MAX_BATCH)
     registry.register("full", full, VectorCollator(), [x[0]],
                       max_batch=MAX_BATCH)

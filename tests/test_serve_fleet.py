@@ -272,7 +272,21 @@ def setup_module(module):
 
 
 class TestRegistryPool:
-    def test_pool_shares_slots_across_models(self, registry):
+    def test_pool_shares_slots_across_models(self):
+        # Two hidden layers: the Linear rule fuses each Tanh into its
+        # producer, so a one-hidden-layer MLP's trace has a single
+        # intermediate and no slot for the colorer to pool.
+        registry = ModelRegistry()
+        example = np.random.default_rng(99).normal(size=FEATURES)
+        for name, hidden, seed in (("fast", 8, 1), ("full", 32, 2)):
+            rng = np.random.default_rng(seed)
+            model = nn.Sequential(
+                nn.Linear(FEATURES, hidden, rng=rng), nn.Tanh(),
+                nn.Linear(hidden, hidden, rng=rng), nn.Tanh(),
+                nn.Linear(hidden, CLASSES, rng=rng))
+            registry.register(name, model, VectorCollator(), [example],
+                              max_batch=8)
+        registry.freeze()
         accounting = registry.arena_bytes()
         assert accounting["pool"] > 0
         # Every warm trace leases the same slabs, so the sum of per-trace

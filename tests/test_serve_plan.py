@@ -269,20 +269,20 @@ def test_unsupported_module_raises():
 
 def test_verification_catches_divergence(monkeypatch):
     """A rule that replays the wrong math must fail compile-time verify."""
-    from repro.serve import plan as plan_mod
+    from repro.train import plan as rules
 
     module = nn.Sequential(nn.Linear(4, 3, rng=_rng(0)))
-    original = plan_mod._PLAN_RULES[nn.Linear]
+    original = rules._TRAIN_RULES[nn.Linear]
 
     def broken_rule(layer, x, ctx):
         out = original(layer, x, ctx)
 
         def corrupt():
             out[...] += 1.0
-        ctx.step(corrupt)
+        ctx.fwd(corrupt)
         return out
 
-    monkeypatch.setitem(plan_mod._PLAN_RULES, nn.Linear, broken_rule)
+    monkeypatch.setitem(rules._TRAIN_RULES, nn.Linear, broken_rule)
     with pytest.raises(PlanVerificationError):
         compile_plan(module, _arr((2, 4), np.float64))
 
@@ -311,3 +311,30 @@ def test_dropout_is_inert_in_compiled_plan():
     outs = [plan.run(x) for _ in range(3)]
     np.testing.assert_array_equal(outs[0], outs[1])
     np.testing.assert_array_equal(outs[1], outs[2])
+
+
+def test_serving_never_touches_training_state():
+    """A plan of a training-mode module replays eval semantics and leaves
+    the batch-norm statistics and the dropout stream untouched."""
+    norm = nn.BatchNorm1d(8)
+    norm.set_buffer("running_mean", _arr((8,), np.float64, 5) * 0.1)
+    norm.set_buffer("running_var", np.abs(_arr((8,), np.float64, 6)) + 0.5)
+    dropout = nn.Dropout(0.5, rng=_rng(1))
+    module = nn.Sequential(nn.Linear(6, 8, rng=_rng(2)), norm, dropout,
+                           nn.Linear(8, 4, rng=_rng(3)))
+    module.train()
+    state = module.state_dict()
+    rng_state = dropout.rng.bit_generator.state
+    x = _arr((5, 6), np.float64, 7)
+
+    plan = compile_plan(module, x)
+    outs = [plan.run(x) for _ in range(3)]
+
+    assert module.training
+    after = module.state_dict()
+    for name, value in state.items():
+        np.testing.assert_array_equal(after[name], value, err_msg=name)
+    assert dropout.rng.bit_generator.state == rng_state
+    expected = _eager(module, x)
+    for out in outs:
+        _assert_matches(out, expected, np.float64)

@@ -341,3 +341,48 @@ def test_unpolled_requests_stay_pending():
         ticket.result()
     server.flush()
     assert ticket.done
+
+
+def test_overlong_view_fails_alone_at_submit(monkeypatch):
+    """A view longer than max_length is refused at submit, as a plain
+    sequence is, so it never reaches collation and its batchmates are
+    served in one replay without a fallback."""
+    view_dims = (4, 3)
+    model = MultiViewGRUClassifier(view_dims, hidden_size=6, fusion="fc",
+                                   fusion_units=4, seed=5)
+    model.eval()
+    collator = MultiViewCollator(view_dims, max_length=16)
+    server, _ = _batcher(model, collator,
+                         [[np.zeros((12, d)) for d in view_dims]],
+                         max_batch_size=4)
+    plan = server.registry.entries["model"].plan
+    replays = []
+    run = plan.run
+
+    def counting_run(inputs, copy=True):
+        replays.append(inputs[0][0].shape[0])
+        return run(inputs, copy=copy)
+
+    monkeypatch.setattr(plan, "run", counting_run)
+    good = [[_rng(20 + i * 2 + j).standard_normal((12, d))
+             for j, d in enumerate(view_dims)] for i in range(3)]
+    overlong = [_rng(30).standard_normal((20, 4)),
+                _rng(31).standard_normal((12, 3))]
+
+    def submit_all():
+        tickets = [_submit(server, views) for views in good + [overlong]]
+        server.flush()
+        return tickets
+
+    tickets, fallbacks = _fallback_events(submit_all)
+    bad = tickets[-1]
+    assert bad.done and bad.failed
+    with pytest.raises(ValueError, match="exceeds max_length 16"):
+        bad.result()
+    assert fallbacks == 0
+    assert replays == [4]  # the three good requests, padded to one batch
+    for ticket, views in zip(tickets[:-1], good):
+        with no_grad():
+            expected = model(collator.collate([views], 1)).numpy()[0]
+        np.testing.assert_allclose(ticket.result(), expected,
+                                   rtol=1e-7, atol=1e-9)
