@@ -18,12 +18,15 @@ lint:
 	python -m repro.analysis.lint src tests
 
 # Engine-facing tests re-run under the mutation sanitizer: any in-place
-# write to a graph-held array fails loudly instead of corrupting grads.
+# write to a graph-held array fails loudly instead of corrupting grads,
+# and compiled training steps may write parameters only inside
+# TrainPlan._unlocked.
 sanitize-check:
 	REPRO_SANITIZE=1 python -m pytest -q \
 		tests/test_tensor_ops.py tests/test_tensor_conv.py \
 		tests/test_conv_gradcheck.py tests/test_nn_layers.py \
-		tests/test_nn_recurrent.py tests/test_nn_losses.py
+		tests/test_nn_recurrent.py tests/test_nn_losses.py \
+		tests/test_train_plan.py
 
 # Fault-injection sweep: FedAvg/selective-SGD driven through the fixed
 # chaos seed matrix (50 seeded random fault schedules) plus the

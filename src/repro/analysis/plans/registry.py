@@ -169,6 +169,13 @@ def _deepmood_bidir_fc():
                                   seed=31)
 
 
+def _deepmood_ragged_fm():
+    from ...core.model import MultiViewGRUClassifier
+
+    return MultiViewGRUClassifier((4, 6, 3), hidden_size=8, fusion="fm",
+                                  fusion_units=4, seed=33)
+
+
 AUDIT_CASES = {
     case.name: case for case in [
         # Adam on the MLP so both optimizer-state paths are audited.
@@ -208,6 +215,12 @@ AUDIT_CASES = {
                   lambda dt: [(_arr((3, 5, d), dt, 50 + i),
                                _mask(3, 5, dt, 60 + i))
                               for i, d in enumerate((4, 3))]),
+        # Views of unequal lengths; the third is bare and shorter than
+        # the longest.
+        AuditCase("deepmood_ragged_fm", _deepmood_ragged_fm,
+                  lambda dt: [(_arr((3, 4, 4), dt, 90), _mask(3, 4, dt, 93)),
+                              (_arr((3, 7, 6), dt, 91), _mask(3, 7, dt, 94)),
+                              _arr((3, 5, 3), dt, 92)]),
     ]
 }
 

@@ -912,19 +912,36 @@ class TrainPlan:
                 offset += arr.size
 
     def load_state(self, state_dict):
-        """In-place ``load_state_dict``: keeps the compiled binding valid."""
+        """In-place ``load_state_dict``: keeps the compiled binding valid.
+
+        Every key and shape is checked before anything is written, with
+        ``Module.load_state_dict``'s errors, so a bad state leaves the
+        parameters untouched.
+        """
         self._ensure_bound()
         self._rebind()
-        state = dict(state_dict)
         prefixes = {id(m): n for n, m in self.module.named_modules()}
+        entries = [(name, arr) for name, _, arr in self._bound_params]
+        missing = [name for name, _ in entries if name not in state_dict]
+        if missing:
+            raise KeyError(
+                "missing parameters in state dict: {}".format(missing))
+        for mod, bname, arr in self._bound_buffers:
+            prefix = prefixes.get(id(mod), "")
+            key = bname if not prefix else prefix + "." + bname
+            if key in state_dict:
+                entries.append((key, arr))
+        values = []
+        for key, arr in entries:
+            value = np.asarray(state_dict[key], dtype=arr.dtype)
+            if value.shape != arr.shape:
+                raise ValueError(
+                    "shape mismatch for '{}': checkpoint {} vs model {}".format(
+                        key, value.shape, arr.shape))
+            values.append((arr, value))
         with self._unlocked():
-            for name, _, arr in self._bound_params:
-                np.copyto(arr, state[name])
-            for mod, bname, arr in self._bound_buffers:
-                prefix = prefixes.get(id(mod), "")
-                key = bname if not prefix else prefix + "." + bname
-                if key in state:
-                    np.copyto(arr, state[key])
+            for arr, value in values:
+                np.copyto(arr, value)
 
     def retrace(self, inputs, target, arena_factory=None):
         """Recompile the trace for this input/target signature from scratch.
@@ -1721,20 +1738,21 @@ def _hoisted_projection_backward(ctx, x2, g_x2, parts):
     return run
 
 
-def _state_rows(ctx, steps, batch, hidden, dtype):
+def _state_rows(ctx, steps, shape, dtype):
     """Recurrent state rows: timestep ``t`` reads row ``t % len(rows)``.
 
-    Training keeps every timestep for backward (``steps + 1`` rows, row
-    0 the zero initial state written once here).  Forward-only mode
-    alternates between two rows, zeroed by a step of their own (the
-    whole buffer, so the plan auditor sees it fully written).
+    Each row holds one state of ``shape``.  Training keeps every
+    timestep for backward (``steps + 1`` rows, row 0 the zero initial
+    state written once here).  Forward-only mode alternates between two
+    rows, zeroed by a step of their own (the whole buffer, so the plan
+    auditor sees it fully written).
     """
     if ctx.training:
         # Persistent: row 0 is the zero initial state, written once here.
-        rows = ctx.alloc((steps + 1, batch, hidden), dtype, persistent=True)
+        rows = ctx.alloc((steps + 1,) + shape, dtype, persistent=True)
         rows[0] = 0.0
         return rows
-    rows = ctx.alloc((2, batch, hidden), dtype)
+    rows = ctx.alloc((2,) + shape, dtype)
     ctx.fwd(lambda: rows.fill(0.0))
     return rows
 
@@ -1875,57 +1893,129 @@ def _train_gru_cell(module, inputs, ctx):
     return out
 
 
-@register_train_rule(nn.GRU)
-def _train_gru(module, inputs, ctx):
-    x, mask = _train_sequence_inputs(module, inputs)
-    cell = module.cell
-    hidden = module.hidden_size
-    batch, steps, features = x.shape
-    dtype = np.result_type(x.dtype, cell.w_r.data.dtype)
-    rows = batch * steps
-    x2 = ctx.keep(x.reshape(rows, features))
-    b_r, b_z, b_h = cell.b_r.data, cell.b_z.data, cell.b_h.data
-    wrT = ctx.keep(cell.w_r.data.T)
-    wzT = ctx.keep(cell.w_z.data.T)
-    whT = ctx.keep(cell.w_h.data.T)
-    urT = ctx.keep(cell.u_r.data.T)
-    uzT = ctx.keep(cell.u_z.data.T)
-    uhT = ctx.keep(cell.u_h.data.T)
-    # r and z share one adjacent buffer pair so each timestep runs a
-    # single fused sigmoid over (batch, 2*hidden) instead of two calls,
-    # and a single recurrent matmul against the stacked [u_r | u_z]
-    prz = ctx.alloc((rows, 2 * hidden), dtype)
-    ph = ctx.alloc((rows, hidden), dtype)
-    pr_half = ctx.keep(prz[:, :hidden])
-    pz_half = ctx.keep(prz[:, hidden:])
-    prz3 = ctx.keep(prz.reshape(batch, steps, 2 * hidden))
-    ph3 = ctx.keep(ph.reshape(batch, steps, hidden))
-    hs = _state_rows(ctx, steps, batch, hidden, dtype)
+def _gru_stack(ctx, cells, seqs):
+    """Compile GRU recurrences that share one hidden size as one loop.
+
+    ``cells`` holds each view's :class:`~repro.nn.GRUCell` and ``seqs``
+    its ``(x, mask)`` input, ``x`` shaped (batch, steps, features);
+    returns each view's final hidden state.  Each timestep issues one
+    set of numpy calls for all views, forward and backward:
+
+    * state and gate stacks are step-major with the view axis second,
+      so a timestep's slice is contiguous;
+    * the recurrent weights are stacked on the view axis, ``[u_r; u_z]``
+      in one block so r and z share one matmul and one fused sigmoid.
+      The optimizer updates the weights in place, so the stacked copy
+      is refreshed at the top of each forward; one view reads ``u_h``
+      in place;
+    * input projections stay per view, hoisted out of the loop, and so
+      do the weight gradients: after the backward loop each gate group
+      takes one matmul over all (steps x batch) rows, batched over the
+      views, which is then added into each cell's gradient.
+
+    A view shorter than the longest runs to the longest length with a
+    zero input tail and a zero mask, so the mask fold leaves its state
+    unchanged there; a bare view's mask is ones over its own length.
+    The mask buffer is persistent only when it holds such compile-time
+    values.
+
+    Training projects step-major copies of the inputs, whose rows the
+    weight-gradient contractions share.  Forward-only mode projects the
+    inputs' own batch-major rows, with no copy, so its views must share
+    one length; serving builds each GRU as a stack of one.
+    """
+    views = len(cells)
+    one = views == 1
+    hidden = cells[0].hidden_size
+    batch = seqs[0][0].shape[0]
+    lengths = [x.shape[1] for x, _ in seqs]
+    steps = max(lengths)
+    rows = steps * batch
+    dtype = np.result_type(*[x.dtype for x, _ in seqs],
+                           *[cell.w_r.data.dtype for cell in cells])
+
+    def per_view(stack):
+        # One view drops the view axis: plain 2-D operands, as unstacked.
+        return stack[0] if one else stack
+
+    # Input projections, view-major so each view projects its rows in
+    # one matmul per gate: (step, batch) rows in training, the input's
+    # own (batch, step) rows in forward-only mode.
+    order = (steps, batch) if ctx.training else (batch, steps)
+    prz = ctx.alloc((views,) + order + (2 * hidden,), dtype)
+    ph = ctx.alloc((views,) + order + (hidden,), dtype)
+    hs = _state_rows(ctx, steps, (views, batch, hidden), dtype)
     # Gate stacks: every timestep for backward, one in forward-only mode.
     kept = steps if ctx.training else 1
-    rzs = ctx.alloc((kept, batch, 2 * hidden), dtype)
-    cs = ctx.alloc((kept, batch, hidden), dtype)
-    rhs = ctx.alloc((kept, batch, hidden), dtype)
-    omzs = ctx.alloc((kept, batch, hidden), dtype)
-    # the optimizer mutates u_r/u_z in place every step, so the fused
-    # copy is refreshed at the top of each forward pass
-    urzT = ctx.alloc((hidden, 2 * hidden), dtype)
-    urzT_r = ctx.keep(urzT[:, :hidden])
-    urzT_z = ctx.keep(urzT[:, hidden:])
-    pre2 = ctx.alloc((batch, 2 * hidden), dtype)
-    pre = ctx.alloc((batch, hidden), dtype)
-    tmp = ctx.alloc((batch, hidden), dtype)
-    mcols = None
-    if mask is not None:
-        mcols = ctx.alloc((batch, steps), dtype)
+    rzs = ctx.alloc((kept, views, batch, 2 * hidden), dtype)
+    cs = ctx.alloc((kept, views, batch, hidden), dtype)
+    rhs = ctx.alloc((kept, views, batch, hidden), dtype)
+    omzs = ctx.alloc((kept, views, batch, hidden), dtype)
+    urz = ctx.alloc((views, 2 * hidden, hidden), dtype)
+    refresh = []
+    for index, cell in enumerate(cells):
+        refresh += [(urz[index, :hidden], cell.u_r.data),
+                    (urz[index, hidden:], cell.u_z.data)]
+    if one:
+        uh = cells[0].u_h.data
+    else:
+        uh = ctx.alloc((views, hidden, hidden), dtype)
+        refresh += [(uh[index], cell.u_h.data)
+                    for index, cell in enumerate(cells)]
+    urz = per_view(urz)
+    urzT, uhT = urz.swapaxes(-1, -2), uh.swapaxes(-1, -2)
+    pre2 = per_view(ctx.alloc((views, batch, 2 * hidden), dtype))
+    pre = per_view(ctx.alloc((views, batch, hidden), dtype))
+    tmp = per_view(ctx.alloc((views, batch, hidden), dtype))
 
+    # Copied in at the top of each forward: masks, and in training the
+    # inputs' step-major rows (casting covers boolean masks).
+    fills = []
+    ms = None
+    if any(mask is not None or length < steps
+           for (_, mask), length in zip(seqs, lengths)):
+        fixed = any(mask is None or length < steps
+                    for (_, mask), length in zip(seqs, lengths))
+        ms = ctx.alloc((steps, views, batch, 1), dtype, persistent=fixed)
+        ms[...] = 0.0
+        for index, ((_, mask), length) in enumerate(zip(seqs, lengths)):
+            if mask is None:
+                ms[:length, index] = 1.0
+            else:
+                fills.append((ms[:length, index, :, 0], mask.T))
+    sources = []
+    for index, (x, _) in enumerate(seqs):
+        features = x.shape[2]
+        if ctx.training:
+            # Persistent when short: the zero input tail is written here.
+            xt = ctx.alloc((steps, batch, features), x.dtype,
+                           persistent=lengths[index] < steps)
+            xt[...] = 0.0
+            fills.append((xt[:lengths[index]], x.transpose(1, 0, 2)))
+            x = xt
+        sources.append(x.reshape(rows, features))
+    projections = []
+    for src, cell, gates, gates_h in zip(sources, cells, prz, ph):
+        gates = gates.reshape(rows, 2 * hidden)
+        projections += [
+            (src, cell.w_r.data.T, gates[:, :hidden], cell.b_r.data),
+            (src, cell.w_z.data.T, gates[:, hidden:], cell.b_z.data),
+            (src, cell.w_h.data.T, gates_h.reshape(rows, hidden),
+             cell.b_h.data)]
+
+    if not ctx.training:
+        prz, ph = prz.swapaxes(1, 2), ph.swapaxes(1, 2)
     fwd_table = []
     for t in range(steps):
-        m_t = None if mcols is None else mcols[:, t:t + 1]
         k = t % kept
-        fwd_table.append((prz3[:, t, :], ph3[:, t, :], hs[t % len(hs)],
-                          hs[(t + 1) % len(hs)], rzs[k], rzs[k][:, :hidden],
-                          rzs[k][:, hidden:], cs[k], rhs[k], omzs[k], m_t))
+        rz_t = per_view(rzs[k])
+        fwd_table.append((per_view(prz[:, t]), per_view(ph[:, t]),
+                          per_view(hs[t % len(hs)]),
+                          per_view(hs[(t + 1) % len(hs)]), rz_t,
+                          rz_t[..., :hidden], rz_t[..., hidden:],
+                          per_view(cs[k]), per_view(rhs[k]),
+                          per_view(omzs[k]),
+                          None if ms is None else per_view(ms[t])))
 
     # prebound ufuncs + positional ``out``: the recurrent loops run
     # hundreds of tiny-array ops per step, so per-call dispatch overhead
@@ -1934,16 +2024,13 @@ def _train_gru(module, inputs, ctx):
     vtanh, vcopy, sigf = np.tanh, np.copyto, kernels.sigmoid_fast_
 
     def forward():
-        vcopy(urzT_r, urT)
-        vcopy(urzT_z, uzT)
-        mm(x2, wrT, pr_half)
-        vadd(pr_half, b_r, pr_half)
-        mm(x2, wzT, pz_half)
-        vadd(pz_half, b_z, pz_half)
-        mm(x2, whT, ph)
-        vadd(ph, b_h, ph)
-        if mcols is not None:
-            vcopy(mcols, mask, casting="unsafe")
+        for dst, src in refresh:
+            vcopy(dst, src)
+        for dst, src in fills:
+            vcopy(dst, src, casting="unsafe")
+        for src, wT, dst, b in projections:
+            mm(src, wT, dst)
+            vadd(dst, b, dst)
         for p_rz, p_h, h_prev, h_next, rz_t, r_t, z_t, c_t, rh_t, omz_t, \
                 m_t in fwd_table:
             mm(h_prev, urzT, pre2)
@@ -1963,103 +2050,115 @@ def _train_gru(module, inputs, ctx):
             vadd(h_prev, tmp, h_next)
 
     ctx.fwd(forward)
-    out = ctx.keep(hs[steps % len(hs)])
+    outs = [ctx.keep(hs[steps % len(hs), index]) for index in range(views)]
 
-    g_out = ctx.grad(out)
-    if g_out is None:
-        return out
-    g_x = ctx.grad(x)
-    gdt = g_out.dtype
-    urd, uzd, uhd = cell.u_r.data, cell.u_z.data, cell.u_h.data
-    g_ur = ctx.param_grad(cell.u_r)
-    g_uz = ctx.param_grad(cell.u_z)
-    g_uh = ctx.param_grad(cell.u_h)
-    # Gate grads land directly in step-major stacks (contiguous per-t
-    # views), r and z in adjacent halves of one buffer: the recurrent
-    # contribution is a single matmul against [u_r ; u_z] per timestep,
-    # and every weight/bias gradient is contracted AFTER the loop in one
-    # whole-sequence matmul per gate group — nothing accumulates per t.
-    gprz = ctx.alloc((steps, batch, 2 * hidden), gdt)
-    gpc = ctx.alloc((steps, batch, hidden), gdt)
-    gprz2 = ctx.keep(gprz.reshape(rows, 2 * hidden))
-    gpc2 = ctx.keep(gpc.reshape(rows, hidden))
-    gprz2T = ctx.keep(gprz2.T)
-    gpc2T = ctx.keep(gpc2.T)
-    hs_prev2 = ctx.keep(hs[:steps].reshape(rows, hidden))
-    rhs2 = ctx.keep(rhs.reshape(rows, hidden))
-    # step-major copy of the input so the hoisted weight-grad matmuls
-    # share the gate stacks' row order (x2 itself is batch-major)
-    xt = ctx.alloc((steps, batch, features), dtype)
-    xt2 = ctx.keep(xt.reshape(rows, features))
-    x_tmajor = ctx.keep(x.transpose(1, 0, 2))
-    urzd = ctx.alloc((2 * hidden, hidden), gdt)
-    urzd_r = ctx.keep(urzd[:hidden])
-    urzd_z = ctx.keep(urzd[hidden:])
-    g_urz = ctx.alloc((2 * hidden, hidden), gdt)
-    g_wrz = ctx.alloc((2 * hidden, features), gdt)
-    tmp_wh = ctx.alloc((hidden, features), gdt)
-    g_brz = ctx.alloc((2 * hidden,), gdt)
-    g_bh_inc = ctx.alloc((hidden,), gdt)
-    g_wr = ctx.param_grad(cell.w_r)
-    g_wz = ctx.param_grad(cell.w_z)
-    g_wh = ctx.param_grad(cell.w_h)
-    g_br = ctx.param_grad(cell.b_r)
-    g_bz = ctx.param_grad(cell.b_z)
-    g_bh = ctx.param_grad(cell.b_h)
-    wrd, wzd, whd = cell.w_r.data, cell.w_z.data, cell.w_h.data
-    gh = ctx.alloc((batch, hidden), gdt)
-    ghn = ctx.alloc((batch, hidden), gdt)
-    drh = ctx.alloc((batch, hidden), gdt)
-    ta = ctx.alloc((batch, hidden), gdt)
-    tmp_hh = ctx.alloc((hidden, hidden), gdt)
+    g_outs = [ctx.grad(out) for out in outs]
+    if g_outs[0] is None:
+        return outs
+    gdt = g_outs[0].dtype
+    # Gate grads land in view-major stacks, whose (steps x batch) rows
+    # the contractions read in place; r and z fill adjacent halves of
+    # one buffer, so the recurrent contribution is a single matmul
+    # against [u_r ; u_z] per timestep.
+    gprz = ctx.alloc((views, steps, batch, 2 * hidden), gdt)
+    gpc = ctx.alloc((views, steps, batch, hidden), gdt)
+    gprz_rows = gprz.reshape(views, rows, 2 * hidden)
+    gpc_rows = gpc.reshape(views, rows, hidden)
     # per-timestep factors that only depend on forward stacks are
     # computed in bulk over the whole sequence before the loop:
     # thc = h_prev - c, tzs = z*(1-z), trs = r*(1-r), tcs = 1 - c^2
-    thc = ctx.alloc((steps, batch, hidden), gdt)
-    tzs = ctx.alloc((steps, batch, hidden), gdt)
-    trs = ctx.alloc((steps, batch, hidden), gdt)
-    tcs = ctx.alloc((steps, batch, hidden), gdt)
-    hs_prev3 = ctx.keep(hs[:steps])
-    rs3 = ctx.keep(rzs[:, :, :hidden])
-    zs3 = ctx.keep(rzs[:, :, hidden:])
-    gnew = None
-    carry = None
-    if mcols is not None:
-        gnew = ctx.alloc((batch, hidden), gdt)
-        carry = ctx.alloc((batch, hidden), gdt)
-    if g_x is None:
-        wrzd = g_xT = txt = txt3 = txtb = None
+    thc = ctx.alloc((steps, views, batch, hidden), gdt)
+    tzs = ctx.alloc((steps, views, batch, hidden), gdt)
+    trs = ctx.alloc((steps, views, batch, hidden), gdt)
+    tcs = ctx.alloc((steps, views, batch, hidden), gdt)
+    # The contractions read (views, steps x batch) rows of hs and rhs.
+    # One view's step-major stacks already are such rows; several
+    # views' are gathered after the loop into thc and tzs, dead by then.
+    if one:
+        hs_rows = hs[:steps].reshape(1, rows, hidden)
+        rhs_rows = rhs.reshape(1, rows, hidden)
+        gathers = []
     else:
-        wrzd = ctx.alloc((2 * hidden, features), gdt)
-        wrzd_r = ctx.keep(wrzd[:hidden])
-        wrzd_z = ctx.keep(wrzd[hidden:])
-        g_xT = ctx.keep(g_x.transpose(1, 0, 2))
-        txt = ctx.alloc((rows, features), gdt)
-        txt3 = ctx.keep(txt.reshape(steps, batch, features))
-        txtb = ctx.alloc((rows, features), gdt)
+        hs_rows = thc.reshape(views, rows, hidden)
+        rhs_rows = tzs.reshape(views, rows, hidden)
+        gathers = [(thc.reshape(views, steps, batch, hidden),
+                    hs[:steps].swapaxes(0, 1)),
+                   (tzs.reshape(views, steps, batch, hidden),
+                    rhs.swapaxes(0, 1))]
+    gprz_rowsT = gprz_rows.swapaxes(1, 2)
+    gpc_rowsT = gpc_rows.swapaxes(1, 2)
+    g_urz = ctx.alloc((views, 2 * hidden, hidden), gdt)
+    g_uh = ctx.alloc((views, hidden, hidden), gdt)
+    g_brz = ctx.alloc((views, 2 * hidden), gdt)
+    g_bh = ctx.alloc((views, hidden), gdt)
+    contractions = [(gprz_rowsT, hs_rows, g_urz), (gpc_rowsT, rhs_rows, g_uh)]
+    increments = []
+    x_grads = []
+    for index, (cell, src, (x, _)) in enumerate(zip(cells, sources, seqs)):
+        features = x.shape[2]
+        g_wrz = ctx.alloc((2 * hidden, features), gdt)
+        g_wh = ctx.alloc((hidden, features), gdt)
+        contractions += [(gprz_rowsT[index], src, g_wrz),
+                         (gpc_rowsT[index], src, g_wh)]
+        for param, inc in ((cell.u_r, g_urz[index, :hidden]),
+                           (cell.u_z, g_urz[index, hidden:]),
+                           (cell.u_h, g_uh[index]),
+                           (cell.w_r, g_wrz[:hidden]),
+                           (cell.w_z, g_wrz[hidden:]),
+                           (cell.w_h, g_wh),
+                           (cell.b_r, g_brz[index, :hidden]),
+                           (cell.b_z, g_brz[index, hidden:]),
+                           (cell.b_h, g_bh[index])):
+            increments.append((ctx.param_grad(param), inc))
+        g_x = ctx.grad(x)
+        if g_x is not None:
+            wrz = ctx.alloc((2 * hidden, features), gdt)
+            txt = ctx.alloc((rows, features), gdt)
+            txtb = ctx.alloc((rows, features), gdt)
+            x_grads.append((
+                ((wrz[:hidden], cell.w_r.data), (wrz[hidden:], cell.w_z.data)),
+                gprz_rows[index], wrz, txt, gpc_rows[index], cell.w_h.data,
+                txtb, g_x.transpose(1, 0, 2),
+                txt.reshape(steps, batch, features)[:lengths[index]]))
+
+    gh = ctx.alloc((views, batch, hidden), gdt)
+    ghn = ctx.alloc((views, batch, hidden), gdt)
+    drh = per_view(ctx.alloc((views, batch, hidden), gdt))
+    ta = per_view(ctx.alloc((views, batch, hidden), gdt))
+    hs_prev = hs[:steps]
+    rs3 = rzs[..., :hidden]
+    zs3 = rzs[..., hidden:]
+    gnew = carry = None
+    if ms is not None:
+        gnew = per_view(ctx.alloc((views, batch, hidden), gdt))
+        carry = per_view(ctx.alloc((views, batch, hidden), gdt))
+    seeds = list(zip(gh, g_outs))
 
     # the running hidden-state gradient ping-pongs between two buffers
     # so each timestep writes straight into the next one's input
     bwd_table = []
     for index, t in enumerate(reversed(range(steps))):
-        m_t = None if mcols is None else mcols[:, t:t + 1]
-        g_cur = gh if index % 2 == 0 else ghn
-        g_nxt = ghn if index % 2 == 0 else gh
-        bwd_table.append((hs[t], rzs[t][:, :hidden], rzs[t][:, hidden:],
-                          omzs[t], thc[t], tzs[t], trs[t], tcs[t],
-                          gprz[t], gprz[t][:, :hidden],
-                          gprz[t][:, hidden:], gpc[t], g_cur, g_nxt, m_t))
+        rz_t = per_view(rzs[t])
+        gp_rz = per_view(gprz[:, t])
+        bwd_table.append((per_view(hs[t]), rz_t[..., :hidden],
+                          rz_t[..., hidden:], per_view(omzs[t]),
+                          per_view(thc[t]), per_view(tzs[t]),
+                          per_view(trs[t]), per_view(tcs[t]), gp_rz,
+                          gp_rz[..., :hidden], gp_rz[..., hidden:],
+                          per_view(gpc[:, t]),
+                          per_view(gh if index % 2 == 0 else ghn),
+                          per_view(ghn if index % 2 == 0 else gh),
+                          None if ms is None else per_view(ms[t])))
 
     def backward():
-        vcopy(urzd_r, urd)
-        vcopy(urzd_z, uzd)
-        vsub(hs_prev3, cs, thc)
+        vsub(hs_prev, cs, thc)
         vmul(zs3, omzs, tzs)
         vsub(1.0, rs3, trs)
         vmul(trs, rs3, trs)
         vmul(cs, cs, tcs)
         vsub(1.0, tcs, tcs)
-        vcopy(gh, g_out)
+        for g_h, g_out in seeds:
+            vcopy(g_h, g_out)
         for h_prev, r_t, z_t, omz_t, thc_t, tzs_t, trs_t, tcs_t, \
                 gp_rz, gp_r, gp_z, gp_c, g_cur, g_nxt, m_t in bwd_table:
             if m_t is None:
@@ -2072,42 +2171,40 @@ def _train_gru(module, inputs, ctx):
             vmul(gp_z, tzs_t, gp_z)
             vmul(g_new, omz_t, gp_c)
             vmul(gp_c, tcs_t, gp_c)
-            mm(gp_c, uhd, drh)
+            mm(gp_c, uh, drh)
             vmul(drh, h_prev, gp_r)
             vmul(gp_r, trs_t, gp_r)
             vmul(g_new, z_t, g_nxt)
             vmul(drh, r_t, ta)
             vadd(g_nxt, ta, g_nxt)
-            mm(gp_rz, urzd, ta)
+            mm(gp_rz, urz, ta)
             vadd(g_nxt, ta, g_nxt)
             if m_t is not None:
                 vadd(g_nxt, carry, g_nxt)
-        mm(gprz2T, hs_prev2, g_urz)
-        vadd(g_ur, g_urz[:hidden], g_ur)
-        vadd(g_uz, g_urz[hidden:], g_uz)
-        mm(gpc2T, rhs2, tmp_hh)
-        vadd(g_uh, tmp_hh, g_uh)
-        vcopy(xt, x_tmajor)
-        mm(gprz2T, xt2, g_wrz)
-        vadd(g_wr, g_wrz[:hidden], g_wr)
-        vadd(g_wz, g_wrz[hidden:], g_wz)
-        mm(gpc2T, xt2, tmp_wh)
-        vadd(g_wh, tmp_wh, g_wh)
-        np.add.reduce(gprz2, axis=0, out=g_brz)
-        vadd(g_br, g_brz[:hidden], g_br)
-        vadd(g_bz, g_brz[hidden:], g_bz)
-        np.add.reduce(gpc2, axis=0, out=g_bh_inc)
-        vadd(g_bh, g_bh_inc, g_bh)
-        if g_xT is not None:
-            vcopy(wrzd_r, wrd)
-            vcopy(wrzd_z, wzd)
-            mm(gprz2, wrzd, txt)
-            mm(gpc2, whd, txtb)
+        for dst, src in gathers:
+            vcopy(dst, src)
+        for a, b, dst in contractions:
+            mm(a, b, dst)
+        np.add.reduce(gprz_rows, axis=1, out=g_brz)
+        np.add.reduce(gpc_rows, axis=1, out=g_bh)
+        for g, inc in increments:
+            vadd(g, inc, g)
+        for w_copies, grz, wrz, txt, gc, whd, txtb, g_xT, txt3 in x_grads:
+            for dst, src in w_copies:
+                vcopy(dst, src)
+            mm(grz, wrz, txt)
+            mm(gc, whd, txtb)
             vadd(txt, txtb, txt)
             vadd(g_xT, txt3, g_xT)
 
     ctx.bwd(backward)
-    return out
+    return outs
+
+
+@register_train_rule(nn.GRU)
+def _train_gru(module, inputs, ctx):
+    seq = _train_sequence_inputs(module, inputs)
+    return _gru_stack(ctx, [module.cell], [seq])[0]
 
 
 @register_train_rule(nn.LSTMCell)
@@ -2239,8 +2336,8 @@ def _train_lstm(module, inputs, ctx):
     uT = ctx.keep(cell.u.data.T)
     p = ctx.alloc((rows, 4 * hidden), dtype)
     p3 = ctx.keep(p.reshape(batch, steps, 4 * hidden))
-    hs = _state_rows(ctx, steps, batch, hidden, dtype)
-    cs = _state_rows(ctx, steps, batch, hidden, dtype)
+    hs = _state_rows(ctx, steps, (batch, hidden), dtype)
+    cs = _state_rows(ctx, steps, (batch, hidden), dtype)
     # Gate stacks: every timestep for backward, one in forward-only mode.
     kept = steps if ctx.training else 1
     gates_saved = ctx.alloc((kept, batch, 4 * hidden), dtype)
@@ -2742,13 +2839,22 @@ def _register_core_train_rules():
                 "expected {} views, got {}".format(
                     len(module.view_dims), len(views))
             )
-        encoded = []
-        for name, view in zip(module._encoder_names, views):
-            pair = view if isinstance(view, tuple) else (view, None)
-            hidden = ctx.build(getattr(module, name), pair)
-            # One shared Dropout, applied per view in sequence: building
-            # it per view keeps the rng draw order identical to eager.
-            encoded.append(ctx.build(module.dropout, hidden))
+        encoders = [getattr(module, name) for name in module._encoder_names]
+        seqs = [_train_sequence_inputs(encoder, view)
+                for encoder, view in zip(encoders, views)]
+        if ctx.training and not module.bidirectional:
+            # Training runs every view's GRU as one stacked recurrence.
+            # Serving builds each encoder alone: a stack keeps all views'
+            # buffers live at once, which defeats the serve arena's
+            # slot coloring.
+            hidden = _gru_stack(ctx, [encoder.cell for encoder in encoders],
+                                seqs)
+        else:
+            hidden = [ctx.build(encoder, seq)
+                      for encoder, seq in zip(encoders, seqs)]
+        # One shared Dropout, applied per view in order: building it per
+        # view keeps the rng draw order identical to eager.
+        encoded = [ctx.build(module.dropout, h) for h in hidden]
         return ctx.build(module.fusion, encoded)
 
 

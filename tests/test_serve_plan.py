@@ -134,6 +134,12 @@ CASES = {
                                        seed=31),
         lambda dt: [(_arr((3, 5, d), dt, 50 + i), _mask(3, 5, dt, 60 + i))
                     for i, d in enumerate((4, 3))]),
+    "deepmood_ragged_fm": (
+        lambda: MultiViewGRUClassifier((4, 6, 3), hidden_size=8, fusion="fm",
+                                       fusion_units=4, seed=33),
+        lambda dt: [(_arr((3, 4, 4), dt, 90), _mask(3, 4, dt, 93)),
+                    (_arr((3, 7, 6), dt, 91), _mask(3, 7, dt, 94)),
+                    _arr((3, 5, 3), dt, 92)]),
 }
 
 

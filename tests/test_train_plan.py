@@ -15,6 +15,8 @@ import pytest
 from repro import nn, profiler
 from repro.analysis import shapes
 from repro.core.model import MultiViewGRUClassifier
+from repro.data import ArrayDataset
+from repro.federated.client import FederatedClient
 from repro.nn import losses
 from repro.optim import SGD, Adam
 from repro.serve import ArenaFrozenError
@@ -132,6 +134,14 @@ CASES = {
                                        seed=31),
         lambda dt: [(_arr((3, 5, d), dt, 50 + i), _mask(3, 5, dt, 60 + i))
                     for i, d in enumerate((4, 3))]),
+    # Views of unequal lengths; the third is bare and shorter than the
+    # longest.
+    "deepmood_ragged_fm": (
+        lambda: MultiViewGRUClassifier((4, 6, 3), hidden_size=8, fusion="fm",
+                                       fusion_units=4, seed=33),
+        lambda dt: [(_arr((3, 4, 4), dt, 90), _mask(3, 4, dt, 93)),
+                    (_arr((3, 7, 6), dt, 91), _mask(3, 7, dt, 94)),
+                    _arr((3, 5, 3), dt, 92)]),
 }
 
 
@@ -391,6 +401,98 @@ def test_load_state_and_reset_optimizer_state():
     for (k, a), (_, b) in zip(eager.state_dict().items(),
                               module.state_dict().items()):
         np.testing.assert_allclose(a, b, rtol=1e-9, err_msg=k)
+
+
+def test_load_state_rejects_mis_shaped_entry_and_writes_nothing():
+    """A bad state raises Module.load_state_dict's error before any write.
+
+    A (1,) array loaded for a (3,) bias used to broadcast to [7, 7, 7].
+    """
+    module = nn.Sequential(nn.Linear(4, 3, rng=_rng(0)))
+    plan = TrainPlan(module, optimizer="sgd")
+    before = {k: v.copy() for k, v in module.state_dict().items()}
+    state = {k: np.full_like(v, 7.0) for k, v in before.items()}
+    state["layer0.bias"] = np.array([7.0])
+    with pytest.raises(ValueError) as eager_error:
+        nn.Sequential(nn.Linear(4, 3, rng=_rng(0))).load_state_dict(state)
+    with pytest.raises(ValueError) as plan_error:
+        plan.load_state(state)
+    assert str(plan_error.value) == str(eager_error.value)
+    with pytest.raises(KeyError):
+        plan.load_state({"layer0.bias": before["layer0.bias"] + 1.0})
+    for key, value in module.state_dict().items():
+        np.testing.assert_array_equal(value, before[key], err_msg=key)
+
+
+def test_federated_plan_training_rejects_mis_shaped_state():
+    """FederatedClient.local_train(use_plan=True) refuses the same state
+    the eager path refuses, with the same error."""
+    rng = _rng(1)
+    dataset = ArrayDataset(rng.normal(size=(20, 6)), rng.integers(0, 3, 20))
+
+    def model_fn():
+        return nn.Sequential(nn.Linear(6, 3, rng=_rng(2)))
+
+    state = model_fn().state_dict()
+    state["layer0.bias"] = state["layer0.bias"][:1]
+    errors = []
+    for use_plan in (False, True):
+        client = FederatedClient(0, dataset, model_fn, seed=3)
+        with pytest.raises(ValueError) as error:
+            client.local_train(state, batch_size=10, use_plan=use_plan)
+        errors.append(str(error.value))
+    assert errors[0] == errors[1]
+
+
+class _CountedCall:
+    """Counting proxy for a numpy callable; its methods (``reduce``)
+    count too."""
+
+    def __init__(self, fn, counter):
+        self._fn = fn
+        self._counter = counter
+
+    def __call__(self, *args, **kwargs):
+        self._counter[0] += 1
+        return self._fn(*args, **kwargs)
+
+    def __getattr__(self, name):
+        attr = getattr(self._fn, name)
+        return _CountedCall(attr, self._counter) if callable(attr) else attr
+
+
+def _numpy_calls_per_timestep(view_dims, counter):
+    """Numpy calls per padded timestep of a compiled DeepMood step."""
+    calls = {}
+    for steps in (8, 16):
+        module = MultiViewGRUClassifier(view_dims, hidden_size=16,
+                                        fusion="mvm", fusion_units=8, seed=0)
+        inputs = [(_arr((8, steps, d), np.float64, i),
+                   _mask(8, steps, np.float64, 10 + i))
+                  for i, d in enumerate(view_dims)]
+        labels = _rng(73).integers(0, 2, size=8)
+        plan = compile_train_plan(module, inputs, labels,
+                                  loss="cross_entropy", optimizer="sgd")
+        plan.step(inputs, labels)
+        counter[0] = 0
+        plan.step(inputs, labels)
+        calls[steps] = counter[0]
+    return (calls[16] - calls[8]) / 8
+
+
+def test_views_share_one_recurrence_per_timestep(monkeypatch):
+    """Three views cost the numpy calls of one per timestep: their GRUs
+    run as one stacked recurrence, forward and backward."""
+    counter = [0]
+    # The rules prebind numpy functions at trace time, so the proxies go
+    # in before anything compiles.
+    for name, fn in list(vars(np).items()):
+        if isinstance(fn, np.ufunc) or name in ("copyto", "sum", "take"):
+            monkeypatch.setattr(np, name, _CountedCall(fn, counter))
+    one_view = _numpy_calls_per_timestep((4,), counter)
+    three_views = _numpy_calls_per_timestep((4, 6, 3), counter)
+    assert one_view > 0
+    assert three_views == one_view
 
 
 def test_dropout_streams_match_eager_across_steps():
