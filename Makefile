@@ -61,12 +61,12 @@ fleet-check:
 		tests/test_serve_traffic.py tests/test_earlyexit.py -q
 
 # Training gate: compiled plan/eager training equivalence across every
-# registered module, the multi-process trainer's determinism and its
-# DP-SGD / FedAvg integrations, and the training benchmark (which
-# asserts the compiled step >= 2x eager with zero arena allocations
-# after the compile-time freeze).
+# registered module, the DP-SGD and FedAvg plan paths against their
+# eager twins, and the training benchmark (which asserts the compiled
+# step >= 2x eager with zero arena allocations after the compile-time
+# freeze).
 train-check:
-	python -m pytest tests/test_train_plan.py tests/test_train_parallel.py -q
+	python -m pytest tests/test_train_plan.py -q
 	python -m pytest benchmarks/test_training_bench.py -q
 
 # Fleet-simulation gate: the struct-of-arrays federated fleet — keyed
@@ -81,11 +81,10 @@ fleetsim-check:
 
 # Plan IR audit: extract the buffer IR from every registry case's
 # compiled serve and train plans (both float dtypes), prove the
-# write-before-read / no-aliasing / no-dead-buffer contracts, race-check
-# the ParallelTrainer protocol, verify batching-server ticket isolation,
-# cross-check the one layer-rule registry both compilers build from
-# against the shapes registry, and apply verified arena slot coloring.
-# Exits non-zero on any violation.
+# write-before-read / no-aliasing / no-dead-buffer contracts, verify
+# batching-server ticket isolation, cross-check the one layer-rule
+# registry both compilers build from against the shapes registry, and
+# apply verified arena slot coloring.  Exits non-zero on any violation.
 plan-audit:
 	python -m repro.analysis.plans audit --dtype float32 --dtype float64
 

@@ -1,20 +1,16 @@
-"""Training-path benchmark: eager vs compiled plan vs plan + data-parallel.
+"""Training-path benchmark: eager vs compiled plan.
 
 The workload is training the DeepMood GRU classifier (three
 typing-dynamics views, MVM fusion) with cross-entropy + SGD — the
-paper's on-device personalization loop.  Three strategies run the same
+paper's on-device personalization loop.  Two strategies run the same
 fixed-shape step stream from identical initial weights:
 
 * **eager** — autodiff-engine forward+backward and an eager SGD step
   per batch (the seed path);
 * **plan** — one compiled :class:`repro.train.TrainPlan` step per batch
-  (zero-arg closures over the frozen arena, no graph, no allocations);
-* **plan_parallel** — the same compiled step sharded across forked
-  workers by :class:`repro.train.ParallelTrainer`.  Informational on
-  small machines: with one core the fork/IPC overhead dominates, so no
-  speedup is asserted for this row.
+  (zero-arg closures over the frozen arena, no graph, no allocations).
 
-Asserts the acceptance bar — compiled single-process training at least
+Asserts the acceptance bar — compiled training at least
 2x the eager step rate — and the arena contract: zero new training
 allocations after the compile-time freeze.  ``make bench-record``
 writes the results to ``BENCH_training.json`` at the repo root.
@@ -33,8 +29,7 @@ from repro import profiler
 from repro.core.model import MultiViewGRUClassifier
 from repro.nn import losses
 from repro.optim import SGD
-from repro.train import ParallelTrainer, TrainPlan
-from repro.train.parallel import _default_workers
+from repro.train import TrainPlan
 
 RESULTS_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_training.json"
 
@@ -90,23 +85,17 @@ def write_results():
         if "eager" in _results and "plan" in _results:
             payload["speedup_plan_vs_eager"] = round(
                 _results["eager"]["total_s"] / _results["plan"]["total_s"], 2)
-        if "eager" in _results and "plan_parallel" in _results:
-            payload["speedup_plan_parallel_vs_eager"] = round(
-                _results["eager"]["total_s"]
-                / _results["plan_parallel"]["total_s"], 2)
         if _coloring:
             payload["arena_slot_coloring"] = dict(_coloring)
         record_results(RESULTS_PATH, payload)
 
 
-def _record(name, total, extra=None):
-    row = {
+def _record(name, total):
+    _results[name] = {
         "total_s": round(float(total), 6),
         "steps_per_s": round(TRAIN_STEPS / float(total), 2),
         "ms_per_step": round(1000.0 * float(total) / TRAIN_STEPS, 3),
     }
-    row.update(extra or {})
-    _results[name] = row
 
 
 def _best(run_pass):
@@ -151,29 +140,10 @@ def test_training_strategies(workload):
     plan_total = _best(plan_pass)
     _record("plan", plan_total)
 
-    # -- plan + multi-process data parallelism -------------------------
-    workers = max(2, _default_workers())
-    parallel_model = _model()
-    with ParallelTrainer(parallel_model, views, labels, workers=workers,
-                         optimizer_args={"lr": LR}) as trainer:
-        trainer.step(views, labels)  # warm worker-side traces
-
-        def parallel_pass():
-            start = time.perf_counter()
-            for _ in range(TRAIN_STEPS):
-                trainer.step(views, labels)
-            return time.perf_counter() - start
-
-        parallel_total = _best(parallel_pass)
-        _record("plan_parallel", parallel_total,
-                {"workers": trainer.workers, "forked": trainer.parallel})
-
     speedup = eager_total / plan_total
-    print("\ntraining: eager {:.1f} steps/s, plan {:.1f} steps/s ({:.1f}x), "
-          "plan+parallel[{}w] {:.1f} steps/s ({:.1f}x)".format(
-              TRAIN_STEPS / eager_total, TRAIN_STEPS / plan_total, speedup,
-              workers, TRAIN_STEPS / parallel_total,
-              eager_total / parallel_total))
+    print("\ntraining: eager {:.1f} steps/s, plan {:.1f} steps/s "
+          "({:.1f}x)".format(TRAIN_STEPS / eager_total,
+                             TRAIN_STEPS / plan_total, speedup))
     assert speedup >= 2.0, (
         "compiled training step must be >= 2x eager, got {:.2f}x".format(
             speedup))

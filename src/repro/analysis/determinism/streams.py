@@ -217,7 +217,6 @@ REGISTRY = (
     _spawn_root("dpsgd", "repro/privacy/dpsgd.py"),
     _spawn_root("dpfedavg", "repro/privacy/dpfedavg.py"),
     _spawn_root("pate", "repro/privacy/pate.py"),
-    _spawn_root("train-parallel", "repro/train/parallel.py"),
 )
 
 

@@ -34,14 +34,15 @@ born from a bug class the hand-written-numpy stack cannot afford:
   reference twin carry inline waivers.
 
 Three concurrency rules run only under ``repro/train/`` and
-``repro/serve/`` (the subsystems that spawn workers and share memory):
+``repro/serve/``.  Neither starts a worker or shares memory; the rules
+guard the two runtimes a worker pool would join:
 
 * ``shm-write-protocol`` — no write (``x[...] = ...``, ``out=x``,
   ``np.copyto(x, ...)``) into an ndarray backed by
   ``multiprocessing.shared_memory`` outside the reduction protocol.
   Every shared-slab write must be one of the protocol's ordered steps
-  (publish params / worker grad row / fixed-order reduce) and carries
-  an inline waiver saying which step it is.
+  (e.g. publish params / worker grad row / fixed-order reduce) and
+  carries an inline waiver saying which step it is.
 * ``fork-after-thread`` — no ``get_context("fork")`` in a module that
   also uses ``threading``: forking after threads exist can deadlock the
   child on locks held by threads that do not survive the fork.
@@ -105,8 +106,9 @@ NP_ALLOCATORS = {
 # those are where the array-ops-only hot-path contracts live.
 _ALLOC_SCOPE = ("repro/serve/", "repro/train/", "repro/federated/fleet/")
 
-# The concurrency rules are scoped to the same two subsystems — the
-# only places that spawn workers and share process memory.
+# The concurrency rules are scoped to the serving and training runtimes.
+# Nothing in the library spawns workers or shares process memory; these
+# are where such code would go, so the rules stand guard there.
 _CONCURRENCY_SCOPE = ("repro/serve/", "repro/train/")
 
 # The marker must sit in a comment line; string literals mentioning it

@@ -22,16 +22,13 @@ spends the result:
   the plan over a :class:`~repro.serve.arena.SlotPlan` arena (the
   compile-time eager verification re-runs, and a post-coloring two-fill
   check proves the reuse is semantics-preserving);
-* :mod:`repro.analysis.plans.concurrency` — a happens-before model of
-  :class:`~repro.train.parallel.ParallelTrainer`'s shared-memory
-  protocol (race detection over param/grad segments) and a dynamic
-  per-ticket isolation check for the batching ``FleetServer``;
 * :mod:`repro.analysis.plans.coverage` — cross-checks the layer-rule
   registry both plan compilers share against the shapes registry, so a
   new layer without a rule fails ``make check``;
 * :mod:`repro.analysis.plans.audit` — the CLI:
-  ``python -m repro.analysis.plans audit`` audits every registry module
-  and exits non-zero on any violation.
+  ``python -m repro.analysis.plans audit`` audits every registry module,
+  drives a batching ``FleetServer`` to check per-ticket result
+  isolation, and exits non-zero on any violation.
 """
 
 from .ir import BufferNode, PlanIR, StepNode, Violation
@@ -43,7 +40,7 @@ from .analyses import (
     liveness,
 )
 
-# The extraction/coloring/concurrency layers pull in the serve/train
+# The extraction/coloring/audit layers pull in the serve/train
 # subsystems; export them lazily (PEP 562) so importing the package — as
 # ``python -m repro.analysis.plans`` does before runpy executes
 # ``__main__`` — stays light and cannot shadow the CLI.
@@ -54,11 +51,7 @@ _LAZY_EXPORTS = {
     "build_slot_plan": "color",
     "color_plan": "color",
     "color_train_plan": "color",
-    "HBGraph": "concurrency",
-    "find_races": "concurrency",
-    "parallel_trainer_model": "concurrency",
-    "audit_parallel_trainer": "concurrency",
-    "audit_server_isolation": "concurrency",
+    "audit_server_isolation": "audit",
     "audit_rule_coverage": "coverage",
     "audit_case": "audit",
     "audit_all": "audit",

@@ -8,8 +8,8 @@ in the audit registry at every requested dtype:
   verification;
 * the same over the compiled training step (forward, gradient zeroing,
   backward, optimizer updates);
-* the happens-before race audit of the ``ParallelTrainer`` protocol and
-  the dynamic batching-server isolation audit;
+* the dynamic batching-server isolation audit
+  (:func:`audit_server_isolation`);
 * the layer-rule coverage cross-check against the shapes registry.
 
 Exit status is non-zero iff any violation is found.  ``--inject``
@@ -33,11 +33,12 @@ from .analyses import (
 )
 from .ir import PlanIR, Violation
 
-__all__ = ["audit_case", "audit_all", "injected_violations", "main"]
+__all__ = ["audit_case", "audit_all", "audit_server_isolation",
+           "injected_violations", "main"]
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _INJECT_KINDS = ("read-before-write", "aliased-write", "dead-store",
-                 "race", "missing-rule")
+                 "missing-rule")
 
 
 def audit_case(name, dtype=np.float64, kinds=("serve", "train"),
@@ -96,8 +97,7 @@ def audit_case(name, dtype=np.float64, kinds=("serve", "train"),
 
 def audit_all(cases=None, dtypes=(np.float64,), kinds=("serve", "train"),
               color=True, emit=None):
-    """Audit the registry plus the concurrency and coverage checks."""
-    from .concurrency import audit_parallel_trainer, audit_server_isolation
+    """Audit the registry plus the server-isolation and coverage checks."""
     from .coverage import audit_rule_coverage
     from .registry import AUDIT_CASES
 
@@ -116,10 +116,85 @@ def audit_all(cases=None, dtypes=(np.float64,), kinds=("serve", "train"),
             if vios:
                 emit("  {}/{}: {} violation(s)".format(
                     name, np.dtype(dtype).name, len(vios)))
-    violations += audit_parallel_trainer()
     violations += audit_server_isolation()
     violations += audit_rule_coverage()
     return violations, reports
+
+
+def audit_server_isolation(case=None):
+    """Drive the serving fleet; check per-ticket memory isolation.
+
+    A one-model, one-tenant registry is frozen, so its traces are
+    audited and slot-colored over the shared arena pool.  More vectors
+    than one batch holds are then submitted (so both the batch-full and
+    the deadline flush run, at two batch sizes), and every ticket's
+    result row must be numerically correct and share no memory with any
+    other ticket's result or with the output buffer of any warm trace:
+    the fleet reads each replay via ``run(copy=False)``, and pooled
+    traces lease the same arena slabs.
+    """
+    from ... import nn
+    from ...faults import SimulatedClock
+    from ...serve.fleet import FleetServer, ModelRegistry, TenantConfig
+    from ...serve.plan import _call_eager, _strip_output
+    from ...serve.server import VectorCollator
+
+    case = case or "server-isolation"
+    rng = np.random.default_rng(7)
+    model = nn.Sequential(nn.Linear(6, 4, rng=rng), nn.Tanh())
+    model.train(False)
+    registry = ModelRegistry()
+    entry = registry.register("model", model, VectorCollator(),
+                              [np.zeros(6)], max_batch=4)
+    registry.freeze()
+    clock = SimulatedClock()
+    fleet = FleetServer(registry, [TenantConfig("tenant")], clock=clock,
+                        max_wait_ms=1.0)
+
+    payloads = [rng.standard_normal(6) for _ in range(9)]
+    tickets = [fleet.submit("tenant", p, model="model") for p in payloads]
+    clock.advance(0.01)
+    fleet.poll()
+    fleet.flush()
+
+    violations = []
+    results = []
+    for index, ticket in enumerate(tickets):
+        if not ticket.done:
+            violations.append(Violation(
+                "isolation",
+                "ticket {} never resolved".format(index), case=case))
+            continue
+        results.append((index, ticket.result()))
+
+    outputs = [trace.output for trace in entry.plan._traces.values()]
+    for index, row in results:
+        expected = _strip_output(
+            _call_eager(model, payloads[index][None, :]))[0]
+        if not np.allclose(row, expected, rtol=1e-10, atol=1e-12):
+            violations.append(Violation(
+                "isolation",
+                "ticket {} result differs from the eager model".format(
+                    index),
+                case=case,
+            ))
+        if any(np.shares_memory(row, output) for output in outputs):
+            violations.append(Violation(
+                "isolation",
+                "ticket {} result aliases a warm trace's reused output "
+                "buffer".format(index),
+                case=case,
+            ))
+    for pos, (index_a, row_a) in enumerate(results):
+        for index_b, row_b in results[pos + 1:]:
+            if np.shares_memory(row_a, row_b):
+                violations.append(Violation(
+                    "isolation",
+                    "tickets {} and {} share result memory".format(
+                        index_a, index_b),
+                    case=case,
+                ))
+    return violations
 
 
 def injected_violations(kind):
@@ -153,11 +228,6 @@ def injected_violations(kind):
         ir.step("clobber", reads=["x"], writes=["tmp"])
         ir.step("emit", reads=["tmp"], writes=["y"])
         return find_dead_stores(ir)
-    if kind == "race":
-        from .concurrency import find_races, parallel_trainer_model
-
-        graph = parallel_trainer_model(3, drop_ack_edges=True)
-        return find_races(graph, case="inject:race")
     if kind == "missing-rule":
         from ... import nn
         from .coverage import audit_rule_coverage

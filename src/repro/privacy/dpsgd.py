@@ -36,6 +36,11 @@ class DPSGDTrainer:
         sigma; Gaussian noise stddev is sigma * C per coordinate of the sum.
     lot_size:
         Expected lot size L; examples are Poisson-sampled with q = L / N.
+    use_plan:
+        Compute each example's gradient by replaying a compiled
+        batch-of-one :class:`repro.train.TrainPlan` instead of the eager
+        engine.  Sampling, clipping, noise, taint marks and accounting
+        run the same code either way.
 
     Notes
     -----
@@ -47,8 +52,7 @@ class DPSGDTrainer:
     """
 
     def __init__(self, model, lr=0.1, clip_norm=1.0, noise_multiplier=1.0,
-                 lot_size=64, loss_fn=None, seed=0, use_plan=False,
-                 workers=None):
+                 lot_size=64, loss_fn=None, seed=0, use_plan=False):
         if clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
         if noise_multiplier < 0:
@@ -70,15 +74,16 @@ class DPSGDTrainer:
         self._params = self.model.parameters()
         self._shapes = [p.data.shape for p in self._params]
         self._sizes = [p.data.size for p in self._params]
-        # Opt-in compiled fast path: per-example gradients through a
-        # repro.train plan (optionally sharded across forked workers).
-        # Sampling, clipping scale, noise, and accounting are untouched.
-        self.use_plan = bool(use_plan)
-        self.workers = workers
-        self._pool = None
-        if self.use_plan and self.loss_fn is not losses.cross_entropy:
-            raise ValueError(
-                "use_plan supports the default cross_entropy loss only")
+        self._plan = None
+        self._flat = None
+        if use_plan:
+            if self.loss_fn is not losses.cross_entropy:
+                raise ValueError(
+                    "use_plan supports the default cross_entropy loss only")
+            from ..train.plan import TrainPlan
+
+            self._plan = TrainPlan(model, loss="cross_entropy",
+                                   optimizer=None)
 
     def _flat_grad(self):
         pieces = []
@@ -87,42 +92,24 @@ class DPSGDTrainer:
             pieces.append(grad.reshape(-1))
         return np.concatenate(pieces)
 
+    def _example_grad(self, x, y):
+        """Flat loss gradient of one example, eager or by plan replay."""
+        if self._plan is None:
+            self.model.zero_grad()
+            self.loss_fn(self.model(Tensor(x)), y).backward()
+            return self._flat_grad()
+        self._plan.grad_step(x, y)
+        self._flat = self._plan.flat_grad(out=self._flat)
+        return self._flat
+
     def _apply_flat(self, flat):
+        # Step in each parameter's dtype, as repro.optim.SGD does: the
+        # float64 noisy average must not turn a float32 model float64.
         offset = 0
         for param, size, shape in zip(self._params, self._sizes, self._shapes):
-            param.data = param.data - self.lr * flat[offset:offset + size].reshape(shape)  # repro-lint: allow[param-data] DP-SGD applies the noised aggregate step itself
+            update = flat[offset:offset + size].reshape(shape)
+            param.data = param.data - self.lr * update.astype(param.data.dtype, copy=False)  # repro-lint: allow[param-data] DP-SGD applies the noised aggregate step itself
             offset += size
-
-    def _plan_grad_sum(self, lot_x, lot_y):
-        """Sum of clipped per-example gradients via the compiled plan.
-
-        The pool compiles (and gradcheck-verifies) one batch-of-one
-        training plan per process; clipping runs worker-side with the
-        same ``clip_by_l2`` as the eager loop.  The taint markings below
-        mirror the eager path at lot granularity: the clipped sum is a
-        function of private per-example data.
-        """
-        from ..train.parallel import PerExampleGradientPool
-
-        if self._pool is None:
-            clip = self.clip_norm
-
-            def transform(flat):
-                return clip_by_l2(flat, clip)
-
-            self._pool = PerExampleGradientPool(
-                self.model, lot_x, lot_y, transform=transform,
-                loss="cross_entropy",
-                workers=self.workers if self.workers else 1)
-        total = self._pool.grad_sum(lot_x, lot_y)
-        flow.mark_private(total)
-        return total
-
-    def close(self):
-        """Release the compiled-plan worker pool, if one was started."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     def step(self, features, labels):
         """One DP-SGD step on a Poisson-sampled lot from (features, labels).
@@ -149,22 +136,16 @@ class DPSGDTrainer:
             return 0
         lot_x, lot_y = features[mask], labels[mask]
 
-        if self.use_plan:
-            total = self._plan_grad_sum(lot_x, lot_y)
-        else:
-            total = np.zeros(sum(self._sizes))
-            for i in range(len(lot_x)):
-                self.model.zero_grad()
-                loss = self.loss_fn(self.model(Tensor(lot_x[i:i + 1])), lot_y[i:i + 1])
-                loss.backward()
-                flat = self._flat_grad()
-                # The per-example gradient is a function of one user's data:
-                # taint it private so un-noised egress is caught by the
-                # privacy-flow tracer.
-                flow.mark_private(flat)
-                clipped = clip_by_l2(flat, self.clip_norm)
-                total += clipped
-                flow.mark_derived(total, (clipped,))
+        total = np.zeros(sum(self._sizes))
+        for i in range(len(lot_x)):
+            flat = self._example_grad(lot_x[i:i + 1], lot_y[i:i + 1])
+            # The per-example gradient is a function of one user's data:
+            # taint it private so un-noised egress is caught by the
+            # privacy-flow tracer.
+            flow.mark_private(flat)
+            clipped = clip_by_l2(flat, self.clip_norm)
+            total += clipped
+            flow.mark_derived(total, (clipped,))
         noise = self.noise_rng.normal(
             0.0, self.noise_multiplier * self.clip_norm, size=total.shape
         )

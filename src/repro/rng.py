@@ -57,7 +57,8 @@ NAMESPACES = {
     "dpsgd": 0x10006,                 # DPSGDTrainer sample/noise spawn root
     "dpfedavg": 0x10007,              # DPFedAvg sample/noise spawn root
     "pate": 0x10008,                  # PATE aggregation noise spawn root
-    "train-parallel": 0x10009,        # ParallelTrainer worker spawn root
+    # 0x10009 is retired (the deleted multi-process trainer's spawn
+    # root); never reuse it.
     "fleet-init": 0x1000A,            # FleetState column initialization
     "fleet-sample": 0x1000B,          # per-round fleet client sampling
 }

@@ -863,54 +863,6 @@ class TrainPlan:
             offset += grad.size
         return out
 
-    def apply_flat_grad(self, flat):
-        """Write a flat gradient vector and run one optimizer update.
-
-        Used by the data-parallel trainer: workers produce shard
-        gradients, the parent reduces them into one flat vector and
-        applies the update through the compiled optimizer closures so
-        momentum/Adam state stays inside the plan.
-        """
-        trace = self._last
-        if trace is None:
-            if not self._traces:
-                raise RuntimeError(
-                    "no compiled trace; compile or run a step first")
-            trace = next(iter(self._traces.values()))
-        self._rebind()
-        offset = 0
-        with self._unlocked():
-            for _, _, grad in trace.named_grads:
-                np.copyto(grad.reshape(-1), flat[offset:offset + grad.size])
-                offset += grad.size
-            if trace.updates:
-                self._counter[0] += 1
-                trace.run_updates()
-        self._last = trace
-
-    def read_flat_params(self, out=None):
-        """Concatenated parameter values (same layout as flat_grad)."""
-        self._ensure_bound()
-        self._rebind()
-        if out is None:
-            out = np.empty(self.flat_size(),
-                           _grad_dtype(self._bound_params[0][2]))
-        offset = 0
-        for _, _, arr in self._bound_params:
-            np.copyto(out[offset:offset + arr.size], arr.reshape(-1))
-            offset += arr.size
-        return out
-
-    def write_flat_params(self, flat):
-        """Write a flat parameter vector back, in place (no rebinding)."""
-        self._ensure_bound()
-        self._rebind()
-        offset = 0
-        with self._unlocked():
-            for _, _, arr in self._bound_params:
-                np.copyto(arr.reshape(-1), flat[offset:offset + arr.size])
-                offset += arr.size
-
     def load_state(self, state_dict):
         """In-place ``load_state_dict``: keeps the compiled binding valid.
 

@@ -20,7 +20,6 @@ from repro.analysis.plans import (
     PlanIR,
     audit_all,
     audit_case,
-    audit_parallel_trainer,
     audit_rule_coverage,
     audit_server_isolation,
     build_slot_plan,
@@ -32,9 +31,7 @@ from repro.analysis.plans import (
     extract_train_ir,
     find_dead_buffers,
     find_dead_stores,
-    find_races,
     liveness,
-    parallel_trainer_model,
 )
 from repro.analysis.plans.audit import injected_violations, main
 from repro.analysis.plans.registry import AUDIT_CASES, build_case
@@ -147,29 +144,8 @@ def test_extracted_ir_rejects_static_only_passes():
 
 
 # ----------------------------------------------------------------------
-# Happens-before model
+# Serving isolation
 # ----------------------------------------------------------------------
-
-
-def test_trainer_protocol_is_race_free():
-    assert find_races(parallel_trainer_model(4)) == []
-
-
-def test_dropping_ack_edges_races_reduce_and_republish():
-    vios = find_races(parallel_trainer_model(3, drop_ack_edges=True))
-    assert vios and all(v.kind == "race" for v in vios)
-    text = " ".join(v.message for v in vios)
-    assert "reduce" in text and "publish" in text
-
-
-def test_overlapping_grad_rows_race_between_workers():
-    vios = find_races(parallel_trainer_model(3, overlap_rows=True))
-    assert vios and all(v.kind == "race" for v in vios)
-    assert all("worker" in v.message for v in vios)
-
-
-def test_live_trainer_layout_matches_model():
-    assert audit_parallel_trainer(workers=5, flat_size=23) == []
 
 
 def test_server_isolation_audit_is_clean():
@@ -332,7 +308,7 @@ def test_cli_audit_exits_zero_on_clean_cases(capsys):
 
 
 @pytest.mark.parametrize("kind", ["read-before-write", "aliased-write",
-                                  "dead-store", "race", "missing-rule"])
+                                  "dead-store", "missing-rule"])
 def test_cli_injections_exit_nonzero(kind, capsys):
     assert main(["audit", "--inject", kind]) == 1
     out = capsys.readouterr().out
@@ -340,9 +316,8 @@ def test_cli_injections_exit_nonzero(kind, capsys):
 
 
 @pytest.mark.parametrize("kind", ["read-before-write", "aliased-write",
-                                  "dead-store", "race", "missing-rule"])
+                                  "dead-store", "missing-rule"])
 def test_each_injection_produces_its_kind(kind):
     vios = injected_violations(kind)
     assert vios
-    expected = "race" if kind == "race" else kind
-    assert {v.kind for v in vios} == {expected}
+    assert {v.kind for v in vios} == {kind}

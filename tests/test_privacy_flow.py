@@ -134,20 +134,28 @@ class TestEnginePropagation:
 
 
 class TestTrainerTraces:
-    def test_dpsgd_clean_run_has_no_violations(self):
+    # The compiled path replays a plan per example inside the same loop,
+    # so it must report exactly what eager reports.
+    @pytest.mark.parametrize("use_plan", [False, True],
+                             ids=["eager", "plan"])
+    def test_dpsgd_clean_run_has_no_violations(self, use_plan):
         x, y = make_digits(60, seed=1)
         trainer = DPSGDTrainer(make_model(din=64, dout=10), lot_size=16,
-                               noise_multiplier=1.0, seed=0)
+                               noise_multiplier=1.0, seed=0,
+                               use_plan=use_plan)
         with trace_privacy() as trace:
             trainer.step(x, y)
         report = trace.report()
         assert report.ok, str(report)
         assert report.noise_events and report.accounting_events
 
-    def test_dpsgd_without_noise_is_flagged(self):
+    @pytest.mark.parametrize("use_plan", [False, True],
+                             ids=["eager", "plan"])
+    def test_dpsgd_without_noise_is_flagged(self, use_plan):
         x, y = make_digits(60, seed=1)
         trainer = DPSGDTrainer(make_model(din=64, dout=10), lot_size=16,
-                               noise_multiplier=0.0, seed=0)
+                               noise_multiplier=0.0, seed=0,
+                               use_plan=use_plan)
         with trace_privacy() as trace:
             trainer.step(x, y)
         report = trace.report()

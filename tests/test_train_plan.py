@@ -6,7 +6,8 @@ in the shape-interpreter registry (fusion heads and the full
 :class:`repro.train.TrainPlan` reproduces multi-step eager training —
 losses, gradients, parameter trajectories, and (for BatchNorm) running
 statistics — at both float32 and float64, and replays with zero new
-arena allocations after the compile-time freeze.
+arena allocations after the compile-time freeze.  The DP-SGD and FedAvg
+``use_plan`` paths built on it must track their eager twins.
 """
 
 import numpy as np
@@ -19,8 +20,10 @@ from repro.data import ArrayDataset
 from repro.federated.client import FederatedClient
 from repro.nn import losses
 from repro.optim import SGD, Adam
+from repro.privacy.dpsgd import DPSGDTrainer
+from repro.privacy.mechanisms import clip_by_l2
 from repro.serve import ArenaFrozenError
-from repro.tensor import Tensor
+from repro.tensor import Tensor, default_dtype
 from repro.train import TrainPlan, TrainVerificationError, compile_train_plan
 from repro.train import plan as train_plan_mod
 
@@ -351,29 +354,6 @@ def test_grad_only_plan_and_flat_grad_match_eager():
     np.testing.assert_allclose(flat, reference, rtol=1e-9)
 
 
-def test_apply_flat_grad_equals_step():
-    """grad_step + apply_flat_grad(flat_grad()) == step."""
-    x, y = _arr((4, 6), np.float64), _rng(1).integers(0, 3, size=4)
-
-    def make():
-        return nn.Sequential(nn.Linear(6, 5, rng=_rng(2)), nn.ReLU(),
-                             nn.Linear(5, 3, rng=_rng(3)))
-
-    direct_module = make()
-    direct = TrainPlan(direct_module, optimizer="sgd",
-                       optimizer_args={"lr": 0.1, "momentum": 0.9})
-    split_module = make()
-    split = TrainPlan(split_module, optimizer="sgd",
-                      optimizer_args={"lr": 0.1, "momentum": 0.9})
-    for _ in range(3):
-        direct.step(x, y)
-        split.grad_step(x, y)
-        split.apply_flat_grad(split.flat_grad())
-    for (k, a), (_, b) in zip(direct_module.state_dict().items(),
-                              split_module.state_dict().items()):
-        np.testing.assert_array_equal(a, b, err_msg=k)
-
-
 def test_load_state_and_reset_optimizer_state():
     """load_state + reset == fresh eager model + fresh optimizer."""
     x, y = _arr((4, 6), np.float64), _rng(1).integers(0, 3, size=4)
@@ -516,3 +496,131 @@ def test_invalid_loss_and_optimizer_raise():
         TrainPlan(module, loss="hinge")
     with pytest.raises(ValueError):
         TrainPlan(module, optimizer="rmsprop")
+
+
+# ----------------------------------------------------------------------
+# DP-SGD and FedAvg integrations
+# ----------------------------------------------------------------------
+def _make_model(seed=3):
+    rng = _rng(seed)
+    return nn.Sequential(nn.Linear(12, 16, rng=rng), nn.ReLU(),
+                         nn.Linear(16, 4, rng=rng))
+
+
+def _data(n=32, seed=0):
+    rng = _rng(seed)
+    return (rng.normal(size=(n, 12)), rng.integers(0, 4, size=n))
+
+
+def _eager_clipped_sum(model, X, y, clip):
+    total = None
+    for i in range(len(X)):
+        model.zero_grad()
+        losses.cross_entropy(model(Tensor(X[i:i + 1])), y[i:i + 1]).backward()
+        flat = np.concatenate([
+            p.grad.reshape(-1) for _, p in model.named_parameters()])
+        clipped = clip_by_l2(flat, clip)
+        total = clipped.copy() if total is None else total + clipped
+    return total
+
+
+def test_dpsgd_plan_clipped_sum_matches_eager(monkeypatch):
+    """The plan path's clipped per-example sum equals the eager one.
+
+    The lot is every example (lot_size == n), the noise is zero, and the
+    update is captured before it is applied, so it is the sum / n.
+    """
+    X, y = _data(13, seed=2)
+    trainer = DPSGDTrainer(_make_model(), clip_norm=1.0,
+                           noise_multiplier=0.0, lot_size=len(X),
+                           use_plan=True)
+    updates = []
+    monkeypatch.setattr(trainer, "_apply_flat", updates.append)
+    assert trainer.step(X, y) == len(X)
+    produced = updates[0] * len(X)
+    reference = _eager_clipped_sum(_make_model(), X, y, 1.0)
+    np.testing.assert_allclose(produced, reference, rtol=1e-9)
+
+
+def _dpsgd(use_plan):
+    return DPSGDTrainer(_make_model(), lr=0.1, clip_norm=1.0,
+                        noise_multiplier=1.0, lot_size=16, seed=7,
+                        use_plan=use_plan)
+
+
+def test_dpsgd_use_plan_matches_eager():
+    X, y = _data(64, seed=0)
+    eager = _dpsgd(use_plan=False)
+    plan = _dpsgd(use_plan=True)
+    for _ in range(4):
+        eager.step(X, y)
+        plan.step(X, y)
+    # Same sampling and noise streams; same ledger; same trajectory.
+    assert len(plan.accountant.ledger) == len(eager.accountant.ledger)
+    assert plan.accountant.spent(1e-5) == eager.accountant.spent(1e-5)
+    for (k, a), (_, b) in zip(eager.model.state_dict().items(),
+                              plan.model.state_dict().items()):
+        np.testing.assert_allclose(b, a, rtol=1e-7, atol=1e-10, err_msg=k)
+
+
+def test_dpsgd_keeps_float32_models_float32():
+    """The float64 noisy average is applied in each parameter's dtype:
+    neither mode turns a float32 model float64, and the modes agree."""
+    X, y = _data(64, seed=0)
+    X = X.astype(np.float32)
+    states = []
+    for use_plan in (False, True):
+        with default_dtype(np.float32):
+            trainer = _dpsgd(use_plan)
+        for _ in range(4):
+            trainer.step(X, y)
+        state = trainer.model.state_dict()
+        assert {v.dtype for v in state.values()} == {np.dtype(np.float32)}
+        states.append(state)
+    for key in states[0]:
+        np.testing.assert_allclose(states[1][key], states[0][key],
+                                   rtol=1e-5, atol=1e-6, err_msg=key)
+
+
+def test_dpsgd_use_plan_rejects_custom_loss():
+    with pytest.raises(ValueError):
+        DPSGDTrainer(_make_model(), loss_fn=losses.mse_loss, use_plan=True)
+
+
+def _client(seed=4):
+    X, y = _data(50, seed=1)
+    dataset = ArrayDataset(X, y)
+
+    def model_fn():
+        rng = _rng(5)
+        return nn.Sequential(nn.Linear(12, 10, rng=rng), nn.Tanh(),
+                             nn.Linear(10, 4, rng=rng))
+
+    return FederatedClient(0, dataset, model_fn, seed=seed), model_fn
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_fedavg_local_train_use_plan_matches_eager(momentum):
+    eager_client, model_fn = _client()
+    plan_client, _ = _client()
+    eager_state = model_fn().state_dict()
+    plan_state = {k: v.copy() for k, v in eager_state.items()}
+    for _ in range(3):
+        eager_state, eager_n = eager_client.local_train(
+            eager_state, epochs=2, batch_size=16, lr=0.05, momentum=momentum)
+        plan_state, plan_n = plan_client.local_train(
+            plan_state, epochs=2, batch_size=16, lr=0.05, momentum=momentum,
+            use_plan=True)
+        assert eager_n == plan_n
+    for key in eager_state:
+        np.testing.assert_allclose(plan_state[key], eager_state[key],
+                                   rtol=1e-9, atol=1e-12, err_msg=key)
+
+
+def test_fedavg_use_plan_rejects_custom_loss():
+    X, y = _data(10, seed=1)
+    client = FederatedClient(
+        0, ArrayDataset(X, y), _make_model,
+        loss_fn=losses.binary_cross_entropy)
+    with pytest.raises(ValueError):
+        client.local_train(_make_model().state_dict(), use_plan=True)
