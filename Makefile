@@ -19,14 +19,14 @@ lint:
 
 # Engine-facing tests re-run under the mutation sanitizer: any in-place
 # write to a graph-held array fails loudly instead of corrupting grads,
-# and compiled training steps may write parameters only inside
-# TrainPlan._unlocked.
+# and compiled training steps (FedAvg's local training included) may
+# write parameters only inside TrainPlan._unlocked.
 sanitize-check:
 	REPRO_SANITIZE=1 python -m pytest -q \
 		tests/test_tensor_ops.py tests/test_tensor_conv.py \
 		tests/test_conv_gradcheck.py tests/test_nn_layers.py \
 		tests/test_nn_recurrent.py tests/test_nn_losses.py \
-		tests/test_train_plan.py
+		tests/test_train_plan.py tests/test_federated.py
 
 # Fault-injection sweep: FedAvg/selective-SGD driven through the fixed
 # chaos seed matrix (50 seeded random fault schedules) plus the
@@ -61,10 +61,11 @@ fleet-check:
 		tests/test_serve_traffic.py tests/test_earlyexit.py -q
 
 # Training gate: compiled plan/eager training equivalence across every
-# registered module, the DP-SGD and FedAvg plan paths against their
-# eager twins, and the training benchmark (which asserts the compiled
-# step >= 2x eager with zero arena allocations after the compile-time
-# freeze).
+# registered module, the DP-SGD plan path against its eager twin,
+# FedAvg's shared compiled local trainer bit for bit against an eager
+# oracle (with its eager fallbacks), and the training benchmark (which
+# asserts the compiled step >= 2x eager with zero arena allocations
+# after the compile-time freeze).
 train-check:
 	python -m pytest tests/test_train_plan.py -q
 	python -m pytest benchmarks/test_training_bench.py -q

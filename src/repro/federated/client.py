@@ -2,15 +2,65 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from ..data import DataLoader
-from ..nn import losses
+from ..nn import Dropout, losses
 from ..optim import SGD
 from ..rng import derive_rng
-from ..tensor import Tensor
+from ..tensor import Tensor, get_default_dtype
 
 __all__ = ["FederatedClient"]
+
+# The losses the compiled trainer fuses, by their TrainPlan name.
+_PLAN_LOSSES = {losses.cross_entropy: "cross_entropy", losses.mse_loss: "mse"}
+
+# model factory -> {(loss, momentum, batch size, default dtype): trainer,
+# or None for a model with a layer the compiler has no rule for}.  One
+# trainer per factory, not per client: a FedAvg run builds many
+# short-lived clients, and a model and plan each would repeat the
+# compile and multiply resident memory.  The default dtype is in the
+# key because the factory builds its parameters in it.
+_TRAINERS = weakref.WeakKeyDictionary()
+
+
+class _SharedTrainer:
+    """One model and its compiled TrainPlan, shared by a factory's clients.
+
+    Compiled on one batch of the first client's shard.  :meth:`begin`
+    resets it to the fresh model the eager path would build: the
+    factory's buffers and dropout generator states, then the broadcast
+    ``state`` and a zeroed optimizer.
+    """
+
+    def __init__(self, model_fn, loss, momentum, batch_size, features, labels):
+        from ..train import compile_train_plan
+
+        self.model = model_fn()
+        self.model.train()
+        params = dict(self.model.named_parameters())
+        self.buffers = {name: value
+                        for name, value in self.model.state_dict().items()
+                        if name not in params}
+        self.streams = [(module.rng, module.rng.bit_generator.state)
+                        for _, module in self.model.named_modules()
+                        if isinstance(module, Dropout)]
+        # A shard yields full batches plus one shorter remainder, so
+        # across clients the plan sees at most ``batch_size`` shapes.
+        self.plan = compile_train_plan(
+            self.model, features, labels, loss=loss, optimizer="sgd",
+            optimizer_args={"momentum": momentum}, cache_limit=batch_size)
+
+    def begin(self, state, lr):
+        """Reset to a fresh model holding ``state``; returns the step."""
+        for rng, fresh in self.streams:
+            rng.bit_generator.state = fresh
+        self.plan.load_state({**self.buffers, **state})
+        self.plan.reset_optimizer_state()
+        self.plan.set_lr(lr)
+        return self.plan.step
 
 
 class FederatedClient:
@@ -24,9 +74,14 @@ class FederatedClient:
         An :class:`repro.data.ArrayDataset` private to this client.
     model_fn:
         Zero-argument factory producing the shared model architecture;
-        every client and the server must use the same factory.
+        every client and the server must use the same factory, and each
+        call must return an identically initialised model (buffers and
+        dropout generators included).  Clients of one factory share one
+        compiled local trainer.
     loss_fn:
         Maps (logits, labels) to a scalar loss (default cross-entropy).
+        ``losses.cross_entropy`` and ``losses.mse_loss`` train through
+        the compiled plan; any other loss trains eagerly.
     """
 
     def __init__(self, client_id, dataset, model_fn, loss_fn=None, seed=0):
@@ -35,35 +90,6 @@ class FederatedClient:
         self.model_fn = model_fn
         self.loss_fn = loss_fn or losses.cross_entropy
         self.rng = derive_rng(seed, "fed-client", client_id)
-        # Compiled local-epoch fast path (``local_train(use_plan=True)``):
-        # one model + TrainPlan pair per momentum value, reused across
-        # rounds so the trace survives between server rounds.
-        self._plans = {}
-
-    def _plan_loss_name(self):
-        if self.loss_fn is losses.cross_entropy:
-            return "cross_entropy"
-        if self.loss_fn is losses.mse_loss:
-            return "mse"
-        raise ValueError(
-            "use_plan supports losses.cross_entropy or losses.mse_loss; "
-            "got {!r}".format(self.loss_fn))
-
-    def _plan_trainer(self, lr, momentum):
-        from ..train import TrainPlan
-
-        key = float(momentum)
-        cached = self._plans.get(key)
-        if cached is None:
-            model = self.model_fn()
-            model.train()
-            plan = TrainPlan(model, loss=self._plan_loss_name(),
-                             optimizer="sgd",
-                             optimizer_args={"lr": lr, "momentum": momentum})
-            cached = self._plans[key] = (model, plan)
-        model, plan = cached
-        plan.set_lr(lr)
-        return model, plan
 
     @property
     def num_samples(self):
@@ -104,38 +130,58 @@ class FederatedClient:
         }
         return gradient, len(features)
 
-    def local_train(self, state, epochs=1, batch_size=32, lr=0.1, momentum=0.0,
-                    use_plan=False):
+    def local_train(self, state, epochs=1, batch_size=32, lr=0.1, momentum=0.0):
         """Run ``epochs`` of local SGD from ``state`` (the FedAvg client step).
 
-        Returns (new local state, num_samples).  ``use_plan=True`` routes
-        the epochs through a compiled :class:`repro.train.TrainPlan`
-        (cached across rounds): same batch order, same update math, with
-        momentum state reset each round exactly like the fresh eager
-        optimizer.
+        Returns (new local state, num_samples).  The epochs replay the
+        compiled :class:`repro.train.TrainPlan` this client shares with
+        every client of its factory, in the batch order of a fresh eager
+        model and optimizer.  Models of Linear, ReLU, Tanh and Dropout
+        layers get bit-identical updates; other layer rules agree with
+        eager to the plan's compile-time verification tolerance.  Losses
+        and layers the compiler has no rule for train eagerly.
         """
-        if use_plan:
-            model, plan = self._plan_trainer(lr, momentum)
-            plan.load_state(state)
-            plan.reset_optimizer_state()
-            loader = DataLoader(self.dataset, batch_size=batch_size,
-                                shuffle=True, rng=self.rng)
-            for _ in range(epochs):
-                for features, labels in loader:
-                    plan.step(features, labels)
-            return ({name: value.copy()
-                     for name, value in model.state_dict().items()},
-                    self.num_samples)
-        model = self.model_fn()
-        model.load_state_dict(state)
-        model.train()
-        optimizer = SGD(model.parameters(), lr=lr, momentum=momentum)
+        trainer = self._shared_trainer(batch_size, momentum)
+        if trainer is None:
+            model = self.model_fn()
+            model.load_state_dict(state)
+            model.train()
+            optimizer = SGD(model.parameters(), lr=lr, momentum=momentum)
+
+            def step(features, labels):
+                optimizer.zero_grad()
+                self.loss_fn(model(Tensor(features)), labels).backward()
+                optimizer.step()
+        else:
+            model, step = trainer.model, trainer.begin(state, lr)
         loader = DataLoader(self.dataset, batch_size=batch_size, shuffle=True,
                             rng=self.rng)
         for _ in range(epochs):
             for features, labels in loader:
-                optimizer.zero_grad()
-                loss = self.loss_fn(model(Tensor(features)), labels)
-                loss.backward()
-                optimizer.step()
+                step(features, labels)
         return model.state_dict(), self.num_samples
+
+    def _shared_trainer(self, batch_size, momentum):
+        """The compiled trainer for this call, or None to train eagerly.
+
+        Decided before the loader draws its permutation, so the client
+        RNG advances alike on both paths.  None for a loss the compiler
+        does not fuse, for a model with a layer it has no rule for, and
+        for an empty shard, which has no batch to compile from.
+        """
+        loss = _PLAN_LOSSES.get(self.loss_fn)
+        if loss is None or not len(self.dataset):
+            return None
+        trainers = _TRAINERS.setdefault(self.model_fn, {})
+        key = (loss, float(momentum), batch_size, get_default_dtype())
+        if key not in trainers:
+            from ..serve import UnsupportedModuleError
+
+            try:
+                trainers[key] = _SharedTrainer(
+                    self.model_fn, loss, momentum, batch_size,
+                    self.dataset.features[:batch_size],
+                    self.dataset.labels[:batch_size])
+            except UnsupportedModuleError:
+                trainers[key] = None
+        return trainers[key]

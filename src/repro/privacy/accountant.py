@@ -20,7 +20,6 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from scipy import special
 
 from . import flow
 
@@ -73,6 +72,9 @@ def rdp_subsampled_gaussian(q, sigma, order):
     if q == 1.0:
         # No subsampling: plain Gaussian RDP.
         return order / (2.0 * sigma ** 2)
+    # scipy loads lazily: ``import repro`` stays ~45 MB lighter.
+    from scipy import special
+
     order = int(order)
     log_total = -math.inf
     for k in range(order + 1):

@@ -6,7 +6,9 @@ preallocated activation, gradient, and optimizer-state buffers.  Its
 layer rules (:func:`register_train_rule`) are the repo's only ones:
 :mod:`repro.serve` compiles inference plans through their forward-only
 mode.  ``TrainPlan.grad_step`` and ``flat_grad`` expose one step's
-gradients without an update, which DP-SGD's per-example loop replays.
+gradients without an update, which DP-SGD's per-example loop replays;
+FedAvg's ``FederatedClient.local_train`` replays one plan per model
+factory.
 """
 
 from .plan import (

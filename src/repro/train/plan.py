@@ -332,7 +332,12 @@ def _assert_close(kind, produced, reference, dtype):
 def _build_cross_entropy(ctx, logits, labels):
     """Softmax+NLL fused: forward computes the scalar loss, backward
     writes ``(softmax - onehot) / batch`` straight into the logits'
-    gradient buffer (sole writer; everything upstream accumulates)."""
+    gradient buffer (sole writer; everything upstream accumulates).
+
+    The backward rounds as eager's ``log_softmax`` backward does: the
+    softmax is ``exp(shifted - logsum)``, scaled by ``1/batch`` before
+    the label entries lose ``1/batch``, so compiled and eager gradients
+    are bit-identical."""
     if logits.ndim != 2:
         raise UnsupportedModuleError(
             "cross-entropy training plans need (batch, classes) logits; "
@@ -370,9 +375,10 @@ def _build_cross_entropy(ctx, logits, labels):
         np.multiply(loss, inv_batch, out=loss)
 
     def backward():
-        np.divide(exps, sums, out=g_logits)
-        g_flat[flat_idx] -= 1.0
+        np.subtract(shifted, logsum, out=g_logits)
+        np.exp(g_logits, out=g_logits)
         np.multiply(g_logits, inv_batch, out=g_logits)
+        g_flat[flat_idx] -= inv_batch
 
     ctx.fwd(forward)
     ctx.bwd(backward)
@@ -520,19 +526,33 @@ def _build_adam_update(spec, lr_cell, counter, param_array, grad, state, ctx):
 # ----------------------------------------------------------------------
 class _CompiledTrainTrace:
     __slots__ = ("inputs", "target", "loss", "fwd_steps", "bwd_steps",
-                 "updates", "grad_zero", "named_grads", "arena")
+                 "updates", "grad_zero", "named_grads", "arena", "classes")
 
     def __init__(self, inputs, target, loss, ctx, updates, named_grads,
-                 arena):
+                 arena, classes):
         self.inputs = inputs
         self.target = target
         self.loss = loss
+        self.classes = classes  # logit width for class labels, else None
         self.fwd_steps = tuple(ctx.fwd_steps)
         self.bwd_steps = tuple(reversed(ctx.bwd_steps))
         self.updates = tuple(updates)
         self.grad_zero = tuple(ctx.all_grad_buffers())
         self.named_grads = named_grads  # [(name, param, grad_buffer)]
         self.arena = arena
+
+    def check_target(self, target):
+        """Raise IndexError for a class label outside [0, classes).
+
+        The fused cross-entropy gathers each row's logit at
+        ``row * classes + label``, so such a label would silently read
+        and write a neighbouring row's logit instead of failing."""
+        # Viewed as unsigned, a negative label exceeds every class.
+        if (self.classes is not None and target.size
+                and np.maximum.reduce(target.view(np.uintp)) >= self.classes):
+            bad = target[(target < 0) | (target >= self.classes)][0]
+            raise IndexError("label {} is out of range for {} classes".format(
+                bad, self.classes))
 
     def run_forward(self):
         for step in self.fwd_steps:
@@ -756,8 +776,11 @@ class TrainPlan:
             ctx.mark_constant(input_buffers)
             ctx.mark_constant(target_buffer)
             output = ctx.build(module, input_buffers)
+            logits = _primary(output)
             loss_buffer = _LOSS_BUILDERS[self.loss_kind](
-                ctx, _primary(output), target_buffer)
+                ctx, logits, target_buffer)
+            classes = (logits.shape[1] if self.loss_kind == "cross_entropy"
+                       else None)
             named_grads = []
             for name, param, _ in self._bound_params:
                 named_grads.append(  # repro-lint: allow[alloc-in-loop] compile-time gradient table
@@ -765,7 +788,8 @@ class TrainPlan:
             updates = self._build_updates(ctx)
             trace = _CompiledTrainTrace(
                 input_buffers, target_buffer, loss_buffer, ctx, updates,
-                named_grads, arena)
+                named_grads, arena, classes)
+            trace.check_target(target)
 
             _write_inputs(input_buffers, values)
             np.copyto(target_buffer, target)
@@ -803,6 +827,7 @@ class TrainPlan:
         values = _to_arrays(inputs)
         coerced = self._coerce_target(target)
         trace = self._trace_for(values, coerced)
+        trace.check_target(coerced)
         self._rebind()
         _write_inputs(trace.inputs, values)
         np.copyto(trace.target, coerced)

@@ -130,7 +130,8 @@ def test_repo_is_clean_via_cli():
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin",
+             "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "clean" in result.stdout

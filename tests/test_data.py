@@ -162,6 +162,29 @@ class TestDataLoader:
         with pytest.raises(ValueError):
             DataLoader(ds, batch_size=0)
 
+    @pytest.mark.parametrize("one_hot", [False, True], ids=["1d", "2d"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_array_batches_equal_per_item_stacking(self, rng, one_hot, dtype):
+        """Gathered ArrayDataset batches equal stacking item by item:
+        same dtypes, same values, contiguous, remainder batch included."""
+        labels = rng.integers(0, 3, size=11).astype(np.int32)
+        if one_hot:
+            labels = np.eye(3, dtype=dtype)[labels]
+        ds = ArrayDataset(rng.normal(size=(11, 2, 3)).astype(dtype), labels)
+        order = np.random.default_rng(5).permutation(11)
+        loader = DataLoader(ds, batch_size=4, shuffle=True,
+                            rng=np.random.default_rng(5))
+        batches = list(loader)
+        assert [len(y) for _, y in batches] == [4, 4, 3]
+        for start, (x, y) in zip(range(0, 11, 4), batches):
+            items = [ds[int(i)] for i in order[start:start + 4]]
+            expected_x = np.stack([item[0] for item in items])
+            expected_y = np.asarray([item[1] for item in items])
+            for produced, expected in ((x, expected_x), (y, expected_y)):
+                assert produced.dtype == expected.dtype
+                assert produced.flags.c_contiguous
+                np.testing.assert_array_equal(produced, expected)
+
 
 class TestMetrics:
     def test_accuracy(self):

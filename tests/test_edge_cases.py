@@ -1,8 +1,13 @@
 """Edge-case tests across modules (paths not covered elsewhere)."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro import nn
 from repro.data import ArrayDataset, DataLoader, MultiViewSequenceDataset
 from repro.federated.selective import SelectiveSSGDServer
@@ -201,3 +206,20 @@ class TestGeneratorEdgeCases:
         high = generator.sample_session(profile, 0.9, rng_b)
         # With mood_effect=0 the dynamics distributions coincide.
         assert np.allclose(low.alphanumeric, high.alphanumeric)
+
+
+class TestImportFootprint:
+    def test_import_repro_loads_no_scipy(self):
+        """scipy (~45 MB resident) loads only inside the functions that
+        call it, so importing the package does not pay for it."""
+        source_root = Path(repro.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print(sorted(m for m in sys.modules "
+             "if m.partition('.')[0] == 'scipy'))"],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": str(source_root), "PATH": "/usr/bin:/bin",
+                 "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

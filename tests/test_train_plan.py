@@ -6,22 +6,26 @@ in the shape-interpreter registry (fusion heads and the full
 :class:`repro.train.TrainPlan` reproduces multi-step eager training —
 losses, gradients, parameter trajectories, and (for BatchNorm) running
 statistics — at both float32 and float64, and replays with zero new
-arena allocations after the compile-time freeze.  The DP-SGD and FedAvg
-``use_plan`` paths built on it must track their eager twins.
+arena allocations after the compile-time freeze.  DP-SGD's ``use_plan``
+path must track its eager twin, and FedAvg's local training, which
+replays one plan shared by every client of a model factory, must equal
+a fresh eager model and optimizer bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from repro import nn, profiler
+from repro import train as train_mod
 from repro.analysis import shapes
 from repro.core.model import MultiViewGRUClassifier
-from repro.data import ArrayDataset
+from repro.data import ArrayDataset, DataLoader
 from repro.federated.client import FederatedClient
 from repro.nn import losses
 from repro.optim import SGD, Adam
 from repro.privacy.dpsgd import DPSGDTrainer
 from repro.privacy.mechanisms import clip_by_l2
+from repro.rng import derive_rng
 from repro.serve import ArenaFrozenError
 from repro.tensor import Tensor, default_dtype
 from repro.train import TrainPlan, TrainVerificationError, compile_train_plan
@@ -310,8 +314,9 @@ def test_retrace_on_new_signature():
     assert len(plan.signatures) == 2
 
 
-def test_verification_catches_divergence(monkeypatch):
-    """A train rule replaying wrong math must fail compile-time verify."""
+@pytest.fixture
+def broken_linear_rule(monkeypatch):
+    """Swap in a Linear train rule that replays wrong math."""
     original = train_plan_mod._TRAIN_RULES[nn.Linear]
 
     def broken_rule(module, inputs, ctx, activation=None):
@@ -325,6 +330,10 @@ def test_verification_catches_divergence(monkeypatch):
         return out
 
     monkeypatch.setitem(train_plan_mod._TRAIN_RULES, nn.Linear, broken_rule)
+
+
+def test_verification_catches_divergence(broken_linear_rule):
+    """A train rule replaying wrong math must fail compile-time verify."""
     module = nn.Sequential(nn.Linear(4, 3, rng=_rng(0)))
     with pytest.raises(TrainVerificationError):
         compile_train_plan(module, _arr((2, 4), np.float64),
@@ -402,26 +411,6 @@ def test_load_state_rejects_mis_shaped_entry_and_writes_nothing():
         plan.load_state({"layer0.bias": before["layer0.bias"] + 1.0})
     for key, value in module.state_dict().items():
         np.testing.assert_array_equal(value, before[key], err_msg=key)
-
-
-def test_federated_plan_training_rejects_mis_shaped_state():
-    """FederatedClient.local_train(use_plan=True) refuses the same state
-    the eager path refuses, with the same error."""
-    rng = _rng(1)
-    dataset = ArrayDataset(rng.normal(size=(20, 6)), rng.integers(0, 3, 20))
-
-    def model_fn():
-        return nn.Sequential(nn.Linear(6, 3, rng=_rng(2)))
-
-    state = model_fn().state_dict()
-    state["layer0.bias"] = state["layer0.bias"][:1]
-    errors = []
-    for use_plan in (False, True):
-        client = FederatedClient(0, dataset, model_fn, seed=3)
-        with pytest.raises(ValueError) as error:
-            client.local_train(state, batch_size=10, use_plan=use_plan)
-        errors.append(str(error.value))
-    assert errors[0] == errors[1]
 
 
 class _CountedCall:
@@ -560,7 +549,7 @@ def test_dpsgd_use_plan_matches_eager():
     assert plan.accountant.spent(1e-5) == eager.accountant.spent(1e-5)
     for (k, a), (_, b) in zip(eager.model.state_dict().items(),
                               plan.model.state_dict().items()):
-        np.testing.assert_allclose(b, a, rtol=1e-7, atol=1e-10, err_msg=k)
+        np.testing.assert_array_equal(b, a, err_msg=k)
 
 
 def test_dpsgd_keeps_float32_models_float32():
@@ -587,40 +576,288 @@ def test_dpsgd_use_plan_rejects_custom_loss():
         DPSGDTrainer(_make_model(), loss_fn=losses.mse_loss, use_plan=True)
 
 
-def _client(seed=4):
-    X, y = _data(50, seed=1)
-    dataset = ArrayDataset(X, y)
+@pytest.mark.parametrize("batch", [8, 10])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["float32", "float64"])
+def test_cross_entropy_step_is_bit_identical_to_eager(dtype, batch):
+    """The fused softmax-cross-entropy backward rounds as eager does."""
+    x = _arr((batch, 12), dtype)
+    y = _rng(batch).integers(0, 4, size=batch)
+    with default_dtype(dtype):
+        eager, module = _make_model(), _make_model()
+    optimizer = SGD(eager.parameters(), lr=0.1, momentum=0.9)
+    plan = TrainPlan(module, optimizer="sgd",
+                     optimizer_args={"lr": 0.1, "momentum": 0.9})
+    for _ in range(3):
+        optimizer.zero_grad()
+        losses.cross_entropy(eager(Tensor(x)), y).backward()
+        optimizer.step()
+        plan.step(x, y)
+    for key, value in eager.state_dict().items():
+        assert value.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(module.state_dict()[key], value,
+                                      err_msg=key)
+
+
+@pytest.mark.parametrize("compiled", [False, True],
+                         ids=["first-batch", "later-batch"])
+@pytest.mark.parametrize("bad", [4, -1])
+def test_out_of_range_label_raises_before_the_step(bad, compiled):
+    """A label outside [0, classes) would gather a neighbouring row's
+    logit; the plan raises IndexError instead and leaves the model
+    untouched, whether the bad batch compiles or replays a trace."""
+    x = _arr((8, 12), np.float64)
+    y = _rng(8).integers(0, 4, size=8)
+    module = _make_model()
+    plan = TrainPlan(module, optimizer="sgd")
+    if compiled:
+        plan.step(x, y)
+    before = {key: value.copy() for key, value in module.state_dict().items()}
+    y_bad = y.copy()
+    y_bad[3] = bad
+    with pytest.raises(IndexError):
+        plan.step(x, y_bad)
+    for key, value in before.items():
+        np.testing.assert_array_equal(module.state_dict()[key], value,
+                                      err_msg=key)
+
+
+# ----------------------------------------------------------------------
+# FedAvg local training: one compiled trainer shared per model factory
+# ----------------------------------------------------------------------
+def _factory(activation=nn.Tanh, dropout=False, extra=None):
+    """A fresh model factory; fresh per test, so no test shares its
+    compiled trainer with another."""
 
     def model_fn():
         rng = _rng(5)
-        return nn.Sequential(nn.Linear(12, 10, rng=rng), nn.Tanh(),
-                             nn.Linear(10, 4, rng=rng))
+        layers = [nn.Linear(12, 10, rng=rng), activation()]
+        if dropout:
+            layers.append(nn.Dropout(0.3, rng=_rng(9)))
+        if extra is not None:
+            layers.append(extra())
+        layers.append(nn.Linear(10, 4, rng=rng))
+        return nn.Sequential(*layers)
 
-    return FederatedClient(0, dataset, model_fn, seed=seed), model_fn
-
-
-@pytest.mark.parametrize("momentum", [0.0, 0.9])
-def test_fedavg_local_train_use_plan_matches_eager(momentum):
-    eager_client, model_fn = _client()
-    plan_client, _ = _client()
-    eager_state = model_fn().state_dict()
-    plan_state = {k: v.copy() for k, v in eager_state.items()}
-    for _ in range(3):
-        eager_state, eager_n = eager_client.local_train(
-            eager_state, epochs=2, batch_size=16, lr=0.05, momentum=momentum)
-        plan_state, plan_n = plan_client.local_train(
-            plan_state, epochs=2, batch_size=16, lr=0.05, momentum=momentum,
-            use_plan=True)
-        assert eager_n == plan_n
-    for key in eager_state:
-        np.testing.assert_allclose(plan_state[key], eager_state[key],
-                                   rtol=1e-9, atol=1e-12, err_msg=key)
+    return model_fn
 
 
-def test_fedavg_use_plan_rejects_custom_loss():
-    X, y = _data(10, seed=1)
-    client = FederatedClient(
-        0, ArrayDataset(X, y), _make_model,
-        loss_fn=losses.binary_cross_entropy)
-    with pytest.raises(ValueError):
-        client.local_train(_make_model().state_dict(), use_plan=True)
+def _shards(dtype=np.float64, targets=None, sizes=(25, 25)):
+    """Client shards; 25 samples at batch 8 or 16 leave a remainder batch.
+
+    Labels are classes unless ``targets`` maps a count to target rows.
+    """
+    X, y = _data(sum(sizes), seed=1)
+    if targets is not None:
+        y = targets(len(X)).astype(dtype)
+    cuts = np.cumsum((0,) + tuple(sizes))
+    return [ArrayDataset(X[a:b].astype(dtype), y[a:b])
+            for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def _eager_local_train(model_fn, dataset, rng, state, loss_fn, epochs,
+                       batch_size, lr, momentum):
+    """The eager FedAvg client step: a fresh model, SGD and loader."""
+    model = model_fn()
+    model.load_state_dict(state)
+    model.train()
+    optimizer = SGD(model.parameters(), lr=lr, momentum=momentum)
+    for _ in range(epochs):
+        for features, labels in DataLoader(dataset, batch_size=batch_size,
+                                           shuffle=True, rng=rng):
+            optimizer.zero_grad()
+            loss_fn(model(Tensor(features)), labels).backward()
+            optimizer.step()
+    return model.state_dict()
+
+
+def _plan_traces():
+    return profiler.get_stats()["events"].get("train.plan_trace", 0)
+
+
+def _assert_matches_oracle(model_fn, shards, loss_fn=losses.cross_entropy,
+                           dtype=np.float64, rounds=3, epochs=2,
+                           batch_size=8, momentum=0.9):
+    """Two clients over ``rounds`` FedAvg rounds equal the eager oracle
+    bit for bit, and every returned state keeps the model's dtype."""
+    with default_dtype(dtype):
+        clients = [FederatedClient(i, shard, model_fn, loss_fn=loss_fn,
+                                   seed=4)
+                   for i, shard in enumerate(shards)]
+        oracle_rngs = [derive_rng(4, "fed-client", i)
+                       for i in range(len(shards))]
+        state = model_fn().state_dict()
+        for _ in range(rounds):
+            trained = []
+            for client, rng in zip(clients, oracle_rngs):
+                produced, count = client.local_train(
+                    state, epochs=epochs, batch_size=batch_size, lr=0.05,
+                    momentum=momentum)
+                expected = _eager_local_train(
+                    model_fn, client.dataset, rng, state, loss_fn, epochs,
+                    batch_size, 0.05, momentum)
+                assert count == len(client.dataset)
+                assert produced.keys() == expected.keys()
+                for key, value in expected.items():
+                    assert produced[key].dtype == np.dtype(dtype), key
+                    np.testing.assert_array_equal(produced[key], value,
+                                                  err_msg=key)
+                trained.append(produced)
+            state = {key: (trained[0][key] + trained[1][key]) / 2
+                     for key in trained[0]}
+
+
+@pytest.mark.parametrize(
+    "activation,batch_size,momentum,dtype",
+    [(nn.Tanh, 8, 0.0, np.float64), (nn.Tanh, 16, 0.9, np.float64),
+     (nn.ReLU, 8, 0.9, np.float64), (nn.ReLU, 16, 0.0, np.float32),
+     (nn.Tanh, 8, 0.9, np.float32)],
+    ids=["tanh-b8-m0", "tanh-b16-m0.9", "relu-b8-m0.9", "relu-b16-m0-f32",
+         "tanh-b8-m0.9-f32"])
+def test_fedavg_local_train_matches_eager_oracle(activation, batch_size,
+                                                 momentum, dtype):
+    _assert_matches_oracle(_factory(activation), _shards(dtype),
+                           dtype=dtype, batch_size=batch_size,
+                           momentum=momentum)
+
+
+def test_fedavg_mse_local_train_matches_eager_oracle():
+    _assert_matches_oracle(
+        _factory(nn.ReLU),
+        _shards(targets=lambda n: _rng(2).normal(size=(n, 4))),
+        loss_fn=losses.mse_loss)
+
+
+def test_fedavg_dropout_local_train_matches_eager_oracle():
+    """Every call starts from the factory's dropout streams, as a fresh
+    eager model does, however many calls the shared trainer served."""
+    _assert_matches_oracle(_factory(dropout=True), _shards())
+
+
+def test_fedavg_custom_loss_trains_eagerly():
+    """A loss the compiler does not fuse trains eagerly, unchanged."""
+    before = _plan_traces()
+    _assert_matches_oracle(
+        _factory(),
+        _shards(targets=lambda n: _rng(2).integers(0, 2, size=(n, 4))),
+        loss_fn=losses.binary_cross_entropy, rounds=2)
+    assert _plan_traces() == before
+
+
+class _Doubler(nn.Module):
+    """A layer without a train rule."""
+
+    def forward(self, x):
+        return x * 2.0
+
+
+def test_fedavg_layer_without_train_rule_trains_eagerly(monkeypatch):
+    """The compiler's UnsupportedModuleError selects the eager loop once
+    per key; later calls do not retry the compile."""
+    attempts = []
+    compile_plan = train_mod.compile_train_plan
+
+    def counted(*args, **kwargs):
+        attempts.append(1)
+        return compile_plan(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "compile_train_plan", counted)
+    _assert_matches_oracle(_factory(extra=_Doubler), _shards(), rounds=2)
+    assert len(attempts) == 1
+
+
+def test_fedavg_compiler_bug_is_not_hidden_by_eager(broken_linear_rule):
+    """A failed compile-time verification propagates; only a missing
+    rule selects the eager loop."""
+    model_fn = _factory()
+    client = FederatedClient(0, _shards()[0], model_fn)
+    with pytest.raises(TrainVerificationError):
+        client.local_train(model_fn().state_dict(), batch_size=8)
+
+
+def test_fedavg_out_of_range_label_raises_as_eager():
+    """A label equal to the class count past the compile batch fails the
+    call, as the eager loop does, and the shared trainer still trains the
+    next client exactly."""
+    model_fn = _factory()
+    bad, good = _shards(sizes=(24, 24))
+    bad.labels[20] = 4
+    state = model_fn().state_dict()
+    eager = FederatedClient(0, bad, model_fn,
+                            loss_fn=lambda logits, labels:
+                            losses.cross_entropy(logits, labels))
+    with pytest.raises(IndexError):
+        eager.local_train(state, batch_size=8)
+    with pytest.raises(IndexError):
+        FederatedClient(0, bad, model_fn).local_train(state, batch_size=8)
+    produced, _ = FederatedClient(1, good, model_fn, seed=4).local_train(
+        state, batch_size=8)
+    expected = _eager_local_train(
+        model_fn, good, derive_rng(4, "fed-client", 1), state,
+        losses.cross_entropy, 1, 8, 0.1, 0.0)
+    for key, value in expected.items():
+        np.testing.assert_array_equal(produced[key], value, err_msg=key)
+
+
+def test_fedavg_empty_shard_returns_the_broadcast_state():
+    model_fn = _factory()
+    empty = ArrayDataset(np.zeros((0, 12)), np.zeros(0, dtype=np.intp))
+    client = FederatedClient(0, empty, model_fn)
+    state = {key: value + 1.0
+             for key, value in model_fn().state_dict().items()}
+    before = _plan_traces()
+    produced, count = client.local_train(state, batch_size=8)
+    assert count == 0 and _plan_traces() == before
+    for key, value in state.items():
+        np.testing.assert_array_equal(produced[key], value, err_msg=key)
+
+
+def test_fedavg_buffers_missing_from_state_start_fresh():
+    """Buffers the state leaves out start every call from the factory's
+    values, as on a fresh eager model.  (BatchNorm's rule agrees with
+    eager to rounding, not bit for bit.)"""
+    model_fn = _factory(extra=lambda: nn.BatchNorm1d(10))
+    params = dict(model_fn().named_parameters())
+    state = {key: value for key, value in model_fn().state_dict().items()
+             if key in params}
+    client = FederatedClient(0, _shards()[0], model_fn, seed=4)
+    rng = derive_rng(4, "fed-client", 0)
+    for _ in range(2):
+        produced, _ = client.local_train(state, batch_size=8)
+        expected = _eager_local_train(model_fn, client.dataset, rng, state,
+                                      losses.cross_entropy, 1, 8, 0.1, 0.0)
+        for key, value in expected.items():
+            np.testing.assert_allclose(produced[key], value, rtol=1e-9,
+                                       atol=1e-12, err_msg=key)
+
+
+def test_fedavg_follows_the_session_default_dtype():
+    """A factory first trained under float64 trains float32 models under
+    ``default_dtype(np.float32)``, as a fresh eager model would."""
+    model_fn = _factory()
+    _assert_matches_oracle(model_fn, _shards(), rounds=1)
+    _assert_matches_oracle(model_fn, _shards(np.float32), dtype=np.float32,
+                           rounds=1)
+
+
+def test_fedavg_clients_of_one_factory_share_one_compile():
+    """Two clients with equal shard sizes compile one trace between them,
+    across rounds: one shared trainer, not one per client."""
+    model_fn = _factory()
+    before = _plan_traces()
+    _assert_matches_oracle(model_fn, _shards(sizes=(24, 24)), rounds=3)
+    assert _plan_traces() - before == 1
+
+
+def test_federated_plan_training_rejects_mis_shaped_state():
+    """FederatedClient.local_train refuses a mis-shaped state with
+    Module.load_state_dict's error."""
+    model_fn = _factory()
+    state = model_fn().state_dict()
+    state["layer0.bias"] = state["layer0.bias"][:1]
+    client = FederatedClient(0, _shards()[0], model_fn, seed=3)
+    with pytest.raises(ValueError) as plan_error:
+        client.local_train(state, batch_size=10)
+    with pytest.raises(ValueError) as eager_error:
+        model_fn().load_state_dict(state)
+    assert str(plan_error.value) == str(eager_error.value)
