@@ -30,9 +30,13 @@ sanitize-check:
 
 # Fault-injection sweep: FedAvg/selective-SGD driven through the fixed
 # chaos seed matrix (50 seeded random fault schedules) plus the
-# offline-link and checkpoint/resume regressions.  Fully deterministic.
+# offline-link and checkpoint/resume regressions, plus the checkpoint
+# container's corruption, validation and failed-save properties.  The
+# sweep is fully deterministic; the corruption property draws fresh
+# hypothesis examples (truncations, bit flips) on every run.
 chaos-check:
-	python -m pytest tests/test_faults.py tests/test_federated_chaos.py -q
+	python -m pytest tests/test_faults.py tests/test_federated_chaos.py \
+		tests/test_checkpoint.py -q
 
 # Privacy gate: the five DP-invariant lint rules over the library, then
 # the independent budget auditor recomputing epsilon for the builtin

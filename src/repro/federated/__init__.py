@@ -15,7 +15,7 @@ from .algorithms import (
     RobustnessPolicy,
     RoundRecord,
 )
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .selective import (
     DistributedSelectiveSGD,
     SelectiveSGDParticipant,
@@ -42,6 +42,7 @@ __all__ = [
     "FederatedHistory",
     "RobustnessPolicy",
     "RoundRecord",
+    "CheckpointError",
     "load_checkpoint",
     "save_checkpoint",
     "DistributedSelectiveSGD",

@@ -1,29 +1,25 @@
 """Streaming round checkpoints for million-client fleets.
 
-Snapshot format: one ZIP (stored, uncompressed) containing
+A fleet snapshot (``fleet-checkpoint-v1``) is the snapshot container of
+:mod:`repro.federated.checkpoint` with
 
 * ``meta.json`` — round counter, clock, topology, ledger, history, and
   the column manifest;
-* ``col_<name>.npy`` — one real ``.npy`` member per fleet column,
-  readable by ``np.load`` on its own.
+* ``col_<name>.npy`` — one ``.npy`` member per fleet column.
 
-The writer streams each column through a fixed-size chunk buffer
-straight into the open zip member, and the reader ``readinto``s chunks
-directly into the preallocated column, so peak extra memory is O(chunk)
-— never a second copy of a 1M-row column, never an in-memory zip.
-Combined with the simulator's stateless keyed RNG design, restoring a
-snapshot reproduces the uninterrupted run bit-for-bit.
+The writer streams each column into its member straight from the
+column's memory, and the reader ``readinto``s bounded chunks directly
+into the preallocated column, so peak extra memory is O(chunk) — never
+a second copy of a 1M-row column, never an in-memory zip.  Combined
+with the simulator's stateless keyed RNG design, restoring a snapshot
+reproduces the uninterrupted run bit-for-bit.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import zipfile
-
 import numpy as np
-from numpy.lib import format as npy_format
 
+from ..checkpoint import CHUNK_BYTES, META, read_snapshot, write_snapshot
 from ..comm import CommunicationLedger
 from .state import COLUMNS, FleetState
 
@@ -32,11 +28,15 @@ __all__ = ["save_fleet_checkpoint", "load_fleet_checkpoint",
 
 FORMAT = "fleet-checkpoint-v1"
 
-# 64k rows/chunk: 512 KiB of staging for int64/float64 columns.
-DEFAULT_CHUNK_ROWS = 1 << 16
+# Rows of an 8-byte column per streamed chunk: every column is f8 or i8.
+DEFAULT_CHUNK_ROWS = CHUNK_BYTES // 8
 
 
-def save_fleet_checkpoint(path, sim, chunk_rows=DEFAULT_CHUNK_ROWS):
+def _member(name):
+    return "col_{}.npy".format(name)
+
+
+def save_fleet_checkpoint(path, sim):
     """Write ``sim`` (a :class:`FleetSimulator`) to ``path`` atomically."""
     state = sim.state
     meta = {
@@ -49,17 +49,8 @@ def save_fleet_checkpoint(path, sim, chunk_rows=DEFAULT_CHUNK_ROWS):
         "history": sim.history,
         "columns": [name for name, _ in COLUMNS],
     }
-    tmp = "{}.tmp.{}".format(path, os.getpid())
-    try:
-        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED,
-                             allowZip64=True) as zf:
-            zf.writestr("meta.json", json.dumps(meta, indent=2))
-            for name, column in state.columns().items():
-                _write_column(zf, name, column, chunk_rows)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    write_snapshot(path, meta, ((_member(name), column)
+                                for name, column in state.columns().items()))
 
 
 def load_fleet_checkpoint(path, sim):
@@ -67,28 +58,32 @@ def load_fleet_checkpoint(path, sim):
 
     The simulator must be configured identically to the one that wrote
     the snapshot (same fleet size and topology); columns stream into
-    the existing arrays, so no second fleet is ever resident.
+    the existing arrays, so no second fleet is ever resident.  The
+    metadata and every column's member and ``.npy`` header are checked
+    before any column is overwritten.  A CRC-32 mismatch, though, shows
+    only once its member has been read to the end: that
+    :class:`~repro.federated.checkpoint.CheckpointError` comes after
+    the columns before it were restored, and leaves ``sim`` to be
+    rebuilt.
     """
     state = sim.state
-    with zipfile.ZipFile(path, "r") as zf:
-        meta = json.loads(zf.read("meta.json"))
-        if meta.get("format") != FORMAT:
-            raise ValueError(
-                "unrecognized checkpoint format {!r}".format(
-                    meta.get("format")))
-        if meta["num_clients"] != state.num_clients:
-            raise ValueError(
-                "checkpoint holds {} clients but the simulator has "
-                "{}".format(meta["num_clients"], state.num_clients))
-        if meta["num_edges"] != state.num_edges:
-            raise ValueError(
-                "checkpoint holds {} edges but the simulator has "
-                "{}".format(meta["num_edges"], state.num_edges))
-        for name, column in state.columns().items():
-            _read_column(zf, name, column)
+    columns = [(_member(name), column)
+               for name, column in state.columns().items()]
+    with read_snapshot(path, FORMAT) as snapshot:
+        meta = snapshot.meta
+        for key, size in (("num_clients", state.num_clients),
+                          ("num_edges", state.num_edges)):
+            if meta[key] != size:
+                raise snapshot.error(META, "{} is {} but the simulator "
+                                           "has {}".format(key, meta[key], size))
+        ledger = CommunicationLedger.from_dict(meta["ledger"])
+        for member, column in columns:
+            snapshot.check(member, column.shape, column.dtype)
+        for member, column in columns:
+            snapshot.read_into(member, column)
     sim.round_index = int(meta["round_index"])
     sim.clock.now = float(meta["clock_now"])
-    sim.ledger = CommunicationLedger.from_dict(meta["ledger"])
+    sim.ledger = ledger
     sim.history = meta["history"]
     return sim
 
@@ -98,54 +93,12 @@ def load_fleet_state(path, num_edges=None):
 
     For tooling that wants the fleet without a simulator around it.
     """
-    with zipfile.ZipFile(path, "r") as zf:
-        meta = json.loads(zf.read("meta.json"))
-        if meta.get("format") != FORMAT:
-            raise ValueError(
-                "unrecognized checkpoint format {!r}".format(
-                    meta.get("format")))
+    with read_snapshot(path, FORMAT) as snapshot:
+        meta = snapshot.meta
         n = int(meta["num_clients"])
         columns = {name: np.zeros(n, dtype=dtype)
                    for name, dtype in COLUMNS}
         for name, column in columns.items():
-            _read_column(zf, name, column)
+            snapshot.read_into(_member(name), column)
     edges = int(num_edges if num_edges is not None else meta["num_edges"])
     return FleetState.from_columns(edges, columns)
-
-
-def _write_column(zf, name, column, chunk_rows):
-    """Stream one column into the zip as a real .npy member."""
-    column = np.ascontiguousarray(column)
-    header = {
-        "descr": npy_format.dtype_to_descr(column.dtype),
-        "fortran_order": False,
-        "shape": column.shape,
-    }
-    with zf.open("col_{}.npy".format(name), "w", force_zip64=True) as member:
-        npy_format.write_array_header_1_0(member, header)
-        for start in range(0, column.shape[0], chunk_rows):
-            member.write(column[start:start + chunk_rows].tobytes())
-
-
-def _read_column(zf, name, column):
-    """Stream one .npy member into a preallocated column."""
-    with zf.open("col_{}.npy".format(name), "r") as member:
-        version = npy_format.read_magic(member)
-        if version != (1, 0):
-            raise ValueError(
-                "column {!r} uses npy format {}, expected (1, 0)".format(
-                    name, version))
-        shape, fortran, dtype = npy_format.read_array_header_1_0(member)
-        if shape != column.shape or fortran or dtype != column.dtype:
-            raise ValueError(
-                "column {!r} layout mismatch: checkpoint has {} {}, "
-                "fleet has {} {}".format(name, shape, dtype,
-                                         column.shape, column.dtype))
-        view = memoryview(column).cast("B")
-        offset = 0
-        while offset < len(view):
-            read = member.readinto(view[offset:])
-            if not read:
-                raise ValueError(
-                    "column {!r} truncated at byte {}".format(name, offset))
-            offset += read
