@@ -87,9 +87,10 @@ fleetsim-check:
 # Plan IR audit: extract the buffer IR from every registry case's
 # compiled serve and train plans (both float dtypes), prove the
 # write-before-read / no-aliasing / no-dead-buffer contracts, verify
-# batching-server ticket isolation, cross-check the one layer-rule
-# registry both compilers build from against the shapes registry, and
-# apply verified arena slot coloring.  Exits non-zero on any violation.
+# batching-server ticket isolation, check that every layer repro.nn
+# exports has a rule in the one layer-rule registry (both compilers and
+# the shape check build from it), and apply verified arena slot
+# coloring.  Exits non-zero on any violation.
 plan-audit:
 	python -m repro.analysis.plans audit --dtype float32 --dtype float64
 

@@ -27,8 +27,8 @@ scratch on numpy/scipy:
   link loss, corruption, staleness, availability windows) and the chaos
   harness behind the robustness tests;
 * :mod:`repro.analysis` — static analysis and sanitizers: an autograd
-  graph linter, a shape/dtype abstract interpreter, a mutation/NaN
-  sanitizer, and the repo lint CLI
+  graph linter, a shape/dtype check run through the layer compiler, a
+  mutation/NaN sanitizer, and the repo lint CLI
   (``python -m repro.analysis.lint src tests``).
 """
 

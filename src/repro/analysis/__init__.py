@@ -11,9 +11,10 @@ supplies the tooling that proves graph and numeric hygiene the way
   parameters that never receive gradient, backward closures that captured
   tensors outside their declared parents, cycles, and outputs detached
   from a trainable model;
-* :mod:`repro.analysis.shapes` — execute any ``Module`` symbolically over
-  ``(shape, dtype)`` tuples to catch shape mismatches, unintended
-  broadcasts, and float32→float64 upcasts without running real data;
+* :mod:`repro.analysis.shapes` — check any ``Module`` against
+  ``(shape, dtype)`` specs by compiling its forward through the layer
+  compiler's rules over zero-filled buffers: the output spec, shape
+  mismatches named by layer, and float32→float64 upcasts;
 * :mod:`repro.analysis.sanitize` — a context manager that freezes every
   ndarray captured by the autograd tape (checksum fallback for views) so
   in-place mutation between forward and backward raises, plus a NaN/Inf
@@ -46,17 +47,12 @@ from .graph import (
     lint_graph,
     stale_grad_tensors,
 )
-from .shapes import (
-    ShapeError,
-    Spec,
-    Trace,
-    UnknownModuleError,
-    abstract_forward,
-    check_module,
-    register_rule,
-    uncovered_layers,
-)
+from ..serve.plan import ShapeError, UnsupportedModuleError
 from .sanitize import MutationError, NumericError, sanitize
+
+# The shape check builds through the layer compiler, which
+# ``import repro`` does not load; export it lazily (PEP 562).
+_SHAPES_EXPORTS = frozenset({"Spec", "Trace", "check_module"})
 
 # The privacy layer is exported lazily (PEP 562): it pulls in the tensor
 # engine, the DP trainers, and scipy, and eagerly importing it here would
@@ -79,6 +75,9 @@ _DETERMINISM_EXPORTS = frozenset({
 
 
 def __getattr__(name):
+    if name in _SHAPES_EXPORTS:
+        from . import shapes
+        return getattr(shapes, name)
     if name in _PRIVACY_EXPORTS:
         from . import privacy
         return getattr(privacy, name)
@@ -98,11 +97,8 @@ __all__ = [
     "ShapeError",
     "Spec",
     "Trace",
-    "UnknownModuleError",
-    "abstract_forward",
+    "UnsupportedModuleError",
     "check_module",
-    "register_rule",
-    "uncovered_layers",
     "MutationError",
     "NumericError",
     "sanitize",

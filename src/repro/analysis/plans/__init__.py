@@ -22,13 +22,12 @@ spends the result:
   the plan over a :class:`~repro.serve.arena.SlotPlan` arena (the
   compile-time eager verification re-runs, and a post-coloring two-fill
   check proves the reuse is semantics-preserving);
-* :mod:`repro.analysis.plans.coverage` — cross-checks the layer-rule
-  registry both plan compilers share against the shapes registry, so a
-  new layer without a rule fails ``make check``;
 * :mod:`repro.analysis.plans.audit` — the CLI:
   ``python -m repro.analysis.plans audit`` audits every registry module,
   drives a batching ``FleetServer`` to check per-ticket result
-  isolation, and exits non-zero on any violation.
+  isolation, checks that every layer :mod:`repro.nn` exports has a rule
+  in the one layer-rule registry (so a new layer without one fails
+  ``make check``), and exits non-zero on any violation.
 """
 
 from .ir import BufferNode, PlanIR, StepNode, Violation
@@ -52,7 +51,7 @@ _LAZY_EXPORTS = {
     "color_plan": "color",
     "color_train_plan": "color",
     "audit_server_isolation": "audit",
-    "audit_rule_coverage": "coverage",
+    "audit_rule_coverage": "audit",
     "audit_case": "audit",
     "audit_all": "audit",
     "AUDIT_CASES": "registry",

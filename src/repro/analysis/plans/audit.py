@@ -10,7 +10,8 @@ in the audit registry at every requested dtype:
   backward, optimizer updates);
 * the dynamic batching-server isolation audit
   (:func:`audit_server_isolation`);
-* the layer-rule coverage cross-check against the shapes registry.
+* the layer-rule coverage check (:func:`audit_rule_coverage`): every
+  module class :mod:`repro.nn` exports must resolve a layer rule.
 
 Exit status is non-zero iff any violation is found.  ``--inject``
 plants one synthetic violation of a chosen class and expects the audit
@@ -33,7 +34,8 @@ from .analyses import (
 )
 from .ir import PlanIR, Violation
 
-__all__ = ["audit_case", "audit_all", "audit_server_isolation",
+__all__ = ["audit_case", "audit_all", "audit_rule_coverage",
+           "audit_server_isolation", "exported_layers",
            "injected_violations", "main"]
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -98,7 +100,6 @@ def audit_case(name, dtype=np.float64, kinds=("serve", "train"),
 def audit_all(cases=None, dtypes=(np.float64,), kinds=("serve", "train"),
               color=True, emit=None):
     """Audit the registry plus the server-isolation and coverage checks."""
-    from .coverage import audit_rule_coverage
     from .registry import AUDIT_CASES
 
     emit = emit or (lambda line: None)
@@ -119,6 +120,37 @@ def audit_all(cases=None, dtypes=(np.float64,), kinds=("serve", "train"),
     violations += audit_server_isolation()
     violations += audit_rule_coverage()
     return violations, reports
+
+
+def exported_layers():
+    """Every module class :mod:`repro.nn` exports, sorted by name."""
+    from ... import nn
+
+    classes = (getattr(nn, name) for name in nn.__all__)
+    return sorted((cls for cls in classes if isinstance(cls, type)
+                   and issubclass(cls, nn.Module) and cls is not nn.Module),
+                  key=lambda cls: cls.__name__)
+
+
+def audit_rule_coverage(extra_classes=()):
+    """Every exported layer must resolve a layer rule through its MRO.
+
+    A layer without one compiles neither a plan nor a shape check, and
+    would only fail at its first trace.  ``extra_classes`` adds classes
+    to the check (the missing-rule injection hook).
+    """
+    from ...train.plan import _TRAIN_RULES
+
+    return [
+        Violation(
+            "missing-rule",
+            "layer {!r} has no layer rule — register one with "
+            "repro.train.plan.register_train_rule".format(cls.__name__),
+            case="rule-coverage",
+        )
+        for cls in exported_layers() + list(extra_classes)
+        if not any(base in _TRAIN_RULES for base in cls.__mro__)
+    ]
 
 
 def audit_server_isolation(case=None):
@@ -230,7 +262,6 @@ def injected_violations(kind):
         return find_dead_stores(ir)
     if kind == "missing-rule":
         from ... import nn
-        from .coverage import audit_rule_coverage
 
         class _InjectedLayer(nn.Module):
             pass

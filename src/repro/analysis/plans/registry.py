@@ -1,7 +1,7 @@
 """Audit case registry: one entry per plan-compilable architecture.
 
-Mirrors the serve/train plan test suites — every module class in the
-shape-interpreter registry appears in at least one case (sequence
+Mirrors the serve/train plan test suites — every module class
+:mod:`repro.nn` exports appears in at least one case (sequence
 layers masked and unmasked, all three fusion heads, both full
 multi-view classifiers).  Each case is self-contained: a seeded module
 factory plus input/target builders, so the audit CLI can run any case

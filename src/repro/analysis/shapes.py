@@ -1,22 +1,25 @@
-"""Shape/dtype abstract interpreter for :mod:`repro.nn` modules.
+"""Shape/dtype check of a :mod:`repro.nn` module through the layer compiler.
 
-Executes a module symbolically over ``(shape, dtype)`` tuples — no real
-data, no flops — and reports exactly what running it would produce:
+``check_module(module, inputs)`` compiles the module's forward over
+zero-filled buffers shaped by ``inputs`` — one :class:`Spec`, or the
+tuple/list structure the plan compilers take (see :mod:`repro.serve.plan`)
+— in the forward-only mode every serving plan is built through,
+``TrainContext(arena, training=False)``, runs those steps once and
+reports:
 
-* the output :class:`Spec` (shape and dtype),
-* :class:`ShapeError` on any shape mismatch a real forward would hit (or
-  worse, would silently broadcast through),
-* a :class:`Trace` of dtype **upcast** events (float32 meeting float64
-  anywhere doubles the memory traffic of everything downstream — the
-  classic way a "float32 deployment" quietly runs at float64) and
-  non-trivial **broadcast** events.
+* the output :class:`Spec` (shape and dtype), read from the buffers the
+  layer rules allocated;
+* :class:`~repro.serve.plan.ShapeError` naming the layer whose rule or
+  step refused the input;
+* a :class:`Trace` of dtype **upcast** events: a layer that turns a
+  float32 input into a float64 output doubles the memory traffic of
+  everything downstream, the classic way a "float32 deployment" quietly
+  runs at float64.
 
-Every layer class in :mod:`repro.nn` has a registered abstract rule; the
-rules are composed from a small abstract op vocabulary
-(:func:`matmul_spec`, :func:`broadcast_specs`, :func:`conv2d_spec`, …)
-that mirrors the concrete ops in :mod:`repro.tensor.ops` and
-:mod:`repro.tensor.conv`.  Third-party modules plug in with
-:func:`register_rule`.
+There is no second rule table: the layer rules of
+:func:`repro.train.plan.register_train_rule` are the check, so a module
+class without one raises
+:class:`~repro.serve.plan.UnsupportedModuleError`.
 
 Usage::
 
@@ -31,35 +34,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import nn
-from ..tensor.conv import _out_size
+from ..serve.arena import BufferArena
+from ..serve.plan import ShapeError
 from ..tensor.tensor import get_default_dtype
+from ..train.plan import TrainContext
 
-__all__ = [
-    "Spec",
-    "Trace",
-    "ShapeError",
-    "UnknownModuleError",
-    "register_rule",
-    "abstract_forward",
-    "check_module",
-    "covered_layers",
-    "uncovered_layers",
-    "broadcast_specs",
-    "matmul_spec",
-    "concat_specs",
-    "reduce_spec",
-    "conv2d_spec",
-    "pool2d_spec",
-]
-
-
-class ShapeError(ValueError):
-    """A shape/dtype inconsistency the abstract interpreter proved."""
-
-
-class UnknownModuleError(TypeError):
-    """No abstract rule is registered for a module class."""
+__all__ = ["Spec", "Trace", "check_module"]
 
 
 class Spec:
@@ -68,20 +48,12 @@ class Spec:
     __slots__ = ("shape", "dtype")
 
     def __init__(self, shape, dtype=None):
-        if isinstance(shape, Spec):
-            shape, dtype = shape.shape, dtype or shape.dtype
         self.shape = tuple(int(d) for d in shape)
         self.dtype = np.dtype(dtype) if dtype is not None else get_default_dtype()
 
     @property
     def ndim(self):
         return len(self.shape)
-
-    def with_shape(self, shape):
-        return Spec(shape, self.dtype)
-
-    def with_dtype(self, dtype):
-        return Spec(self.shape, dtype)
 
     def __eq__(self, other):
         if not isinstance(other, Spec):
@@ -96,7 +68,7 @@ class Spec:
 
 
 class Trace:
-    """Accumulates dtype/broadcast events seen during abstract execution."""
+    """Accumulates the dtype events seen while checking a module."""
 
     def __init__(self):
         self.events = []
@@ -107,9 +79,6 @@ class Trace:
     def upcasts(self):
         return [e for e in self.events if e[0] == "upcast"]
 
-    def broadcasts(self):
-        return [e for e in self.events if e[0] == "broadcast"]
-
     def __str__(self):
         if not self.events:
             return "trace: clean"
@@ -119,600 +88,99 @@ class Trace:
         )
 
 
-def _where(module):
-    return type(module).__name__ if isinstance(module, nn.Module) else str(module)
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in _arrays(item)]
+    return []
 
 
-def _result_dtype(trace, where, *dtypes):
-    """np.result_type plus an upcast event when float32 meets float64."""
-    dtypes = [np.dtype(d) for d in dtypes]
-    result = np.result_type(*dtypes)
-    if result == np.float64 and any(d == np.float32 for d in dtypes):
-        trace.record(
-            "upcast", where,
-            "float32 operand meets {} -> result is float64; downstream "
-            "memory traffic doubles".format(
-                ", ".join(sorted({d.name for d in dtypes if d != np.float32}))
-            ),
-        )
-    return result
+def _widens(inputs, output):
+    """Whether a layer turned a float32 input into a float64 output."""
+    return (any(a.dtype == np.float32 for a in _arrays(inputs))
+            and any(a.dtype == np.float64 for a in _arrays(output)))
 
 
-# ----------------------------------------------------------------------
-# Abstract op vocabulary (mirrors repro.tensor.ops / repro.tensor.conv)
-# ----------------------------------------------------------------------
-def broadcast_specs(trace, where, *specs, expected=False):
-    """Abstract elementwise op over broadcast operands."""
-    try:
-        shape = np.broadcast_shapes(*[s.shape for s in specs])
-    except ValueError:
-        raise ShapeError(
-            "{}: operands {} do not broadcast".format(
-                where, [s.shape for s in specs]
-            )
-        )
-    distinct = {s.shape for s in specs if s.shape != ()}
-    if not expected and len(distinct) > 1:
-        trace.record(
-            "broadcast", where,
-            "operands of shapes {} broadcast to {}".format(
-                sorted(distinct), shape
-            ),
-        )
-    return Spec(shape, _result_dtype(trace, where, *[s.dtype for s in specs]))
+class _CheckContext(TrainContext):
+    """Forward-only build that tags each step and error with its layer."""
+
+    def __init__(self, root):
+        super().__init__(BufferArena(label="analysis.shapes"), training=False)
+        self.trace = Trace()
+        self.step_layers = []
+        self._names = {id(m): name for name, m in root.named_modules()}
+        self._root = type(root).__name__
+        self._layers = []
+        self._error = None
+
+    def _where(self, module):
+        name = self._names.get(id(module))
+        if not name:
+            return type(module).__name__
+        return "{}.{} ({})".format(self._root, name, type(module).__name__)
+
+    def fwd(self, fn):
+        super().fwd(fn)
+        self.step_layers.append(self._layers[-1])
+
+    def build(self, module, inputs, activation=None):
+        where = self._where(module)
+        self._layers.append(where)
+        events = len(self.trace.events)
+        try:
+            output = super().build(module, inputs, activation)
+        except (ValueError, IndexError) as exc:
+            # numpy's shape errors, and a rule's own ShapeError, are
+            # located once, by the innermost layer they pass through.
+            if exc is self._error:
+                raise
+            self._error = ShapeError("{}: {}".format(where, exc))
+            raise self._error from exc
+        finally:
+            self._layers.pop()
+        # An enclosing layer does not repeat an upcast its child reported.
+        if len(self.trace.events) == events and _widens(inputs, output):
+            self.trace.record(
+                "upcast", where,
+                "float32 input -> float64 output; downstream memory "
+                "traffic doubles")
+        return output
+
+    def run(self):
+        for step, where in zip(self.fwd_steps, self.step_layers):
+            try:
+                step()
+            except (ValueError, IndexError) as exc:
+                raise ShapeError("{}: {}".format(where, exc)) from exc
 
 
-def matmul_spec(trace, where, a, b):
-    """Abstract ``a @ b`` with the same rank rules as :meth:`Tensor.__matmul__`."""
-    if a.ndim == 0 or b.ndim == 0:
-        raise ShapeError("{}: matmul requires ndim >= 1".format(where))
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-        raise ShapeError(
-            "{}: matmul inner dimensions disagree: {} @ {}".format(
-                where, a.shape, b.shape
-            )
-        )
-    if a.ndim == 1 and b.ndim == 1:
-        shape = ()
-    elif a.ndim == 1:
-        shape = b.shape[:-2] + (b.shape[-1],)
-    elif b.ndim == 1:
-        shape = a.shape[:-1]
-    else:
-        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        shape = batch + (a.shape[-2], b.shape[-1])
-    return Spec(shape, _result_dtype(trace, where, a.dtype, b.dtype))
+def _zeros(inputs, arena):
+    if inputs is None:
+        return None
+    if isinstance(inputs, Spec):
+        return arena.alloc(inputs.shape, inputs.dtype)
+    if isinstance(inputs, (tuple, list)):
+        return type(inputs)(_zeros(item, arena) for item in inputs)
+    raise TypeError("check_module inputs are Specs in tuples and lists, "
+                    "got {!r}".format(type(inputs).__name__))
 
 
-def concat_specs(trace, where, specs, axis=-1):
-    """Abstract :func:`repro.tensor.concat`."""
-    if not specs:
-        raise ShapeError("{}: concat of zero tensors".format(where))
-    first = specs[0]
-    axis = axis % first.ndim
-    base = first.shape[:axis] + first.shape[axis + 1:]
-    total = 0
-    for s in specs:
-        if s.ndim != first.ndim or s.shape[:axis] + s.shape[axis + 1:] != base:
-            raise ShapeError(
-                "{}: concat shapes {} incompatible along axis {}".format(
-                    where, [x.shape for x in specs], axis
-                )
-            )
-        total += s.shape[axis]
-    shape = first.shape[:axis] + (total,) + first.shape[axis + 1:]
-    return Spec(shape, _result_dtype(trace, where, *[s.dtype for s in specs]))
+def _spec(output):
+    if isinstance(output, np.ndarray):
+        return Spec(output.shape, output.dtype)
+    return type(output)(_spec(item) for item in output)
 
 
-def reduce_spec(spec, axis=None, keepdims=False):
-    """Abstract sum/mean/max reductions."""
-    if axis is None:
-        return Spec((1,) * spec.ndim if keepdims else (), spec.dtype)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    axes = {a % spec.ndim for a in axes}
-    shape = tuple(
-        1 if i in axes else d
-        for i, d in enumerate(spec.shape)
-        if keepdims or i not in axes
-    )
-    return Spec(shape, spec.dtype)
+def check_module(module, inputs):
+    """Compile and run ``module``'s forward on zeros shaped by ``inputs``.
 
-
-def conv2d_spec(trace, where, x, weight_shape, stride=1, padding=0, groups=1,
-                weight_dtype=None):
-    """Abstract :func:`repro.tensor.conv2d` (shape math shared via _out_size)."""
-    if x.ndim != 4:
-        raise ShapeError(
-            "{}: conv2d expects (N, C, H, W), got {}".format(where, x.shape)
-        )
-    n, c, h, w = x.shape
-    f, c_per_group, kh, kw = weight_shape
-    if c % groups or f % groups:
-        raise ShapeError(
-            "{}: channels {} / filters {} not divisible by groups {}".format(
-                where, c, f, groups
-            )
-        )
-    if c_per_group != c // groups:
-        raise ShapeError(
-            "{}: weight expects {} input channels per group, input has "
-            "{}".format(where, c_per_group, c // groups)
-        )
-    oh = _out_size(h, kh, stride, padding)
-    ow = _out_size(w, kw, stride, padding)
-    if oh < 1 or ow < 1:
-        raise ShapeError(
-            "{}: kernel ({}, {}) with stride {} padding {} does not fit "
-            "input ({}, {})".format(where, kh, kw, stride, padding, h, w)
-        )
-    dtype = _result_dtype(trace, where, x.dtype, weight_dtype or x.dtype)
-    return Spec((n, f, oh, ow), dtype)
-
-
-def pool2d_spec(where, x, kernel, stride):
-    """Abstract max/avg pooling output shape."""
-    if x.ndim != 4:
-        raise ShapeError(
-            "{}: pooling expects (N, C, H, W), got {}".format(where, x.shape)
-        )
-    n, c, h, w = x.shape
-    oh = _out_size(h, kernel, stride, 0)
-    ow = _out_size(w, kernel, stride, 0)
-    if oh < 1 or ow < 1:
-        raise ShapeError(
-            "{}: pooling window {} stride {} does not fit input ({}, {})".format(
-                where, kernel, stride, h, w
-            )
-        )
-    return Spec((n, c, oh, ow), x.dtype)
-
-
-# ----------------------------------------------------------------------
-# Rule registry and dispatch
-# ----------------------------------------------------------------------
-_RULES = {}
-
-
-def register_rule(*classes):
-    """Decorator: register an abstract rule ``fn(module, inputs, trace)``.
-
-    ``inputs`` is a :class:`Spec` for single-input layers, a tuple of
-    Specs for cells, or a list of Specs for multi-view fusion heads.
+    Returns ``(output_spec, trace)``.  Raises
+    :class:`~repro.serve.plan.ShapeError` for an input a layer refuses
+    and :class:`~repro.serve.plan.UnsupportedModuleError` for a module
+    class with no layer rule.
     """
-    def decorate(fn):
-        for cls in classes:
-            _RULES[cls] = fn
-        return fn
-    return decorate
-
-
-def _find_rule(module):
-    for cls in type(module).__mro__:
-        rule = _RULES.get(cls)
-        if rule is not None:
-            return rule
-    return None
-
-
-def abstract_forward(module, inputs, trace=None):
-    """Dispatch ``module`` on abstract ``inputs``; returns the output Spec.
-
-    Raises :class:`UnknownModuleError` for classes without a rule and
-    :class:`ShapeError` on any proved inconsistency.
-    """
-    trace = trace if trace is not None else Trace()
-    rule = _find_rule(module)
-    if rule is None:
-        raise UnknownModuleError(
-            "no abstract rule registered for {}; add one with "
-            "@register_rule({})".format(
-                type(module).__name__, type(module).__name__
-            )
-        )
-    return rule(module, _coerce(inputs), trace)
-
-
-def check_module(module, inputs, trace=None):
-    """Abstract-interpret ``module`` and return ``(output_spec, trace)``."""
-    trace = trace if trace is not None else Trace()
-    out = abstract_forward(module, inputs, trace)
-    return out, trace
-
-
-def _coerce(inputs):
-    if isinstance(inputs, Spec):
-        return inputs
-    if isinstance(inputs, tuple) and inputs and not isinstance(inputs[0], (Spec, tuple, list)):
-        # A bare shape tuple like (32, 64).
-        return Spec(inputs)
-    if isinstance(inputs, (list, tuple)):
-        return type(inputs)(_coerce(i) for i in inputs)
-    return inputs
-
-
-def _single(module, inputs):
-    if not isinstance(inputs, Spec):
-        raise ShapeError(
-            "{}: expected a single input spec, got {!r}".format(
-                _where(module), inputs
-            )
-        )
-    return inputs
-
-
-def covered_layers():
-    """Module classes exported by :mod:`repro.nn` that have a rule."""
-    return {cls for cls in _exported_layers() if _RULES.get(cls) or
-            any(base in _RULES for base in cls.__mro__)}
-
-
-def uncovered_layers():
-    """Module classes exported by :mod:`repro.nn` without a rule."""
-    return sorted(
-        (cls for cls in _exported_layers()
-         if not any(base in _RULES for base in cls.__mro__)),
-        key=lambda cls: cls.__name__,
-    )
-
-
-def _exported_layers():
-    classes = set()
-    for name in nn.__all__:
-        obj = getattr(nn, name, None)
-        if isinstance(obj, type) and issubclass(obj, nn.Module) \
-                and obj is not nn.Module:
-            classes.add(obj)
-    return classes
-
-
-# ----------------------------------------------------------------------
-# Rules: feed-forward layers
-# ----------------------------------------------------------------------
-@register_rule(nn.ReLU, nn.LeakyReLU, nn.Tanh, nn.Sigmoid, nn.Softmax,
-               nn.Identity, nn.Dropout)
-def _rule_elementwise(module, inputs, trace):
-    return _single(module, inputs)
-
-
-@register_rule(nn.Flatten)
-def _rule_flatten(module, inputs, trace):
-    x = _single(module, inputs)
-    if x.ndim < 1:
-        raise ShapeError("Flatten: input must have a batch dimension")
-    rest = int(np.prod(x.shape[1:], dtype=np.int64)) if x.ndim > 1 else 1
-    return x.with_shape((x.shape[0], rest))
-
-
-@register_rule(nn.Linear)
-def _rule_linear(module, inputs, trace):
-    x = _single(module, inputs)
-    where = "Linear(in={}, out={})".format(module.in_features, module.out_features)
-    if x.ndim < 1 or x.shape[-1] != module.in_features:
-        raise ShapeError(
-            "{}: input has trailing dimension {}, expected {}".format(
-                where, x.shape[-1] if x.ndim else None, module.in_features
-            )
-        )
-    out = matmul_spec(
-        trace, where, x,
-        Spec((module.in_features, module.out_features), module.weight.dtype),
-    )
-    if module.bias is not None:
-        out = broadcast_specs(
-            trace, where, out, Spec(module.bias.shape, module.bias.dtype),
-            expected=True,
-        )
-    return out
-
-
-@register_rule(nn.BatchNorm1d)
-def _rule_batchnorm(module, inputs, trace):
-    x = _single(module, inputs)
-    where = "BatchNorm1d({})".format(module.num_features)
-    if x.ndim != 2:
-        raise ShapeError(
-            "{}: expects (batch, features) input, got {}; higher-rank "
-            "inputs would normalize the wrong axis silently".format(
-                where, x.shape
-            )
-        )
-    if x.shape[1] != module.num_features:
-        raise ShapeError(
-            "{}: input has {} features, expected {}".format(
-                where, x.shape[1], module.num_features
-            )
-        )
-    return broadcast_specs(
-        trace, where, x, Spec(module.gamma.shape, module.gamma.dtype),
-        expected=True,
-    )
-
-
-@register_rule(nn.LayerNorm)
-def _rule_layernorm(module, inputs, trace):
-    x = _single(module, inputs)
-    where = "LayerNorm({})".format(module.num_features)
-    if x.ndim < 1 or x.shape[-1] != module.num_features:
-        raise ShapeError(
-            "{}: trailing dimension is {}, expected {}".format(
-                where, x.shape[-1] if x.ndim else None, module.num_features
-            )
-        )
-    return broadcast_specs(
-        trace, where, x, Spec(module.gamma.shape, module.gamma.dtype),
-        expected=True,
-    )
-
-
-@register_rule(nn.Sequential)
-def _rule_sequential(module, inputs, trace):
-    out = inputs
-    for child in module:
-        out = abstract_forward(child, out, trace)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Rules: convolution and pooling
-# ----------------------------------------------------------------------
-@register_rule(nn.Conv2d)
-def _rule_conv2d(module, inputs, trace):
-    x = _single(module, inputs)
-    return conv2d_spec(
-        trace, repr(module), x, module.weight.shape,
-        stride=module.stride, padding=module.padding, groups=module.groups,
-        weight_dtype=module.weight.dtype,
-    )
-
-
-@register_rule(nn.MaxPool2d, nn.AvgPool2d)
-def _rule_pool2d(module, inputs, trace):
-    x = _single(module, inputs)
-    return pool2d_spec(type(module).__name__, x, module.kernel, module.stride)
-
-
-@register_rule(nn.GlobalAvgPool2d)
-def _rule_global_pool(module, inputs, trace):
-    x = _single(module, inputs)
-    if x.ndim != 4:
-        raise ShapeError(
-            "GlobalAvgPool2d: expects (N, C, H, W), got {}".format(x.shape)
-        )
-    return reduce_spec(x, axis=(2, 3))
-
-
-@register_rule(nn.DepthwiseSeparableConv2d)
-def _rule_depthwise(module, inputs, trace):
-    x = abstract_forward(module.depthwise, _single(module, inputs), trace)
-    return abstract_forward(module.pointwise, x, trace)
-
-
-# ----------------------------------------------------------------------
-# Rules: recurrent layers
-# ----------------------------------------------------------------------
-def _check_sequence_input(where, x, input_size):
-    if x.ndim != 3:
-        raise ShapeError(
-            "{}: expects (batch, time, features), got {}".format(where, x.shape)
-        )
-    if x.shape[2] != input_size:
-        raise ShapeError(
-            "{}: input has {} features, expected {}".format(
-                where, x.shape[2], input_size
-            )
-        )
-
-
-@register_rule(nn.GRUCell)
-def _rule_gru_cell(module, inputs, trace):
-    where = "GRUCell({}, {})".format(module.input_size, module.hidden_size)
-    if isinstance(inputs, Spec):
-        x, h = inputs, Spec((inputs.shape[0], module.hidden_size), inputs.dtype)
-    else:
-        x, h = inputs
-    if x.ndim != 2 or x.shape[1] != module.input_size:
-        raise ShapeError(
-            "{}: input must be (batch, {}), got {}".format(
-                where, module.input_size, x.shape
-            )
-        )
-    if h.shape != (x.shape[0], module.hidden_size):
-        raise ShapeError(
-            "{}: hidden state must be ({}, {}), got {}".format(
-                where, x.shape[0], module.hidden_size, h.shape
-            )
-        )
-    gate = matmul_spec(
-        trace, where, x, Spec((module.input_size, module.hidden_size),
-                              module.w_r.dtype))
-    gate = broadcast_specs(trace, where, gate,
-                           Spec(module.b_r.shape, module.b_r.dtype),
-                           expected=True)
-    rec = matmul_spec(
-        trace, where, h, Spec((module.hidden_size, module.hidden_size),
-                              module.u_r.dtype))
-    return broadcast_specs(trace, where, gate, rec, expected=True)
-
-
-@register_rule(nn.GRU)
-def _rule_gru(module, inputs, trace):
-    x = _single(module, inputs)
-    where = "GRU({}, {})".format(module.cell.input_size, module.hidden_size)
-    _check_sequence_input(where, x, module.cell.input_size)
-    batch = x.shape[0]
-    step = abstract_forward(
-        module.cell,
-        (Spec((batch, module.cell.input_size), x.dtype),
-         Spec((batch, module.hidden_size), x.dtype)),
-        trace,
-    )
-    return step
-
-
-@register_rule(nn.LSTMCell)
-def _rule_lstm_cell(module, inputs, trace):
-    where = "LSTMCell({}, {})".format(module.input_size, module.hidden_size)
-    if isinstance(inputs, Spec):
-        x = inputs
-        h = c = Spec((x.shape[0], module.hidden_size), x.dtype)
-    else:
-        x, state = inputs
-        h, c = state if isinstance(state, (tuple, list)) else (state, state)
-    if x.ndim != 2 or x.shape[1] != module.input_size:
-        raise ShapeError(
-            "{}: input must be (batch, {}), got {}".format(
-                where, module.input_size, x.shape
-            )
-        )
-    for label, s in (("hidden", h), ("cell", c)):
-        if s.shape != (x.shape[0], module.hidden_size):
-            raise ShapeError(
-                "{}: {} state must be ({}, {}), got {}".format(
-                    where, label, x.shape[0], module.hidden_size, s.shape
-                )
-            )
-    gates = matmul_spec(
-        trace, where, x,
-        Spec((module.input_size, 4 * module.hidden_size), module.w.dtype))
-    gates = broadcast_specs(trace, where, gates,
-                            Spec(module.b.shape, module.b.dtype),
-                            expected=True)
-    rec = matmul_spec(
-        trace, where, h,
-        Spec((module.hidden_size, 4 * module.hidden_size), module.u.dtype))
-    gates = broadcast_specs(trace, where, gates, rec, expected=True)
-    out = Spec((x.shape[0], module.hidden_size), gates.dtype)
-    return out, out
-
-
-@register_rule(nn.LSTM)
-def _rule_lstm(module, inputs, trace):
-    x = _single(module, inputs)
-    where = "LSTM({}, {})".format(module.cell.input_size, module.hidden_size)
-    _check_sequence_input(where, x, module.cell.input_size)
-    batch = x.shape[0]
-    h, _ = abstract_forward(
-        module.cell,
-        (Spec((batch, module.cell.input_size), x.dtype),
-         (Spec((batch, module.hidden_size), x.dtype),
-          Spec((batch, module.hidden_size), x.dtype))),
-        trace,
-    )
-    return h
-
-
-@register_rule(nn.Bidirectional)
-def _rule_bidirectional(module, inputs, trace):
-    x = _single(module, inputs)
-    ahead = abstract_forward(module.forward_layer, x, trace)
-    behind = abstract_forward(module.backward_layer, x, trace)
-    return concat_specs(trace, "Bidirectional", [ahead, behind], axis=-1)
-
-
-# ----------------------------------------------------------------------
-# Rules: fusion heads (DeepMood Eqs. 2-4)
-# ----------------------------------------------------------------------
-def _check_views(where, module, views):
-    if not isinstance(views, (list, tuple)):
-        raise ShapeError(
-            "{}: expects a list of per-view specs, got {!r}".format(where, views)
-        )
-    views = list(views)
-    if len(views) != len(module.view_sizes):
-        raise ShapeError(
-            "{}: expected {} views, got {}".format(
-                where, len(module.view_sizes), len(views)
-            )
-        )
-    batches = set()
-    for index, (view, size) in enumerate(zip(views, module.view_sizes)):
-        if view.ndim != 2 or view.shape[1] != size:
-            raise ShapeError(
-                "{}: view {} must be (batch, {}), got {}".format(
-                    where, index, size, view.shape
-                )
-            )
-        batches.add(view.shape[0])
-    if len(batches) > 1:
-        raise ShapeError(
-            "{}: views disagree on batch size: {}".format(where, sorted(batches))
-        )
-    return views, batches.pop()
-
-
-@register_rule(nn.FullyConnectedFusion)
-def _rule_fc_fusion(module, inputs, trace):
-    where = "FullyConnectedFusion"
-    views, batch = _check_views(where, module, inputs)
-    h = concat_specs(trace, where, views, axis=1)
-    hidden = matmul_spec(
-        trace, where, Spec((batch, h.shape[1] + 1), h.dtype),
-        Spec((module.w1.shape[1], module.w1.shape[0]), module.w1.dtype))
-    out = matmul_spec(
-        trace, where, hidden,
-        Spec((module.w2.shape[1], module.w2.shape[0]), module.w2.dtype))
-    return out
-
-
-@register_rule(nn.FactorizationMachineFusion)
-def _rule_fm_fusion(module, inputs, trace):
-    where = "FactorizationMachineFusion"
-    views, batch = _check_views(where, module, inputs)
-    h = concat_specs(trace, where, views, axis=1)
-    q = matmul_spec(
-        trace, where, h,
-        Spec((module.u.shape[1], module.u.shape[0]), module.u.dtype))
-    quadratic = reduce_spec(
-        q.with_shape((batch, module.num_classes, module.factor_units)), axis=2)
-    linear = matmul_spec(
-        trace, where, Spec((batch, h.shape[1] + 1), h.dtype),
-        Spec((module.w.shape[1], module.w.shape[0]), module.w.dtype))
-    return broadcast_specs(trace, where, quadratic, linear, expected=True)
-
-
-@register_rule(nn.MultiViewMachineFusion)
-def _rule_mvm_fusion(module, inputs, trace):
-    where = "MultiViewMachineFusion"
-    views, batch = _check_views(where, module, inputs)
-    product = None
-    for name, view in zip(module._factor_names, views):
-        u = getattr(module, name)
-        q = matmul_spec(
-            trace, where, Spec((batch, view.shape[1] + 1), view.dtype),
-            Spec((u.shape[1], u.shape[0]), u.dtype))
-        q = q.with_shape((batch, module.num_classes, module.factor_units))
-        product = q if product is None else broadcast_specs(
-            trace, where, product, q, expected=True)
-    return reduce_spec(product, axis=2)
-
-
-# ----------------------------------------------------------------------
-# Rules: application models (repro.core)
-# ----------------------------------------------------------------------
-def _register_core_rules():
-    from ..core.model import MultiViewGRUClassifier
-
-    @register_rule(MultiViewGRUClassifier)
-    def _rule_multiview_classifier(module, inputs, trace):
-        where = "MultiViewGRUClassifier"
-        if not isinstance(inputs, (list, tuple)):
-            raise ShapeError(
-                "{}: expects a list of per-view (batch, time, dim) specs".format(
-                    where
-                )
-            )
-        if len(inputs) != len(module.view_dims):
-            raise ShapeError(
-                "{}: expected {} views, got {}".format(
-                    where, len(module.view_dims), len(inputs)
-                )
-            )
-        encoded = []
-        for name, view in zip(module._encoder_names, inputs):
-            encoder = getattr(module, name)
-            hidden = abstract_forward(encoder, view, trace)
-            encoded.append(abstract_forward(module.dropout, hidden, trace))
-        return abstract_forward(module.fusion, encoded, trace)
-
-
-_register_core_rules()
+    ctx = _CheckContext(module)
+    output = ctx.build(module, _zeros(inputs, ctx.arena))
+    ctx.run()
+    return _spec(output), ctx.trace

@@ -65,7 +65,7 @@ class PrivateLocalTransformer:
     """
 
     def __init__(self, local_net, nullification_rate=0.1, noise_sigma=1.0,
-                 bound=10.0, seed=0, use_plan=True):
+                 bound=10.0, seed=0):
         if not 0.0 <= nullification_rate < 1.0:
             raise ValueError("nullification_rate must be in [0, 1)")
         if noise_sigma < 0:
@@ -80,13 +80,15 @@ class PrivateLocalTransformer:
         self.rng = np.random.default_rng(seed)
         # The local net is frozen by construction, which is exactly the
         # contract the serving plan executor needs: compile the forward
-        # once, replay it per query with no graph or allocations.
-        self.use_plan = use_plan
+        # once, replay it per query with no graph or allocations.  A
+        # local net with a layer the compiler has no rule for still
+        # works; it just pays the eager path, decided once.
         self._plan = None
+        self._eager = False
 
     def _forward(self, array):
         """Frozen forward through the compiled plan (eager fallback)."""
-        if self.use_plan:
+        if not self._eager:
             from ..serve import UnsupportedModuleError, compile_plan
 
             try:
@@ -94,9 +96,7 @@ class PrivateLocalTransformer:
                     self._plan = compile_plan(self.local_net, array)
                 representation = self._plan.run(array)
             except UnsupportedModuleError:
-                # A local net with an un-planned layer still works; it
-                # just pays the eager path.
-                self.use_plan = False
+                self._eager = True
             else:
                 # The plan bypasses the autodiff engine, so re-attach the
                 # taint label the engine's hook would have propagated.
@@ -114,8 +114,9 @@ class PrivateLocalTransformer:
 
         Runs at whatever float dtype ``features`` carries (float32 inputs
         stay float32 end to end, halving device-side memory traffic).
-        Served from a compiled :class:`repro.serve.Plan` when the local
-        net supports it (``use_plan``), eagerly otherwise.
+        Served from a compiled :class:`repro.serve.Plan` when the
+        compiler has a rule for every layer of the local net, eagerly
+        otherwise.
         """
         array = np.asarray(features)
         # Raw device data is the private source; the taint tracker (when

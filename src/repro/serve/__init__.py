@@ -32,6 +32,7 @@ from .arena import ArenaFrozenError, ArenaPool, BufferArena
 from .plan import (
     Plan,
     PlanVerificationError,
+    ShapeError,
     UnsupportedModuleError,
     compile_plan,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "BufferArena",
     "Plan",
     "PlanVerificationError",
+    "ShapeError",
     "UnsupportedModuleError",
     "compile_plan",
     "AdmissionError",

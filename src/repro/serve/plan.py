@@ -27,7 +27,7 @@ the input *signature* (the nested structure of shapes and dtypes) and
 re-traces on a miss, so a server that pads batches into a small set of
 buckets compiles a handful of traces and then replays forever.
 
-Input convention (mirrors the shape interpreter):
+Input convention (shared with :func:`repro.analysis.check_module`):
 
 * a bare ndarray/Tensor is passed as ``module(x)``;
 * a tuple is an argument pack — ``(x, mask)`` for GRU/LSTM/Bidirectional
@@ -58,12 +58,17 @@ __all__ = [
     "Plan",
     "compile_plan",
     "UnsupportedModuleError",
+    "ShapeError",
     "PlanVerificationError",
 ]
 
 
 class UnsupportedModuleError(TypeError):
     """No layer rule is registered for a module class."""
+
+
+class ShapeError(ValueError):
+    """A layer rule refused an input of the wrong shape."""
 
 
 class PlanVerificationError(RuntimeError):

@@ -63,6 +63,7 @@ from ..nn import module as module_mod
 from ..serve import kernels
 from ..serve.arena import BufferArena
 from ..serve.plan import (
+    ShapeError,
     UnsupportedModuleError,
     _alloc_inputs,
     _call_eager,
@@ -93,7 +94,8 @@ class TrainVerificationError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Rule registry (mirrors repro.analysis.shapes.register_rule)
+# Rule registry: the one table of per-layer knowledge (training, serving
+# and repro.analysis.check_module all build through it)
 # ----------------------------------------------------------------------
 _TRAIN_RULES = {}
 
@@ -101,12 +103,15 @@ _TRAIN_RULES = {}
 def register_train_rule(*classes):
     """Decorator: register a layer rule ``fn(module, inputs, ctx)``.
 
-    The one rule registry of both compilers.  The rule allocates its
-    output buffer(s) and appends forward steps with
-    :meth:`TrainContext.fwd`.  When its output has a gradient buffer it
-    then appends one backward closure with :meth:`TrainContext.bwd`
-    that *accumulates* (``+=``) into the gradient buffers of its inputs
-    and parameters; in forward-only mode it returns after the forward.
+    The one rule registry of both compilers and of
+    :func:`repro.analysis.check_module`.  The rule allocates its output
+    buffer(s) and appends forward steps with :meth:`TrainContext.fwd`.
+    When its output has a gradient buffer it then appends one backward
+    closure with :meth:`TrainContext.bwd` that *accumulates* (``+=``)
+    into the gradient buffers of its inputs and parameters; in
+    forward-only mode it returns after the forward.  A rule raises
+    :class:`~repro.serve.plan.ShapeError` for an input numpy would
+    broadcast or slice into a wrong but well-formed result.
     """
     def decorate(fn):
         for cls in classes:
@@ -1259,6 +1264,11 @@ def _eval_batchnorm(module, x, ctx):
 @register_train_rule(nn.BatchNorm1d)
 def _train_batchnorm(module, inputs, ctx):
     x = _expect_array(module, inputs)
+    if x.ndim != 2 or x.shape[1] != module.num_features:
+        # A (batch, time, features) input would broadcast the running
+        # statistics over its last axis.
+        raise ShapeError("BatchNorm1d: expects (batch, {}) input, got "
+                         "{}".format(module.num_features, x.shape))
     if not ctx.training:
         return _eval_batchnorm(module, x, ctx)
     batch = x.shape[0]
@@ -1418,12 +1428,15 @@ def _train_sequential(module, inputs, ctx):
 def _train_conv2d(module, inputs, ctx, activation=None):
     x = _expect_array(module, inputs)
     weight, bias = module.weight, module.bias
-    n, c, h, w = x.shape
     f, c_per_group, kh, kw = weight.data.shape
     stride, padding, groups = module.stride, module.padding, module.groups
+    n, c, h, w, oh, ow = _window_fit(module, x, kh, kw, stride, padding)
+    if c != c_per_group * groups:
+        # The gather would read the first channels and drop the rest.
+        raise ShapeError(
+            "{}: input has {} channels, weight expects {} (groups={})".format(
+                type(module).__name__, c, c_per_group * groups, groups))
     f_per_group = f // groups
-    oh = conv_mod._out_size(h, kh, stride, padding)
-    ow = conv_mod._out_size(w, kw, stride, padding)
     dtype = np.result_type(x.dtype, weight.data.dtype)
     hp, wp = h + 2 * padding, w + 2 * padding
 
@@ -1537,12 +1550,31 @@ def _train_conv2d(module, inputs, ctx, activation=None):
     return out
 
 
-def _window_pool(ctx, x, kernel, stride, reducer):
-    """Forward pooling as one reduction over a strided window view."""
+def _window_fit(module, x, kh, kw, stride, padding):
+    """``(n, c, h, w, oh, ow)`` of a window over an (N, C, H, W) input.
+
+    A window larger than its input would give an empty (..., 0, 0) map.
+    """
+    if x.ndim != 4:
+        raise ShapeError("{}: expects (N, C, H, W) input, got {}".format(
+            type(module).__name__, x.shape))
     n, c, h, w = x.shape
+    oh = conv_mod._out_size(h, kh, stride, padding)
+    ow = conv_mod._out_size(w, kw, stride, padding)
+    if oh < 1 or ow < 1:
+        raise ShapeError(
+            "{}: a ({}, {}) window with stride {} and padding {} does not "
+            "fit a ({}, {}) input".format(type(module).__name__, kh, kw,
+                                          stride, padding, h, w))
+    return n, c, h, w, oh, ow
+
+
+def _window_pool(module, ctx, x, reducer):
+    """Forward pooling as one reduction over a strided window view."""
+    kernel, stride = module.kernel, module.stride
+    n, c, h, w, oh, ow = _window_fit(module, x, kernel, kernel, stride, 0)
     reshaped = ctx.keep(x.reshape(n * c, 1, h, w))
-    windows, oh, ow = conv_mod._patch_view(reshaped, kernel, kernel,
-                                           stride, 0)
+    windows, _, _ = conv_mod._patch_view(reshaped, kernel, kernel, stride, 0)
     ctx.keep(windows)
     out = ctx.alloc((n, c, oh, ow), x.dtype)
     out_view = ctx.keep(out.reshape(n * c, oh, ow))
@@ -1556,11 +1588,9 @@ def _train_maxpool(module, inputs, ctx):
     if not ctx.training:
         # Backward's argmax reads gathered window columns; the forward
         # alone reduces over a view of the input.
-        return _window_pool(ctx, x, module.kernel, module.stride, np.max)
-    n, c, h, w = x.shape
+        return _window_pool(module, ctx, x, np.max)
     kernel, stride = module.kernel, module.stride
-    oh = conv_mod._out_size(h, kernel, stride, 0)
-    ow = conv_mod._out_size(w, kernel, stride, 0)
+    n, c, h, w, oh, ow = _window_fit(module, x, kernel, kernel, stride, 0)
     kk = kernel * kernel
     ncoo = n * c * oh * ow
     index = conv_mod._gather_index(n * c, 1, h, w, kernel, kernel,
@@ -1602,7 +1632,7 @@ def _train_maxpool(module, inputs, ctx):
 def _train_avgpool(module, inputs, ctx):
     x = _expect_array(module, inputs)
     kernel, stride = module.kernel, module.stride
-    out = _window_pool(ctx, x, kernel, stride, np.mean)
+    out = _window_pool(module, ctx, x, np.mean)
 
     g_x = ctx.grad(x)
     if g_x is not None:
@@ -1674,12 +1704,10 @@ def _train_sequence_inputs(module, inputs):
         x, mask = inputs
     else:
         x, mask = inputs, None
-    if not isinstance(x, np.ndarray) or x.ndim != 3:
-        raise UnsupportedModuleError(
-            "{} training rule expects (batch, time, features) input".format(
-                type(module).__name__
-            )
-        )
+    x = _expect_array(module, x)
+    if x.ndim != 3:
+        raise ShapeError("{}: expects (batch, time, features) input, got "
+                         "{}".format(type(module).__name__, x.shape))
     return x, mask
 
 
@@ -2552,13 +2580,18 @@ def _train_bidirectional(module, inputs, ctx):
 # ----------------------------------------------------------------------
 # Rules: fusion heads and the multi-view classifier
 # ----------------------------------------------------------------------
-def _train_expect_views(module, inputs):
+def _train_expect_views(module, inputs, count=None):
+    """The per-view input list; ``count`` views when the module has one
+    parameter set per view."""
     if not isinstance(inputs, list):
         raise UnsupportedModuleError(
             "{} training rule expects a list of per-view inputs".format(
                 type(module).__name__
             )
         )
+    if count is not None and len(inputs) != count:
+        raise ShapeError("{}: expected {} views, got {}".format(
+            type(module).__name__, count, len(inputs)))
     return inputs
 
 
@@ -2726,12 +2759,7 @@ def _train_fm_fusion(module, inputs, ctx):
 
 @register_train_rule(nn.MultiViewMachineFusion)
 def _train_mvm_fusion(module, inputs, ctx):
-    views = _train_expect_views(module, inputs)
-    if len(views) != len(module.view_sizes):
-        raise UnsupportedModuleError(
-            "expected {} views, got {}".format(
-                len(module.view_sizes), len(views))
-        )
+    views = _train_expect_views(module, inputs, len(module.view_sizes))
     batch = views[0].shape[0]
     classes, factors = module.num_classes, module.factor_units
     factor_params = [getattr(module, name) for name in module._factor_names]
@@ -2810,12 +2838,7 @@ def _register_core_train_rules():
 
     @register_train_rule(MultiViewGRUClassifier)
     def _train_multiview_classifier(module, inputs, ctx):
-        views = _train_expect_views(module, inputs)
-        if len(views) != len(module.view_dims):
-            raise UnsupportedModuleError(
-                "expected {} views, got {}".format(
-                    len(module.view_dims), len(views))
-            )
+        views = _train_expect_views(module, inputs, len(module.view_dims))
         encoders = [getattr(module, name) for name in module._encoder_names]
         seqs = [_train_sequence_inputs(encoder, view)
                 for encoder, view in zip(encoders, views)]

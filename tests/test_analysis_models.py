@@ -1,5 +1,5 @@
-"""Interpreter over the application models + regression tests for the
-latent dtype bugs the checkers surfaced (and this PR fixed)."""
+"""Shape check over the application models + regression tests for the
+latent dtype bugs the checkers surfaced."""
 
 import numpy as np
 import pytest
@@ -127,7 +127,7 @@ def test_dequantize_preserves_weight_dtype(quantize):
 def test_buffer_round_trip_preserves_dtype():
     # Seed bug: _load_buffers adopted the checkpoint's dtype, so a
     # float32 model loading a float64 archive silently flipped its
-    # running statistics to float64 (verified via the interpreter).
+    # running statistics to float64 (verified via the shape check).
     with default_dtype(np.float32):
         model = nn.BatchNorm1d(4)
         model(Tensor(np.random.default_rng(0)

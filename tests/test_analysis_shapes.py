@@ -1,4 +1,9 @@
-"""Abstract interpreter vs. real forward: every repro.nn layer, both dtypes."""
+"""Shape check vs. real forward: every repro.nn layer, both dtypes.
+
+``check_module`` compiles a module's forward through the layer
+compiler's rules over zero-filled buffers, so its output spec must be
+exactly what the eager forward produces.
+"""
 
 import numpy as np
 import pytest
@@ -7,13 +12,14 @@ from repro import nn
 from repro.analysis import (
     ShapeError,
     Spec,
-    UnknownModuleError,
-    abstract_forward,
+    UnsupportedModuleError,
     check_module,
-    register_rule,
-    uncovered_layers,
 )
+from repro.analysis.plans import audit_rule_coverage
+from repro.analysis.plans.audit import exported_layers
+from repro.core.model import MultiViewGRUClassifier
 from repro.tensor import Tensor, default_dtype
+from repro.train import plan as train_plan
 
 
 def _rng():
@@ -22,7 +28,7 @@ def _rng():
 
 # Each case: (name, module factory, concrete input factory).  The concrete
 # factory returns an ndarray, a tuple (for cells), or a list (for fusion
-# heads); the abstract input is derived from it so both runs see the same
+# heads); the spec input is derived from it so both runs see the same
 # shapes and dtypes.
 CASES = [
     ("Linear", lambda: nn.Linear(8, 5, rng=_rng()),
@@ -141,33 +147,59 @@ def test_abstract_matches_real_forward(name, make_module, make_input, dtype):
 
 
 def test_every_exported_layer_has_a_rule():
-    assert uncovered_layers() == []
+    # check_module builds through the layer compiler's one registry, and
+    # CASES above checks each exported layer against its eager forward.
+    assert audit_rule_coverage() == []
+    checked = {name.split("-")[0] for name, _, _ in CASES}
+    assert {cls.__name__ for cls in exported_layers()} <= checked
 
 
 def test_linear_shape_mismatch_is_caught():
     module = nn.Linear(8, 5)
     with pytest.raises(ShapeError):
-        abstract_forward(module, Spec((4, 9)))
+        check_module(module, Spec((4, 9)))
 
 
 def test_batchnorm_rejects_rank3_input():
     # BatchNorm1d over (batch, time, features) would normalize the wrong
-    # axis silently at runtime; the interpreter makes it an error.
+    # axis silently at runtime; the rule makes it an error.
     module = nn.BatchNorm1d(7)
     with pytest.raises(ShapeError):
-        abstract_forward(module, Spec((4, 6, 7)))
+        check_module(module, Spec((4, 6, 7)))
 
 
 def test_conv_kernel_too_large_is_caught():
     module = nn.Conv2d(3, 6, 5)
     with pytest.raises(ShapeError):
-        abstract_forward(module, Spec((2, 3, 4, 4)))
+        check_module(module, Spec((2, 3, 4, 4)))
 
 
 def test_fusion_view_count_mismatch_is_caught():
     module = nn.FullyConnectedFusion([4, 6], 8, 2)
     with pytest.raises(ShapeError):
-        abstract_forward(module, [Spec((3, 4))])
+        check_module(module, [Spec((3, 4))])
+
+
+def test_view_count_mismatch_is_a_shape_error():
+    # A malformed input is not a missing rule: UnsupportedModuleError is
+    # what FedAvg and private inference read as "train eagerly".
+    model = MultiViewGRUClassifier((4, 6, 3), hidden_size=8, num_classes=2)
+    with pytest.raises(ShapeError, match="expected 3 views, got 2"):
+        check_module(model, [Spec((4, 6, 4)), Spec((4, 6, 6))])
+
+
+def test_sequence_rank_mismatch_is_a_shape_error():
+    with pytest.raises(ShapeError, match=r"\(batch, time, features\)"):
+        check_module(nn.GRU(5, 4), Spec((3, 5)))
+
+
+@pytest.mark.parametrize("shape", [(4, 9), (4, 16)], ids=["build", "run"])
+def test_shape_error_names_the_failing_layer(shape):
+    # (4, 9) fails the rule's reshape while building; (4, 16) reshapes
+    # to (8, 8) rows and fails in the forward step's matmul.
+    model = nn.Sequential(nn.Tanh(), nn.Linear(8, 5))
+    with pytest.raises(ShapeError, match=r"^Sequential\.layer1 \(Linear\): "):
+        check_module(model, Spec(shape))
 
 
 def test_upcast_event_recorded_for_mixed_dtypes():
@@ -177,23 +209,35 @@ def test_upcast_event_recorded_for_mixed_dtypes():
     assert trace.upcasts()
 
 
+def test_upcast_is_reported_once_by_the_layer_that_widens():
+    model = nn.Sequential(nn.Linear(8, 5), nn.ReLU())  # float64 weights
+    _, trace = check_module(model, Spec((4, 8), np.float32))
+    assert [where for _, where, _ in trace.upcasts()] == \
+        ["Sequential.layer0 (Linear)"]
+
+
 def test_unknown_module_reports_missing_rule():
     class Strange(nn.Module):
         def forward(self, x):
             return x
 
-    with pytest.raises(UnknownModuleError):
-        abstract_forward(Strange(), Spec((2, 2)))
+    with pytest.raises(UnsupportedModuleError):
+        check_module(Strange(), Spec((2, 2)))
 
 
-def test_register_rule_extends_dispatch():
+def test_register_rule_extends_dispatch(monkeypatch):
     class Doubler(nn.Module):
         def forward(self, x):
             return x * 2
 
-    @register_rule(Doubler)
-    def _rule(module, inputs, trace):
-        return inputs
+    monkeypatch.setattr(train_plan, "_TRAIN_RULES",
+                        dict(train_plan._TRAIN_RULES))
 
-    out = abstract_forward(Doubler(), Spec((3, 3)))
-    assert out.shape == (3, 3)
+    @train_plan.register_train_rule(Doubler)
+    def _rule(module, inputs, ctx):
+        out = ctx.alloc(inputs.shape, inputs.dtype)
+        ctx.fwd(lambda: np.multiply(inputs, 2, out=out))
+        return out
+
+    out, trace = check_module(Doubler(), Spec((3, 3)))
+    assert out == Spec((3, 3)) and not trace.events

@@ -182,6 +182,35 @@ class TestPrivateTransformer:
         transformer = PrivateLocalTransformer(local, noise_sigma=0.0)
         assert transformer.epsilon_per_query() == float("inf")
 
+    def test_layer_without_rule_extracts_eagerly(self, rng, monkeypatch):
+        """The first compile's UnsupportedModuleError selects the eager
+        forward for good; each call returns exactly what it computes."""
+        import repro.serve
+
+        class Halve(nn.Module):
+            """A layer the compiler has no rule for."""
+
+            def forward(self, x):
+                return x * 0.5
+
+        attempts = []
+        compile_plan = repro.serve.compile_plan
+
+        def counted(*args, **kwargs):
+            attempts.append(1)
+            return compile_plan(*args, **kwargs)
+
+        monkeypatch.setattr(repro.serve, "compile_plan", counted)
+        local = nn.Sequential(nn.Linear(8, 6, rng=rng), nn.Tanh(), Halve())
+        transformer = PrivateLocalTransformer(local, bound=1e6,
+                                              noise_sigma=0.0,
+                                              nullification_rate=0.0)
+        for batch in (5, 3):
+            x = rng.standard_normal((batch, 8))
+            np.testing.assert_array_equal(transformer.extract(x),
+                                          local(Tensor(x)).numpy())
+        assert len(attempts) == 1
+
     def test_validation(self, trained_model):
         model, _ = trained_model
         local, _ = split_sequential(model, 2)

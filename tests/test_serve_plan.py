@@ -1,8 +1,9 @@
 """Plan-executor equivalence: compiled replay matches eager everywhere.
 
-The acceptance bar for the serving runtime: for **every** module class in
-the shape-interpreter registry (:func:`repro.analysis.shapes.covered_layers`)
-— fusion heads and the full :class:`MultiViewGRUClassifier` included — a
+The acceptance bar for the serving runtime: for **every** module class
+:mod:`repro.nn` exports
+(:func:`repro.analysis.plans.audit.exported_layers`) — fusion heads and
+the full :class:`MultiViewGRUClassifier` included — a
 compiled :class:`repro.serve.Plan` reproduces the eager forward at both
 float32 and float64, replays with zero new arena allocations, and
 re-traces transparently when the input signature changes.
@@ -12,11 +13,12 @@ import numpy as np
 import pytest
 
 from repro import nn, profiler
-from repro.analysis import shapes
+from repro.analysis.plans.audit import exported_layers
 from repro.core.model import MultiViewGRUClassifier
 from repro.serve import (
     ArenaFrozenError,
     PlanVerificationError,
+    ShapeError,
     UnsupportedModuleError,
     compile_plan,
 )
@@ -204,16 +206,16 @@ def test_plan_matches_eager(name, dtype):
     _assert_matches(plan.run(inputs), _eager(module, inputs), dtype)
 
 
-def test_case_registry_covers_every_shapes_registry_module():
-    """Every class with a shape rule is exercised by some equivalence case."""
+def test_case_registry_covers_every_exported_layer():
+    """Every layer repro.nn exports is exercised by some equivalence case."""
     exercised = set()
     for factory, _ in CASES.values():
         module = factory()
         for _, child in module.named_modules():
             exercised.add(type(child))
-    missing = {cls.__name__ for cls in shapes.covered_layers()} - {
+    missing = {cls.__name__ for cls in exported_layers()} - {
         cls.__name__ for cls in exercised}
-    assert not missing, "shapes-registry modules without a plan case: {}".format(
+    assert not missing, "exported layers without a plan case: {}".format(
         sorted(missing))
 
 
@@ -271,6 +273,13 @@ def test_unsupported_module_raises():
 
     with pytest.raises(UnsupportedModuleError):
         compile_plan(Exotic(), _arr((2, 4), np.float64))
+
+
+def test_oversized_window_is_refused():
+    """Eager returns an empty (2, 6, 0, 0) map; the plan refuses it."""
+    module = nn.Conv2d(3, 6, 5, rng=_rng(0))
+    with pytest.raises(ShapeError, match="does not fit"):
+        compile_plan(module, _arr((2, 3, 4, 4), np.float64))
 
 
 def test_verification_catches_divergence(monkeypatch):

@@ -1,7 +1,7 @@
 """Compiled-training equivalence: plan steps match eager everywhere.
 
 The acceptance bar for the training compiler: for **every** module class
-in the shape-interpreter registry (fusion heads and the full
+:mod:`repro.nn` exports (fusion heads and the full
 :class:`MultiViewGRUClassifier` included) a compiled
 :class:`repro.train.TrainPlan` reproduces multi-step eager training —
 losses, gradients, parameter trajectories, and (for BatchNorm) running
@@ -17,7 +17,7 @@ import pytest
 
 from repro import nn, profiler
 from repro import train as train_mod
-from repro.analysis import shapes
+from repro.analysis.plans.audit import exported_layers
 from repro.core.model import MultiViewGRUClassifier
 from repro.data import ArrayDataset, DataLoader
 from repro.federated.client import FederatedClient
@@ -26,7 +26,7 @@ from repro.optim import SGD, Adam
 from repro.privacy.dpsgd import DPSGDTrainer
 from repro.privacy.mechanisms import clip_by_l2
 from repro.rng import derive_rng
-from repro.serve import ArenaFrozenError
+from repro.serve import ArenaFrozenError, BufferArena, ShapeError
 from repro.tensor import Tensor, default_dtype
 from repro.train import TrainPlan, TrainVerificationError, compile_train_plan
 from repro.train import plan as train_plan_mod
@@ -229,18 +229,17 @@ def test_plan_training_matches_eager(name, dtype):
     _assert_state_matches(eager_module, module, dtype)
 
 
-def test_case_registry_covers_every_shapes_registry_module():
-    """Every class with a shape rule is exercised by some training case."""
+def test_case_registry_covers_every_exported_layer():
+    """Every layer repro.nn exports is exercised by some training case."""
     exercised = set()
     for factory, _ in CASES.values():
         module = factory()
         for _, child in module.named_modules():
             exercised.add(type(child))
-    missing = {cls.__name__ for cls in shapes.covered_layers()} - {
+    missing = {cls.__name__ for cls in exported_layers()} - {
         cls.__name__ for cls in exercised}
-    assert not missing, \
-        "shapes-registry modules without a train case: {}".format(
-            sorted(missing))
+    assert not missing, "exported layers without a train case: {}".format(
+        sorted(missing))
 
 
 def test_cross_entropy_training_matches_eager():
@@ -338,6 +337,22 @@ def test_verification_catches_divergence(broken_linear_rule):
     with pytest.raises(TrainVerificationError):
         compile_train_plan(module, _arr((2, 4), np.float64),
                            _rng(1).integers(0, 3, size=2))
+
+
+@pytest.mark.parametrize("layer,shape", [
+    (lambda: nn.Conv2d(3, 6, 3), (2, 4, 8, 8)),
+    (lambda: nn.Conv2d(4, 8, 3, groups=2), (2, 6, 8, 8)),
+    (lambda: nn.BatchNorm1d(7), (4, 6, 7)),
+    (lambda: nn.MaxPool2d(5), (2, 3, 4, 4)),
+], ids=["conv-channels", "conv-group-channels", "batchnorm-rank3",
+        "pool-window"])
+def test_forward_only_build_refuses_silent_mismatches(layer, shape):
+    """numpy runs each of these into a well-formed but wrong map: the
+    conv gathers the first channels only, the running statistics
+    broadcast over the last axis, the window gives a (2, 3, 0, 0) map."""
+    ctx = train_plan_mod.TrainContext(BufferArena(), training=False)
+    with pytest.raises(ShapeError):
+        ctx.build(layer(), np.zeros(shape))
 
 
 def test_grad_only_plan_and_flat_grad_match_eager():
