@@ -65,7 +65,8 @@ fleet-check:
 		tests/test_serve_traffic.py tests/test_earlyexit.py -q
 
 # Training gate: compiled plan/eager training equivalence across every
-# registered module, the DP-SGD plan path against its eager twin,
+# registered module, DP-SGD's plan path against its eager twin (and its
+# eager fallbacks for custom losses and layers without a rule),
 # FedAvg's shared compiled local trainer bit for bit against an eager
 # oracle (with its eager fallbacks), and the training benchmark (which
 # asserts the compiled step >= 2x eager with zero arena allocations
@@ -76,10 +77,11 @@ train-check:
 
 # Fleet-simulation gate: the struct-of-arrays federated fleet — keyed
 # keystream bit-identity against live numpy, batch fault oracles vs the
-# scalar ones, vectorized/scalar round-engine equivalence, two-tier
-# quorum byte conservation, streaming checkpoint kill/resume at 100k,
-# and the fleet benchmark (which asserts >= 50x per-client speedup over
-# the object path at 10k).
+# scalar ones, equivalence of the round engine's two paths (array ops
+# and the per-client loop, each forced in turn), FedAvg's chaos rounds
+# on that engine, two-tier quorum byte conservation, streaming
+# checkpoint kill/resume at 100k, and the fleet benchmark (which asserts
+# the array path >= 50x faster per client than the loop at 10k).
 fleetsim-check:
 	python -m pytest tests/test_fleet.py -q
 	python -m pytest benchmarks/test_fleetsim_bench.py -q

@@ -2,8 +2,9 @@
 
 The headline numbers for the million-client federated fleet:
 
-* **speedup** — per-client decision cost of the vectorized engine vs the
-  scalar reference twin (the object path's loop) on the same 10k-client
+* **speedup** — per-client decision cost of the engine's vectorized
+  path (which ``decide_round`` takes for a 10k-client cohort) vs its
+  per-client loop (``_decide_scalar``, timed directly) on the same
   round, asserted >= 50x, with the two paths' outcomes verified
   bit-identical before timing is trusted;
 * **scaling** — rounds/second and resident fleet bytes at 10k, 100k,
@@ -37,6 +38,7 @@ from repro.federated.fleet import (
     decide_round,
     save_fleet_checkpoint,
 )
+from repro.federated.fleet.engine import _decide_scalar
 
 RESULTS_PATH = pathlib.Path(__file__).resolve().parent.parent \
     / "BENCH_fleetsim.json"
@@ -58,15 +60,14 @@ def make_policy():
     return RobustnessPolicy(max_retries=1, max_staleness=2, min_quorum=2)
 
 
-def make_simulator(num_clients, client_fraction=0.1, vectorized=True):
+def make_simulator(num_clients, client_fraction=0.1):
     num_edges = max(1, num_clients // 4096)
     state = FleetState.build(num_clients, seed=1, num_edges=num_edges)
     return FleetSimulator(
         state, injector=FaultInjector(spec=FaultSpec(**CHAOS), seed=2),
         policy=make_policy(),
         topology=EdgeTopology(num_edges=num_edges, edge_quorum=1),
-        model_bytes=MODEL_BYTES, client_fraction=client_fraction, seed=3,
-        vectorized=vectorized)
+        model_bytes=MODEL_BYTES, client_fraction=client_fraction, seed=3)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -87,26 +88,23 @@ def write_results():
 
 
 def test_vectorized_speedup_over_object_path(benchmark):
-    """>= 50x per-client vs the scalar twin on a bit-identical round."""
+    """>= 50x per-client vs the per-client loop on a bit-identical round."""
     run_once(benchmark, lambda: None)  # timing is internal, per engine
     state = FleetState.build(SPEEDUP_CLIENTS, seed=1, num_edges=4)
     injector = FaultInjector(spec=FaultSpec(**CHAOS), seed=2)
     policy = make_policy()
     rows = np.arange(SPEEDUP_CLIENTS, dtype=np.int64)
 
-    def scalar_round():
-        return decide_round(state, injector, policy, 1, rows,
-                            model_bytes=MODEL_BYTES, vectorized=False)
-
     start = time.perf_counter()
-    reference = scalar_round()
+    reference = _decide_scalar(state, injector, policy, 1, rows, rows,
+                               MODEL_BYTES, 0.0, None)
     scalar_s = time.perf_counter() - start
 
     vector_s = float("inf")
     for _ in range(3):
         start = time.perf_counter()
         decisions = decide_round(state, injector, policy, 1, rows,
-                                 model_bytes=MODEL_BYTES, vectorized=True)
+                                 model_bytes=MODEL_BYTES)
         vector_s = min(vector_s, time.perf_counter() - start)
 
     # The timing only counts if both engines decided the same round.

@@ -29,9 +29,8 @@ born from a bug class the hand-written-numpy stack cannot afford:
   ``repro/federated/fleet/``: the serving runtime's contract is zero
   allocation per replay, the fleet simulator's is no per-client work in
   a round, and an alloc in a loop is how those contracts quietly erode.
-  Compile-time allocation loops (weight pinning, per-view buffer setup),
-  request-collation loops, and the fleet's deliberate per-client scalar
-  reference twin carry inline waivers.
+  Compile-time allocation loops (weight pinning, per-view buffer setup)
+  and request-collation loops carry inline waivers.
 
 Three concurrency rules run only under ``repro/train/`` and
 ``repro/serve/``.  Neither starts a worker or shares memory; the rules

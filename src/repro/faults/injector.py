@@ -15,6 +15,7 @@ those failure modes as *pure functions of a seed and a coordinate*
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -315,6 +316,17 @@ class FaultInjector:
         if period <= 0.0:
             return True
         return (float(at_seconds) % period) >= self.spec.link_down_duration_s
+
+    def link_opens_at(self, at_seconds):
+        """The first simulated time at or after ``at_seconds`` when
+        :meth:`link_available` holds."""
+        opens = float(at_seconds)
+        period = self.spec.link_down_period_s
+        if period > 0.0 and opens % period < self.spec.link_down_duration_s:
+            opens += self.spec.link_down_duration_s - opens % period
+        while not self.link_available(opens):  # rounded short of the end
+            opens = math.nextafter(opens, math.inf)
+        return opens
 
     def link_available_array(self, at_seconds):
         """Vectorized :meth:`link_available` over an array of times."""

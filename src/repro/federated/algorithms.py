@@ -5,6 +5,11 @@ gradient step per client per round) with federated averaging (multiple
 local epochs before aggregation), noting the latter needs 10-100x less
 communication to converge.  Both loops share the same server, clients, and
 byte accounting so that comparison is apples-to-apples.
+
+With a :class:`repro.faults.FaultInjector` attached, FedAvg's rounds run
+on the fleet round engine (:func:`repro.federated.fleet.decide_round`),
+the one fault cascade of every FedAvg loop: it decides what happened to
+each participant, and only the survivors train.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comm import CommunicationLedger, RoundTraffic, state_bytes
-from .server import ParameterServer, QuorumError, update_is_corrupt
+from .server import ParameterServer, QuorumError
 
 __all__ = ["RoundRecord", "FederatedHistory", "RobustnessPolicy", "FedSGD",
            "FedAvg"]
@@ -89,12 +94,33 @@ class FederatedHistory:
         return self.records[-1].accuracy if self.records else 0.0
 
 
-class _FederatedLoop:
+class _BroadcastHistory:
+    """Recent broadcasts, so a lagging client trains on the state it lags
+    to; shared by :class:`FedAvg` and
+    :class:`~repro.federated.fleet.FleetFedAvg`."""
+
+    def _remember_broadcast(self, version, state):
+        """Keep ``state`` and what an injected lag can reach; returns the
+        lags held, for ``decide_round(held_lags=)``."""
+        spec = getattr(self.injector, "spec", None)
+        horizon = max(self.policy.max_staleness,
+                      getattr(spec, "max_injected_staleness", 0)) + 1
+        self._state_history.append((version, state))
+        del self._state_history[:-horizon]
+        return [version - held for held, _ in self._state_history]
+
+    def _stale_state(self, current_version, lag):
+        """The newest held broadcast ``lag`` versions behind."""
+        wanted = current_version - int(lag)
+        return next(state for version, state
+                    in reversed(self._state_history) if version == wanted)
+
+
+class _FederatedLoop(_BroadcastHistory):
     """Shared machinery: client sampling, evaluation, accounting."""
 
     def __init__(self, clients, model_fn, client_fraction=1.0, seed=0,
-                 fleet=None, hours_per_round=1.0, injector=None, policy=None,
-                 link=None):
+                 fleet=None, hours_per_round=1.0, injector=None, policy=None):
         if not clients:
             raise ValueError("need at least one client")
         if not 0.0 < client_fraction <= 1.0:
@@ -102,12 +128,12 @@ class _FederatedLoop:
         self.clients = list(clients)
         self.server = ParameterServer(model_fn)
         self.client_fraction = client_fraction
+        self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.fleet = fleet
         self.hours_per_round = hours_per_round
         self.injector = injector
         self.policy = policy or RobustnessPolicy()
-        self.link = link
         self.clock = None
         self._state_history = []
         self._round_index = 0
@@ -117,11 +143,13 @@ class _FederatedLoop:
             self.clock = SimulatedClock()
 
     def _sample_clients(self, round_index):
-        population = self.clients
+        """Positions in ``clients`` of this round's participants."""
+        population = range(len(self.clients))
         if self.fleet is not None:
             hour = round_index * self.hours_per_round
             eligible = set(self.fleet.eligible_at(hour))
-            filtered = [c for c in population if c.client_id in eligible]
+            filtered = [row for row in population
+                        if self.clients[row].client_id in eligible]
             if filtered:
                 population = filtered
         count = max(1, int(round(self.client_fraction * len(population))))
@@ -149,15 +177,15 @@ class _FederatedLoop:
             start_round = load_checkpoint(checkpoint_path, self, history) + 1
         for round_index in range(start_round, num_rounds + 1):
             self._round_index = round_index
-            participants = self._sample_clients(round_index)
-            traffic = self._round(participants)
+            rows = self._sample_clients(round_index)
+            traffic = self._round(rows)
             history.ledger.record_round(*traffic)
             if round_index % eval_every == 0 or round_index == num_rounds:
                 acc = self.server.evaluate(features, labels)
                 history.records.append(RoundRecord(
                     round_index=round_index,
                     accuracy=acc,
-                    participants=len(participants),
+                    participants=len(rows),
                     cumulative_megabytes=history.ledger.total_megabytes(),
                 ))
                 if target_accuracy is not None and acc >= target_accuracy:
@@ -169,7 +197,7 @@ class _FederatedLoop:
                 save_checkpoint(checkpoint_path, self, history, round_index)
         return history
 
-    def _round(self, participants):
+    def _round(self, rows):
         raise NotImplementedError
 
 
@@ -181,16 +209,17 @@ class FedSGD(_FederatedLoop):
         self.lr = lr
         self.batch_size = batch_size
 
-    def _round(self, participants):
+    def _round(self, rows):
         state = self.server.broadcast()
         per_client = state_bytes(state)
         gradients, weights = [], []
-        for client in participants:
-            gradient, count = client.compute_gradient(state, batch_size=self.batch_size)
+        for row in rows:
+            gradient, count = self.clients[row].compute_gradient(
+                state, batch_size=self.batch_size)
             gradients.append(gradient)
             weights.append(count)
         self.server.apply_gradients(gradients, weights, self.lr)
-        return per_client * len(participants), per_client * len(participants)
+        return per_client * len(rows), per_client * len(rows)
 
 
 class FedAvg(_FederatedLoop):
@@ -205,167 +234,71 @@ class FedAvg(_FederatedLoop):
         self.batch_size = batch_size
         self.lr = lr
         self.momentum = momentum
+        self._devices = None  # the fault-injected rounds' FleetState
 
-    def _round(self, participants):
+    def _local_train(self, row, state):
+        return self.clients[row].local_train(
+            state, epochs=self.local_epochs, batch_size=self.batch_size,
+            lr=self.lr, momentum=self.momentum)
+
+    def _round(self, rows):
         if self.injector is not None:
-            return self._robust_round(participants)
+            return self._robust_round(rows)
         state = self.server.broadcast()
         per_client = state_bytes(state)
         states, weights = [], []
-        for client in participants:
-            new_state, count = client.local_train(
-                state, epochs=self.local_epochs, batch_size=self.batch_size,
-                lr=self.lr, momentum=self.momentum,
-            )
+        for row in rows:
+            new_state, count = self._local_train(row, state)
             states.append(new_state)
             weights.append(count)
         self.server.average_states(states, weights)
-        return per_client * len(participants), per_client * len(participants)
+        return per_client * len(rows), per_client * len(rows)
 
-    # ------------------------------------------------------------------
-    # Fault-tolerant path (active when a FaultInjector is attached)
-    # ------------------------------------------------------------------
-    def _robust_round(self, participants):
-        """One round under fault injection with the robustness policy.
+    def _robust_round(self, rows):
+        """One round under fault injection, decided by the fleet engine.
 
-        Byte accounting: ``up``/``down`` count transfers that completed
-        end-to-end; ``wasted`` counts every byte that bought no model
-        progress — failed attempts *and* delivered updates the server
-        rejected (corrupt or too stale), and the whole round's traffic if
-        the quorum is missed.
+        Devices are the rows of a :class:`~repro.federated.fleet.FleetState`
+        built from ``(len(clients), seed)``; the oracles key on client
+        ids.  No round opens inside a link window.  Survivors train in
+        participant order on the broadcast their lag names; a missed
+        quorum re-books the round's deliveries as waste.
         """
-        policy = self.policy
+        # Imported here: the fleet package imports this module.
+        from .fleet.engine import decide_round
+        from .fleet.state import FleetState
+
+        if self._devices is None:
+            self._devices = FleetState.build(len(self.clients), self.seed)
+        self.clock.now = self.injector.link_opens_at(self.clock.now)
         state = self.server.broadcast()
         version = self.server.version
-        self._remember_broadcast(version, state)
-        per_client = state_bytes(state)
-        up = down = wasted = retries = 0
+        held_lags = self._remember_broadcast(version, state)
+        decisions = decide_round(
+            self._devices, self.injector, self.policy, self._round_index,
+            rows, client_ids=[self.clients[row].client_id for row in rows],
+            model_bytes=state_bytes(state), clock_start=self.clock.now,
+            held_lags=held_lags)
         states, weights = [], []
-        for client in participants:
-            outcome = self._robust_client_round(client, state, version,
-                                                per_client)
-            up += outcome["up"]
-            down += outcome["down"]
-            wasted += outcome["wasted"]
-            retries += outcome["retries"]
-            if outcome["state"] is not None:
-                states.append(outcome["state"])
-                weights.append(outcome["weight"])
+        for i in np.flatnonzero(decisions.survived):
+            new_state, count = self._local_train(
+                rows[i], self._stale_state(version, decisions.lag[i]))
+            states.append(new_state)
+            weights.append(count)
+        up, down = int(decisions.up.sum()), int(decisions.down.sum())
+        wasted = int(decisions.wasted.sum())
+        retries = int(decisions.retries.sum())
         aborts = 0
         try:
             self.server.average_states(states, weights,
-                                       min_quorum=policy.min_quorum)
+                                       min_quorum=self.policy.min_quorum)
         except QuorumError:
             # Too few survivors: skip the round; everything it moved is waste.
             aborts = 1
             wasted += up + down
+            up = down = 0
+        self.clock.advance(decisions.duration)
         self._note_fault_counters(wasted, retries, aborts)
         return RoundTraffic(up, down, wasted, retries, aborts)
-
-    def _robust_client_round(self, client, state, version, per_client):
-        """Run one client with timeout/retry/backoff; returns the outcome."""
-        policy, injector, clock = self.policy, self.injector, self.clock
-        result = {"state": None, "weight": 0, "up": 0, "down": 0,
-                  "wasted": 0, "retries": 0}
-        round_index = self._round_index
-        cid = client.client_id
-        for attempt in range(policy.max_retries + 1):
-            if attempt > 0:
-                result["retries"] += 1
-                clock.advance(policy.backoff_s(attempt))
-            if not injector.link_available(clock.now):
-                # Metered-link window: the device cannot even be reached.
-                # The probe still costs a wait, so the simulation always
-                # makes progress toward the window's end.
-                clock.advance(max(policy.backoff_base_s, 1.0))
-                continue
-            down_s = self._link_seconds(per_client)
-            if not np.isfinite(down_s):
-                continue
-            compute_s = policy.base_compute_s * injector.straggler_factor(
-                round_index, cid, attempt)
-            if compute_s > policy.straggler_cutoff_s:
-                # Known straggler: cut it off right after the download.
-                clock.advance(down_s)
-                result["wasted"] += per_client
-                continue
-            up_s = self._link_seconds(per_client)
-            attempt_s = down_s + compute_s + up_s
-            if attempt_s > policy.timeout_s:
-                clock.advance(policy.timeout_s)
-                result["wasted"] += per_client
-                continue
-            if injector.drops_out(round_index, cid, attempt):
-                # Device went dark after the download; server waits it out.
-                clock.advance(policy.timeout_s)
-                result["wasted"] += per_client
-                continue
-            staleness = injector.staleness(round_index, cid, attempt)
-            train_state = state
-            if staleness:
-                stale = self._stale_state(version, staleness)
-                if stale is None:
-                    staleness = 0  # history too short: the download is fresh
-                else:
-                    train_state = stale
-            if staleness > policy.max_staleness:
-                # The upload arrives but is too old to use: full round trip
-                # delivered, then rejected; the server may re-request.
-                clock.advance(attempt_s)
-                result["up"] += per_client
-                result["down"] += per_client
-                result["wasted"] += 2 * per_client
-                continue
-            if injector.corrupts(round_index, cid, attempt):
-                # Garbage arrives in place of the trained weights; validation
-                # rejects it and the server may re-request.
-                clock.advance(attempt_s)
-                upload = injector.corrupt(train_state, round_index, cid, attempt)
-                result["up"] += per_client
-                result["down"] += per_client
-                if update_is_corrupt(upload):
-                    result["wasted"] += 2 * per_client
-                continue
-            new_state, count = client.local_train(
-                train_state, epochs=self.local_epochs,
-                batch_size=self.batch_size, lr=self.lr,
-                momentum=self.momentum,
-            )
-            if injector.upload_lost(round_index, cid, attempt):
-                clock.advance(attempt_s)
-                result["wasted"] += 2 * per_client
-                continue
-            clock.advance(attempt_s)
-            result["up"] += per_client
-            result["down"] += per_client
-            result["state"] = new_state
-            result["weight"] = count
-            return result
-        return result
-
-    def _link_seconds(self, num_bytes):
-        if self.link is None:
-            return 0.0
-        if hasattr(self.link, "available_at"):
-            return self.link.transfer_seconds(num_bytes, at=self.clock.now)
-        return self.link.transfer_seconds(num_bytes)
-
-    def _remember_broadcast(self, version, state):
-        """Keep recent broadcasts so stale clients can train on old state."""
-        spec = getattr(self.injector, "spec", None)
-        horizon = max(self.policy.max_staleness,
-                      getattr(spec, "max_injected_staleness", 0)) + 1
-        self._state_history.append((version, state))
-        del self._state_history[:-horizon]
-
-    def _stale_state(self, current_version, staleness):
-        if staleness <= 0:
-            return None
-        wanted = current_version - staleness
-        for version, state in self._state_history:
-            if version == wanted:
-                return state
-        return None
 
     @staticmethod
     def _note_fault_counters(wasted, retries, aborts):

@@ -9,22 +9,22 @@ attempts that timed out, were lost mid-upload, or were rejected by the
 server — plus retry and abort counters, so the cost of unreliability is
 as visible as the cost of success.
 
+One byte convention holds for every recorder: each byte a round puts on
+the wire is booked exactly once, as delivered (``up``/``down``, and
+``edge_up``/``edge_down`` for the second aggregation tier) if the
+server used it, or as ``wasted`` otherwise.  So delivered plus wasted
+(:attr:`RoundTraffic.sent`) is every byte the round put on the wire,
+and the totals add up the same way.
+
 Two recording granularities share one ledger:
 
 * :meth:`CommunicationLedger.record_round` — flat per-round scalars,
-  the original FedSGD/FedAvg path;
+  from FedSGD, FedAvg and selective SGD;
 * :meth:`CommunicationLedger.record_cohort_round` — per-edge arrays
-  from the hierarchical fleet simulator
-  (:mod:`repro.federated.fleet`).  The ledger folds them into O(edges)
-  running totals plus the same per-round scalar record; per-client
-  traffic is never materialized, so memory is independent of fleet
-  size.
-
-Cohort records follow a *disjoint* accounting convention: every byte
-put on the wire lands in exactly one of delivered
-(``up``/``down``/``edge_up``/``edge_down``) or ``wasted``, so the
-conservation identity ``sent == delivered + wasted`` holds per round
-(:attr:`RoundTraffic.sent`) and for the totals.
+  from the hierarchical fleet loops (:mod:`repro.federated.fleet`).
+  The ledger folds them into O(edges) running totals plus the same
+  per-round scalar record; per-client traffic is never materialized, so
+  memory is independent of fleet size.
 """
 
 from __future__ import annotations
@@ -83,12 +83,8 @@ class RoundTraffic(NamedTuple):
 
     @property
     def sent(self):
-        """Every byte the round put on the wire (delivered + wasted).
-
-        Meaningful under the disjoint cohort accounting of
-        :meth:`CommunicationLedger.record_cohort_round`, where a byte is
-        either delivered or wasted, never both.
-        """
+        """Every byte the round put on the wire: each was booked once,
+        as delivered or as wasted."""
         return self.delivered + self.wasted
 
 
@@ -112,10 +108,10 @@ class CommunicationLedger:
                      edge_up=0, edge_down=0):
         """Log one round's traffic and update the running totals.
 
-        ``wasted`` bytes are traffic that bought nothing: failed attempts,
-        lost uploads, and server-rejected (corrupt/stale) updates.  They
-        are *not* included in ``up``/``down`` unless the transfer actually
-        completed end-to-end.
+        Each byte is booked once.  ``up``/``down`` count transfers the
+        server used; ``wasted`` counts every other byte on the wire:
+        failed attempts, lost uploads, server-rejected (corrupt or
+        stale) updates, and a quorum-aborted round's deliveries.
         """
         record = RoundTraffic(int(up), int(down), int(wasted),
                               int(retries), int(aborts),
@@ -141,10 +137,8 @@ class CommunicationLedger:
         never materialized, so ledger memory is O(edges + rounds)
         regardless of fleet size.
 
-        Cohort accounting is disjoint by construction: the fleet engine
-        books every byte as either delivered or wasted, never both, so
-        ``record.sent == record.delivered + record.wasted`` is a checked
-        invariant of the fleet tests, not a definition.
+        The per-edge columns follow the same one-booking rule as
+        :meth:`record_round`.
         """
         columns = {}
         for name, values in zip(_COHORT_FIELDS,

@@ -4,12 +4,14 @@ Layers, bottom-up:
 
 * :mod:`.state` — columnar device state (:class:`FleetState`);
 * :mod:`.sampling` — keyed per-round eligibility/sampling policies;
-* :mod:`.engine` — the vectorized round decision engine and its scalar
-  reference twin (bit-identical on overlapping keys);
+* :mod:`.engine` — the round decision engine, the one fault cascade of
+  every FedAvg loop; it runs per client for small cohorts and as array
+  ops for large ones, bit-identically;
 * :mod:`.hierarchy` — edge -> cloud quorum aggregation at O(edges);
 * :mod:`.simulator` — decision-level chaos simulator for 1M devices;
 * :mod:`.checkpoint` — streaming, bounded-memory round snapshots;
-* :mod:`.adapter` — real object clients on the same round path.
+* :mod:`.adapter` — real object clients on the same round path, with
+  the edge tier and keyed sampling.
 """
 
 from .adapter import FleetFedAvg

@@ -3,17 +3,12 @@
 :class:`FleetFedAvg` runs the same sampling / decision / quorum /
 ledger path as :class:`repro.federated.fleet.FleetSimulator`, but backs
 each surviving participant with a real :class:`FederatedClient` that
-trains actual model weights.  The object-based ``FedAvg`` loop thereby
-becomes a thin shell: for small fleets you get bit-identical behavior
-between the vectorized and scalar decision engines — same selected
-updates, same ledger totals, same client RNG streams — which is the
-equivalence the tests pin.
-
-Differences from the legacy ``FedAvg`` robust loop (documented, not
-accidental): devices retry on their *own* timelines (the round lasts as
-long as its slowest participant) instead of sharing one sequential
-global clock, and failure bytes are booked disjointly so that
-``sent == delivered + wasted`` holds exactly.
+trains actual model weights.  Beyond :class:`repro.federated.FedAvg`,
+whose fault-injected rounds ask the same engine, it adds keyed
+eligibility sampling, the edge tier of two-tier quorum aggregation, and
+the device columns a round updates (battery, staleness, byte counters).
+Both FedAvg loops hold recent broadcasts the same way, so a stale
+survivor trains on the state its lag names.
 """
 
 from __future__ import annotations
@@ -21,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from ...faults import FaultInjector, SimulatedClock
-from ..algorithms import FederatedHistory, RobustnessPolicy, RoundRecord
+from ..algorithms import (FederatedHistory, RobustnessPolicy, RoundRecord,
+                          _BroadcastHistory)
 from ..comm import CommunicationLedger, state_bytes
 from ..server import ParameterServer
 from .engine import decide_round
@@ -32,14 +28,13 @@ from .state import FleetState
 __all__ = ["FleetFedAvg"]
 
 
-class FleetFedAvg:
+class FleetFedAvg(_BroadcastHistory):
     """FedAvg with real clients on the columnar fleet round engine."""
 
     def __init__(self, clients, model_fn, fleet_state=None, injector=None,
                  policy=None, topology=None, local_epochs=5, batch_size=32,
                  lr=0.1, momentum=0.0, client_fraction=1.0,
-                 sampling="uniform", min_battery=0.0, seed=0,
-                 vectorized=True):
+                 sampling="uniform", min_battery=0.0, seed=0):
         if not clients:
             raise ValueError("need at least one client")
         self.clients = list(clients)
@@ -59,8 +54,8 @@ class FleetFedAvg:
             raise ValueError(
                 "fleet state has {} edges but the topology has {}".format(
                     self.state.num_edges, self.topology.num_edges))
-        # Fault oracles key on the real client ids so chaos schedules
-        # line up with the object stack's per-client streams.
+        # Fault oracles key on the real client ids, as in FedAvg, so a
+        # client meets the same fault schedule under either loop.
         self.client_ids = np.asarray(
             [client.client_id for client in self.clients], dtype=np.int64)
         self.local_epochs = local_epochs
@@ -71,28 +66,10 @@ class FleetFedAvg:
         self.sampling = sampling
         self.min_battery = float(min_battery)
         self.seed = int(seed)
-        self.vectorized = bool(vectorized)
         self.clock = SimulatedClock()
         self.ledger = CommunicationLedger()
         self.round_index = 0
         self._state_history = []
-
-    # ------------------------------------------------------------------
-    # Broadcast history (stale-client training), as in _FederatedLoop
-    # ------------------------------------------------------------------
-    def _remember_broadcast(self, version, state):
-        spec = getattr(self.injector, "spec", None)
-        horizon = max(self.policy.max_staleness,
-                      getattr(spec, "max_injected_staleness", 0)) + 1
-        self._state_history.append((version, state))
-        del self._state_history[:-horizon]
-
-    def _stale_state(self, current_version, staleness):
-        wanted = current_version - int(staleness)
-        for version, state in self._state_history:
-            if version == wanted:
-                return state
-        return None
 
     # ------------------------------------------------------------------
     # Round loop
@@ -102,7 +79,7 @@ class FleetFedAvg:
         self.round_index += 1
         broadcast = self.server.broadcast()
         version = self.server.version
-        self._remember_broadcast(version, broadcast)
+        held_lags = self._remember_broadcast(version, broadcast)
         per_client = state_bytes(broadcast)
         rows = sample_clients(self.state, self.round_index,
                               self.client_fraction, policy=self.sampling,
@@ -111,25 +88,19 @@ class FleetFedAvg:
             self.state, self.injector, self.policy, self.round_index,
             rows, client_ids=self.client_ids[rows],
             model_bytes=per_client, clock_start=self.clock.now,
-            vectorized=self.vectorized)
+            held_lags=held_lags)
         edges_sel = self.state.edge[rows]
         summary = edge_partition(decisions, edges_sel, self.topology,
                                  per_client,
                                  min_survivors=self.policy.min_quorum)
-        # Survivors train for real — in ascending row order, so both
-        # engines drive every client RNG stream identically.  A survivor
-        # on a failed edge still trained (the edge discarded it after).
+        # Survivors train for real, in participant order, each on the
+        # broadcast its lag names.  A survivor on a failed edge still
+        # trained (the edge discarded it after).
         updates, weights, update_edges = [], [], []
         for i in np.flatnonzero(decisions.survived):
-            row = int(decisions.rows[i])
-            lag = int(decisions.lag[i])
-            train_state = broadcast
-            if lag > 0:
-                stale = self._stale_state(version, lag)
-                if stale is not None:
-                    train_state = stale
-            new_state, count = self.clients[row].local_train(
-                train_state, epochs=self.local_epochs,
+            new_state, count = self.clients[decisions.rows[i]].local_train(
+                self._stale_state(version, decisions.lag[i]),
+                epochs=self.local_epochs,
                 batch_size=self.batch_size, lr=self.lr,
                 momentum=self.momentum)
             updates.append(new_state)

@@ -1,29 +1,19 @@
-"""The fleet round decision engine: one chaos round as array ops.
+"""The fleet round decision engine: the one fault cascade of a chaos round.
 
-This is the vectorized counterpart of
-:meth:`repro.federated.FedAvg._robust_client_round` — the same attempt
-loop (backoff, link windows, straggler cutoff, timeout, dropout,
-staleness rejection, corruption, upload loss), the same decision
-*order*, and the same keyed fault oracles, evaluated for all
-participants at once.  The only Python loop is over attempts
-(``policy.max_retries + 1`` iterations); nothing iterates over clients.
+Every fault-injected FedAvg round (:class:`repro.federated.FedAvg`,
+:class:`~repro.federated.fleet.FleetFedAvg` and the decision-level
+:class:`~repro.federated.fleet.FleetSimulator`) asks :func:`decide_round`
+what happened to each participant: the attempt loop (backoff, link
+windows, straggler cutoff, timeout, dropout, staleness rejection,
+corruption, upload loss) in that order, through the keyed fault oracles.
 
-Two implementations share the entry point:
-
-* :func:`decide_round` with ``vectorized=True`` (default) — whole-round
-  arrays through the batch oracles of
-  :class:`repro.faults.FaultInjector`.  Each attempt compresses to the
-  rows it runs (pending, link open, feasible) and asks every oracle
-  only about the rows whose fate still depends on it — exactly the
-  queries the scalar twin makes — so a device that succeeded, or that
-  an earlier stage of the cascade already decided, costs no keyed
-  stream;
-* ``vectorized=False`` — a per-client scalar reference twin driving the
-  scalar oracles, bit-identical to the vectorized path in every output
-  (outcome codes, byte tallies, per-client timelines, staleness lags).
-  The identity is a tested invariant on fleets up to 256; the scalar
-  twin also serves as the "object path" baseline the fleet benchmark
-  measures its speedup against.
+It picks its path by cohort size, and both paths give bit-identical
+outputs (a tested invariant on fleets up to 256).  Below
+:data:`VECTORIZE_MIN_ROWS` rows, ``_decide_scalar`` loops over the
+participants with the scalar oracles.  From there, ``_decide_vectorized``
+runs whole-round arrays through the batch oracles, looping only over
+attempts; each attempt asks every oracle only about the rows whose fate
+still depends on it, exactly the queries the per-client loop makes.
 
 Byte accounting is *disjoint*: every byte an attempt puts on the wire
 is booked as either delivered (``up``/``down``, success only) or
@@ -31,9 +21,10 @@ is booked as either delivered (``up``/``down``, success only) or
 total independently so ``sent == up + down + wasted`` is a checkable
 conservation law rather than a definition.  Timelines are per-device:
 each participant advances its own local clock from ``clock_start``
-(devices retry in parallel), unlike the object loop's single sequential
-server clock — the round's duration is the slowest participant's finish
-time.
+(devices retry in parallel), and the round lasts as long as its slowest
+participant.  A drawn lag outside ``held_lags`` (the lags the server
+still holds a broadcast for) means the client trained on the current
+broadcast, so it is recorded as fresh.
 """
 
 from __future__ import annotations
@@ -68,6 +59,13 @@ OUTCOME_NAMES = ("success", "blocked", "infeasible", "straggler_cut",
 _SENT_TRANSFERS = np.asarray([2, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.int64)
 _WASTED_TRANSFERS = np.asarray([0, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.int64)
 
+# Smaller cohorts take the per-client loop: array ops cost about the same
+# per round whatever the cohort.  Best of 7 on both perfbench chaos specs
+# (shared 2-vCPU Xeon): 8 rows in 0.76-0.78 ms per client, 2.3-2.9 ms as
+# arrays; 24 rows in 2.1-2.4 and 2.1-2.7 ms; 64 rows in 5.8-6.5 and
+# 2.1-3.3 ms.
+VECTORIZE_MIN_ROWS = 24
+
 
 @dataclass
 class RoundDecisions:
@@ -77,7 +75,7 @@ class RoundDecisions:
     client_ids: np.ndarray  # oracle coordinate of each participant
     outcome: np.ndarray     # final OUT_* code
     survived: np.ndarray    # outcome == OUT_SUCCESS
-    lag: np.ndarray         # injected staleness of the last real attempt
+    lag: np.ndarray         # version lag the last real attempt trained at
     attempts: np.ndarray    # attempts consumed (including blocked probes)
     retries: np.ndarray     # retry count (attempts after the first)
     up: np.ndarray          # delivered uplink bytes
@@ -98,13 +96,12 @@ class RoundDecisions:
 
 def decide_round(state, injector, policy, round_index, rows,
                  client_ids=None, model_bytes=40_000, clock_start=0.0,
-                 vectorized=True):
+                 held_lags=None):
     """Decide one round for the participants in ``rows``.
 
     ``client_ids`` are the coordinates fed to the keyed fault oracles
-    (defaults to ``rows``) — the adapter passes its object clients' ids
-    here so a 64-client fleet replays the exact schedule the object
-    stack would have drawn.
+    (defaults to ``rows``).  ``held_lags`` lists the version lags the
+    server holds a broadcast for; None (no states held) keeps every lag.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if client_ids is None:
@@ -112,9 +109,13 @@ def decide_round(state, injector, policy, round_index, rows,
     client_ids = np.asarray(client_ids, dtype=np.int64)
     if client_ids.shape != rows.shape:
         raise ValueError("client_ids must align with rows")
-    decide = _decide_vectorized if vectorized else _decide_scalar
+    if held_lags is not None:
+        held_lags = tuple(held_lags)
+    decide = _decide_vectorized if rows.shape[0] >= VECTORIZE_MIN_ROWS \
+        else _decide_scalar
     return decide(state, injector, policy, int(round_index), rows,
-                  client_ids, int(model_bytes), float(clock_start))
+                  client_ids, int(model_bytes), float(clock_start),
+                  held_lags)
 
 
 def _empty_decisions(rows, client_ids):
@@ -128,7 +129,7 @@ def _empty_decisions(rows, client_ids):
 
 
 def _decide_vectorized(state, injector, policy, round_index, rows,
-                       client_ids, model_bytes, clock_start):
+                       client_ids, model_bytes, clock_start, held_lags):
     if rows.shape[0] == 0:
         return _empty_decisions(rows, client_ids)
     bandwidth = state.link_bw[rows]
@@ -170,6 +171,8 @@ def _decide_vectorized(state, injector, policy, round_index, rows,
         ids = client_ids[run]
         factor = injector.straggler_factor_array(round_index, ids, attempt)
         lag_now = injector.staleness_array(round_index, ids, attempt)
+        if held_lags is not None:
+            lag_now[~np.isin(lag_now, held_lags)] = 0
         compute_s = policy.base_compute_s * slowdown[run] * factor
         attempt_s = down_s[run] + compute_s + up_s[run]
         cut = compute_s > policy.straggler_cutoff_s
@@ -210,8 +213,8 @@ def _decide_vectorized(state, injector, policy, round_index, rows,
 
 
 def _decide_scalar(state, injector, policy, round_index, rows, client_ids,
-                   model_bytes, clock_start):
-    """Per-client reference twin: the object path's decision loop.
+                   model_bytes, clock_start, held_lags):
+    """The per-client path: one participant at a time.
 
     Spelled out with the exact same float expressions, element by
     element, as :func:`_decide_vectorized`, so the two paths agree
@@ -224,8 +227,7 @@ def _decide_scalar(state, injector, policy, round_index, rows, client_ids,
     outcomes, lags, attempts_out, retries_out = [], [], [], []
     ups, downs, wasteds, sents, finishes = [], [], [], [], []
     with np.errstate(divide="ignore"):
-        # Deliberate per-client loop: this is the reference twin, not
-        # the hot path.
+        # Deliberate per-client loop: the path for small cohorts.
         for row, cid in zip(rows.tolist(), client_ids.tolist()):
             bandwidth = state.link_bw[row]
             down_s = state.link_latency[row] + model_bytes / bandwidth
@@ -250,6 +252,8 @@ def _decide_scalar(state, injector, policy, round_index, rows, client_ids,
                     * factor
                 attempt_s = down_s + compute_s + up_s
                 lag = injector.staleness(round_index, cid, attempt)
+                if held_lags is not None and lag not in held_lags:
+                    lag = 0
                 if compute_s > policy.straggler_cutoff_s:
                     outcome = OUT_CUT
                     t = t + down_s

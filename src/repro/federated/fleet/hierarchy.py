@@ -154,9 +154,9 @@ def hierarchical_average(updates, weights, update_edges, committed):
     ``updates``/``weights``/``update_edges`` are aligned lists in
     ascending client order; only updates on committed edges contribute.
     Edge partials accumulate in client order, the cloud reduces partials
-    in edge-index order — one fixed reduction tree, so any two drivers
-    (scalar or vectorized) producing the same inputs produce the same
-    float64 aggregate bit-for-bit.
+    in edge-index order — one fixed reduction tree, so the same inputs,
+    whichever engine path decided them, produce the same float64
+    aggregate bit-for-bit.
     """
     partials = OrderedDict()
     for update, weight, edge in zip(updates, weights, update_edges):

@@ -38,15 +38,14 @@ class FleetSimulator:
 
     Parameters mirror the object stack's knobs: ``injector`` for the
     chaos schedule, ``policy`` for retry/timeout/quorum tolerances,
-    ``topology`` for the edge tier.  ``vectorized=False`` swaps in the
-    scalar reference engine (bit-identical, per-client Python) — only
-    sensible for small fleets and equivalence tests.
+    ``topology`` for the edge tier.  The engine picks its path by cohort
+    size (see :mod:`repro.federated.fleet.engine`).  The simulator holds
+    no model states, so every injected lag stands.
     """
 
     def __init__(self, state, injector=None, policy=None, topology=None,
                  model_bytes=40_000, client_fraction=0.1,
-                 sampling="uniform", min_battery=0.2, seed=0,
-                 vectorized=True):
+                 sampling="uniform", min_battery=0.2, seed=0):
         self.state = state
         self.injector = injector if injector is not None \
             else FaultInjector(seed=seed)
@@ -61,7 +60,6 @@ class FleetSimulator:
         self.sampling = sampling
         self.min_battery = float(min_battery)
         self.seed = int(seed)
-        self.vectorized = bool(vectorized)
         self.clock = SimulatedClock()
         self.ledger = CommunicationLedger()
         self.history = []
@@ -79,7 +77,7 @@ class FleetSimulator:
         decisions = decide_round(
             self.state, self.injector, self.policy, self.round_index,
             rows, model_bytes=self.model_bytes,
-            clock_start=self.clock.now, vectorized=self.vectorized)
+            clock_start=self.clock.now)
         summary = edge_partition(decisions, self.state.edge[rows],
                                  self.topology, self.model_bytes,
                                  min_survivors=self.policy.min_quorum)

@@ -158,6 +158,8 @@ class DistributedSelectiveSGD:
         even when its upload never lands (it owns the model in this
         protocol); only the *upload* is retried once training succeeded.
         Corrupted uploads are rejected by the server's finite-value check.
+        Each byte is booked once: as delivered (``up``/``down``) if the
+        server used it, as ``wasted`` otherwise.
         """
         policy, injector, clock = self.policy, self.injector, self.clock
         pid = participant.participant_id
@@ -191,7 +193,6 @@ class DistributedSelectiveSGD:
                 continue
             if injector.corrupts(round_index, pid, attempt):
                 # The values arrive mangled; the server refuses them.
-                up += up_bytes
                 wasted += up_bytes
                 continue
             self.server.upload(upload_idx, upload_val)

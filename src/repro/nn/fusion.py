@@ -27,6 +27,16 @@ __all__ = [
 ]
 
 
+def _concat_views(views, view_sizes):
+    """Concatenate (batch, width) views, refusing widths other than
+    ``view_sizes`` even where they sum to the same total."""
+    widths = [tuple(view.shape[1:]) for view in views]
+    if widths != [(size,) for size in view_sizes]:
+        raise ValueError("expected views of widths {}, got {}".format(
+            list(view_sizes), widths))
+    return T.concat(list(views), axis=1)
+
+
 def _append_ones(x):
     """Append a constant-1 column to model the global bias (paper's [h; 1]).
 
@@ -52,7 +62,7 @@ class FullyConnectedFusion(Module):
         self.w2 = Parameter(init.glorot_uniform((num_classes, hidden_units), rng))
 
     def forward(self, views):
-        h = T.concat(list(views), axis=1)
+        h = _concat_views(views, self.view_sizes)
         q = T.relu(_append_ones(h) @ self.w1.T)
         return q @ self.w2.T
 
@@ -77,7 +87,7 @@ class FactorizationMachineFusion(Module):
         self.w = Parameter(init.glorot_uniform((num_classes, total + 1), rng))
 
     def forward(self, views):
-        h = T.concat(list(views), axis=1)
+        h = _concat_views(views, self.view_sizes)
         q = (h @ self.u.T).reshape(h.shape[0], self.num_classes, self.factor_units)
         quadratic = (q * q).sum(axis=2)
         linear = _append_ones(h) @ self.w.T

@@ -13,6 +13,7 @@ import numpy as np
 
 from ..nn import losses
 from ..rng import derive_key
+from ..serve.plan import UnsupportedModuleError
 from ..tensor import Tensor, no_grad
 from . import flow
 from .accountant import MomentsAccountant
@@ -36,10 +37,13 @@ class DPSGDTrainer:
         sigma; Gaussian noise stddev is sigma * C per coordinate of the sum.
     lot_size:
         Expected lot size L; examples are Poisson-sampled with q = L / N.
-    use_plan:
-        Compute each example's gradient by replaying a compiled
-        batch-of-one :class:`repro.train.TrainPlan` instead of the eager
-        engine.  Sampling, clipping, noise, taint marks and accounting
+    loss_fn:
+        Maps (logits, labels) to a scalar loss (default cross-entropy).
+        With ``losses.cross_entropy`` each example's gradient replays a
+        compiled batch-of-one :class:`repro.train.TrainPlan`, bit-identical
+        to the eager engine on Linear/ReLU/Tanh models; any other loss,
+        or a model with a layer the compiler has no rule for, trains
+        eagerly.  Sampling, clipping, noise, taint marks and accounting
         run the same code either way.
 
     Notes
@@ -52,7 +56,7 @@ class DPSGDTrainer:
     """
 
     def __init__(self, model, lr=0.1, clip_norm=1.0, noise_multiplier=1.0,
-                 lot_size=64, loss_fn=None, seed=0, use_plan=False):
+                 lot_size=64, loss_fn=None, seed=0):
         if clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
         if noise_multiplier < 0:
@@ -76,10 +80,7 @@ class DPSGDTrainer:
         self._sizes = [p.data.size for p in self._params]
         self._plan = None
         self._flat = None
-        if use_plan:
-            if self.loss_fn is not losses.cross_entropy:
-                raise ValueError(
-                    "use_plan supports the default cross_entropy loss only")
+        if self.loss_fn is losses.cross_entropy:
             from ..train.plan import TrainPlan
 
             self._plan = TrainPlan(model, loss="cross_entropy",
@@ -93,14 +94,20 @@ class DPSGDTrainer:
         return np.concatenate(pieces)
 
     def _example_grad(self, x, y):
-        """Flat loss gradient of one example, eager or by plan replay."""
-        if self._plan is None:
-            self.model.zero_grad()
-            self.loss_fn(self.model(Tensor(x)), y).backward()
-            return self._flat_grad()
-        self._plan.grad_step(x, y)
-        self._flat = self._plan.flat_grad(out=self._flat)
-        return self._flat
+        """Flat loss gradient of one example, by plan replay or eager."""
+        if self._plan is not None:
+            try:
+                self._plan.grad_step(x, y)
+            except UnsupportedModuleError:
+                # A layer without a rule: the compile left the model as
+                # it was, so train eagerly from here on.
+                self._plan = None
+            else:
+                self._flat = self._plan.flat_grad(out=self._flat)
+                return self._flat
+        self.model.zero_grad()
+        self.loss_fn(self.model(Tensor(x)), y).backward()
+        return self._flat_grad()
 
     def _apply_flat(self, flat):
         # Step in each parameter's dtype, as repro.optim.SGD does: the

@@ -984,7 +984,7 @@ def compile_train_plan(module, example_input, example_target,
 # ----------------------------------------------------------------------
 def _expect_array(module, inputs):
     if not isinstance(inputs, np.ndarray):
-        raise UnsupportedModuleError(
+        raise ShapeError(
             "{} training rule expects a single array input, got {!r}".format(
                 type(module).__name__, type(inputs).__name__
             )
@@ -1765,8 +1765,7 @@ def _state_rows(ctx, steps, shape, dtype):
 @register_train_rule(nn.GRUCell)
 def _train_gru_cell(module, inputs, ctx):
     if not isinstance(inputs, tuple) or len(inputs) != 2:
-        raise UnsupportedModuleError(
-            "GRUCell training rule expects (x, h) inputs")
+        raise ShapeError("GRUCell training rule expects (x, h) inputs")
     x, h = inputs
     hidden = module.hidden_size
     batch = x.shape[0]
@@ -2216,8 +2215,7 @@ def _train_gru(module, inputs, ctx):
 def _train_lstm_cell(module, inputs, ctx):
     if (not isinstance(inputs, tuple) or len(inputs) != 2
             or not isinstance(inputs[1], tuple)):
-        raise UnsupportedModuleError(
-            "LSTMCell training rule expects (x, (h, c)) inputs")
+        raise ShapeError("LSTMCell training rule expects (x, (h, c)) inputs")
     x, (h, c) = inputs
     hidden = module.hidden_size
     batch = x.shape[0]
@@ -2584,7 +2582,7 @@ def _train_expect_views(module, inputs, count=None):
     """The per-view input list; ``count`` views when the module has one
     parameter set per view."""
     if not isinstance(inputs, list):
-        raise UnsupportedModuleError(
+        raise ShapeError(
             "{} training rule expects a list of per-view inputs".format(
                 type(module).__name__
             )
@@ -2593,6 +2591,17 @@ def _train_expect_views(module, inputs, count=None):
         raise ShapeError("{}: expected {} views, got {}".format(
             type(module).__name__, count, len(inputs)))
     return inputs
+
+
+def _train_expect_view_sizes(module, inputs):
+    """Per-view (batch, width) inputs whose widths are ``view_sizes``, as
+    the eager forward requires of a head that concatenates its views."""
+    views = _train_expect_views(module, inputs)
+    widths = [view.shape[1:] for view in views]
+    if widths != [(size,) for size in module.view_sizes]:
+        raise ShapeError("{}: expected views of widths {}, got {}".format(
+            type(module).__name__, list(module.view_sizes), widths))
+    return views
 
 
 def _train_concat_with_ones(ctx, views, dtype):
@@ -2635,7 +2644,7 @@ def _view_grad_routes(ctx, views, offsets, source):
 
 @register_train_rule(nn.FullyConnectedFusion)
 def _train_fc_fusion(module, inputs, ctx):
-    views = _train_expect_views(module, inputs)
+    views = _train_expect_view_sizes(module, inputs)
     w1, w2 = module.w1, module.w2
     batch = views[0].shape[0]
     cat_dtype = np.result_type(*[v.dtype for v in views])
@@ -2688,7 +2697,7 @@ def _train_fc_fusion(module, inputs, ctx):
 
 @register_train_rule(nn.FactorizationMachineFusion)
 def _train_fm_fusion(module, inputs, ctx):
-    views = _train_expect_views(module, inputs)
+    views = _train_expect_view_sizes(module, inputs)
     batch = views[0].shape[0]
     classes, factors = module.num_classes, module.factor_units
     cat_dtype = np.result_type(*[v.dtype for v in views])

@@ -18,6 +18,7 @@ from repro.analysis import (
 from repro.analysis.plans import audit_rule_coverage
 from repro.analysis.plans.audit import exported_layers
 from repro.core.model import MultiViewGRUClassifier
+from repro.serve import compile_plan
 from repro.tensor import Tensor, default_dtype
 from repro.train import plan as train_plan
 
@@ -186,6 +187,32 @@ def test_view_count_mismatch_is_a_shape_error():
     model = MultiViewGRUClassifier((4, 6, 3), hidden_size=8, num_classes=2)
     with pytest.raises(ShapeError, match="expected 3 views, got 2"):
         check_module(model, [Spec((4, 6, 4)), Spec((4, 6, 6))])
+
+
+@pytest.mark.parametrize("make_module,inputs", [
+    (lambda: nn.Linear(8, 5), [Spec((4, 8))]),
+    (lambda: nn.GRUCell(4, 8), Spec((2, 4))),
+    (lambda: nn.FullyConnectedFusion([4, 6], 8, 2), Spec((3, 10))),
+], ids=["array-in-list", "cell-without-state", "fusion-without-views"])
+def test_malformed_input_is_a_shape_error(make_module, inputs):
+    # The layer has a rule; the input has the wrong structure.
+    with pytest.raises(ShapeError):
+        check_module(make_module(), inputs)
+
+
+@pytest.mark.parametrize("make_head", [
+    lambda: nn.FullyConnectedFusion([4, 6], 8, 2),
+    lambda: nn.FactorizationMachineFusion([4, 6], 3, 2),
+], ids=["fc", "fm"])
+def test_fusion_view_widths_must_match_view_sizes(make_head):
+    # (3, 3) + (3, 7) has the declared 10 columns, but not view by view.
+    views = [np.zeros((3, 3)), np.zeros((3, 7))]
+    with pytest.raises(ValueError, match="widths"):
+        make_head()([Tensor(view) for view in views])
+    with pytest.raises(ValueError, match="widths"):
+        compile_plan(make_head(), views)
+    with pytest.raises(ShapeError, match="widths"):
+        check_module(make_head(), [Spec(view.shape) for view in views])
 
 
 def test_sequence_rank_mismatch_is_a_shape_error():

@@ -7,6 +7,7 @@ import pytest
 
 import repro.profiler as profiler
 from repro import nn
+from repro.data import ArrayDataset
 from repro.faults import (
     FaultInjector,
     FaultSpec,
@@ -18,10 +19,14 @@ from repro.faults import (
 )
 from repro.federated import (
     CommunicationLedger,
+    DistributedSelectiveSGD,
+    FedAvg,
+    FederatedClient,
     ParameterServer,
     QuorumError,
     RobustnessPolicy,
     RoundTraffic,
+    SelectiveSGDParticipant,
     update_is_corrupt,
 )
 from repro.inference import (
@@ -40,6 +45,7 @@ from repro.mobile import (
     estimate_transfer,
     profile_model,
 )
+from repro.synth import make_digits
 
 
 def model_fn():
@@ -126,6 +132,22 @@ class TestFaultInjector:
         assert not injector.link_available(10.5)
         # No windows configured: always up.
         assert FaultInjector(FaultSpec()).link_available(123.4)
+
+    def test_link_opens_at_the_window_end(self):
+        injector = FaultInjector(
+            FaultSpec(link_down_period_s=10.0, link_down_duration_s=3.0))
+        assert injector.link_opens_at(0.0) == 3.0
+        assert injector.link_opens_at(12.5) == 13.0
+        assert injector.link_opens_at(5.0) == 5.0
+        assert FaultInjector(FaultSpec()).link_opens_at(7.25) == 7.25
+        # Window ends that round short of the boundary still land on an
+        # open link, never before the asked time and never a window late.
+        injector = FaultInjector(
+            FaultSpec(link_down_period_s=37.3, link_down_duration_s=4.1))
+        for start in np.linspace(0.0, 2000.0, 4001):
+            opens = injector.link_opens_at(start)
+            assert start <= opens <= start + 4.1 + 1e-9
+            assert injector.link_available(opens)
 
 
 class TestSimulatedClock:
@@ -330,6 +352,27 @@ class TestLedgerFaultCounters:
         clone = CommunicationLedger.from_dict(ledger.to_dict())
         assert clone == ledger
         assert clone.rounds == [RoundTraffic(100, 50, 30, 2, 1)]
+
+    def test_rejected_uploads_are_wasted_not_delivered(self):
+        """Each byte is booked once: under FedAvg and selective SGD alike,
+        a corrupted upload is waste, never also a delivery."""
+        x, y = make_digits(60, seed=3)
+        shards = [ArrayDataset(x[part], y[part])
+                  for part in np.array_split(np.arange(len(y)), 3)]
+        injector = FaultInjector(FaultSpec(corruption_rate=1.0), seed=0)
+        policy = RobustnessPolicy(max_retries=1)
+        fedavg = FedAvg(
+            [FederatedClient(i, shard, model_fn, seed=i)
+             for i, shard in enumerate(shards)],
+            model_fn, local_epochs=1, injector=injector, policy=policy)
+        selective = DistributedSelectiveSGD(
+            [SelectiveSGDParticipant(i, shard, model_fn, seed=i)
+             for i, shard in enumerate(shards)],
+            model_fn, injector=injector, policy=policy)
+        for loop in (fedavg, selective):
+            ledger = loop.run(2, (x, y)).ledger
+            assert ledger.uplink_bytes == 0
+            assert ledger.wasted_bytes > 0
 
 
 class TestProfilerEventCounters:

@@ -5,23 +5,27 @@ The load-bearing invariants:
 * the vectorized keystream replays ``np.random.default_rng(key)``
   bit-for-bit, so the batch fault oracles equal the scalar ones on any
   overlapping (round, client, attempt) grid;
-* the vectorized round engine is bit-identical to its scalar reference
-  twin — outcomes, byte tallies, timelines, lags — on fleets <= 256,
-  and asks each batch oracle about exactly the rows the twin asks its
-  scalar oracle about;
+* the round engine's two paths, array ops and the per-client loop, are
+  bit-identical — outcomes, byte tallies, timelines, lags — on fleets
+  <= 256 (tests force a path through ``engine.VECTORIZE_MIN_ROWS``),
+  and the batch oracles are asked about exactly the rows the loop asks
+  its scalar oracles about;
 * the decision hot path runs no per-client Python (line-event counts
   are fleet-size-independent);
 * two-tier quorum re-booking conserves bytes: sent == delivered + wasted
   on every commit/abort path, asserted per round in the ledger;
 * streaming checkpoints resume bit-exactly with bounded peak memory;
 * the object-client adapter produces identical models, ledgers, and
-  client RNG streams under either engine, and matches legacy FedAvg in
-  the fault-free full-participation case.
+  client RNG streams under either engine path, and matches FedAvg in
+  the fault-free full-participation case;
+* FedAvg's fault-injected rounds run on the engine: a round never opens
+  inside a link window, and only survivors train.
 """
 
 import os
 import sys
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +48,7 @@ from repro.federated.fleet import (
     OUT_BLOCKED,
     OUT_CUT,
     OUT_INFEASIBLE,
+    OUT_STALE,
     OUT_SUCCESS,
     OUTCOME_NAMES,
     EdgeTopology,
@@ -59,6 +64,7 @@ from repro.federated.fleet import (
     sample_clients,
     save_fleet_checkpoint,
 )
+from repro.federated.fleet import engine
 from repro.federated.fleet.checkpoint import DEFAULT_CHUNK_ROWS
 from repro.synth import iid_partition, make_digits
 
@@ -76,6 +82,23 @@ def assert_conserved(ledger):
     assert ledger.rounds
     for traffic in ledger.rounds:
         assert traffic.sent == traffic.delivered + traffic.wasted
+
+
+@contextmanager
+def engine_path(vectorized):
+    """Send every round decided in the block down one engine path."""
+    saved = engine.VECTORIZE_MIN_ROWS
+    engine.VECTORIZE_MIN_ROWS = 0 if vectorized else sys.maxsize
+    try:
+        yield
+    finally:
+        engine.VECTORIZE_MIN_ROWS = saved
+
+
+def decide(vectorized, *args, **kwargs):
+    """``decide_round`` on the array path or the per-client loop."""
+    with engine_path(vectorized):
+        return decide_round(*args, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +335,7 @@ class TestSampling:
 
 
 # ----------------------------------------------------------------------
-# Round engine: vectorized vs scalar reference twin
+# Round engine: array ops vs the per-client loop
 # ----------------------------------------------------------------------
 ARRAY_FIELDS = ("rows", "client_ids", "outcome", "survived", "lag",
                 "attempts", "retries", "up", "down", "wasted", "sent",
@@ -335,8 +358,8 @@ class CountingInjector(FaultInjector):
     """A FaultInjector that logs the client ids each oracle is asked about.
 
     Scalar and batch twins log under the same oracle name, one entry per
-    call, so a vectorized round's log compares call for call with the
-    scalar twin's.
+    call, so a round on the array path compares call for call with the
+    per-client loop's.
     """
 
     def __init__(self, spec, seed):
@@ -374,11 +397,16 @@ class TestEngineParity:
         state = FleetState.build(256, seed=11, num_edges=4)
         injector = FaultInjector(spec=spec, seed=21)
         rows = sample_clients(state, 1, 0.7, seed=31)
-        vec = decide_round(state, injector, policy, 1, rows,
-                           clock_start=12.5, vectorized=True)
-        ref = decide_round(state, injector, policy, 1, rows,
-                           clock_start=12.5, vectorized=False)
-        assert_decisions_equal(vec, ref)
+        # None keeps every injected lag; (0, 1) holds one old broadcast,
+        # so a drawn lag of 2 or more counts as fresh.
+        for held_lags in (None, (0, 1)):
+            vec = decide(True, state, injector, policy, 1, rows,
+                         clock_start=12.5, held_lags=held_lags)
+            ref = decide(False, state, injector, policy, 1, rows,
+                         clock_start=12.5, held_lags=held_lags)
+            assert_decisions_equal(vec, ref)
+            if held_lags is not None:
+                assert set(vec.lag.tolist()) <= set(held_lags)
 
     def test_bit_identical_with_remapped_client_ids(self):
         state = FleetState.build(64, seed=1)
@@ -386,20 +414,48 @@ class TestEngineParity:
         policy = RobustnessPolicy(max_retries=2, max_staleness=1)
         rows = np.arange(64, dtype=np.int64)
         ids = rows * 1000 + 17
-        vec = decide_round(state, injector, policy, 5, rows, client_ids=ids,
-                           vectorized=True)
-        ref = decide_round(state, injector, policy, 5, rows, client_ids=ids,
-                           vectorized=False)
+        vec = decide(True, state, injector, policy, 5, rows, client_ids=ids)
+        ref = decide(False, state, injector, policy, 5, rows, client_ids=ids)
         assert_decisions_equal(vec, ref)
         assert np.array_equal(vec.client_ids, ids)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_unheld_lag_counts_as_fresh(self, vectorized):
+        # Every attempt draws lag 1; with zero staleness budget the
+        # update is rejected unless the server no longer holds that
+        # broadcast, in which case the client trained on the current one.
+        spec = FaultSpec(stale_rate=1.0, max_injected_staleness=1)
+        policy = RobustnessPolicy(max_retries=0, max_staleness=0)
+        state = FleetState.build(8, seed=0)
+        rows = np.arange(8, dtype=np.int64)
+        injector = FaultInjector(spec=spec, seed=0)
+        kept = decide(vectorized, state, injector, policy, 1, rows)
+        assert (kept.outcome == OUT_STALE).all()
+        assert (kept.lag == 1).all()
+        fresh = decide(vectorized, state, injector, policy, 1, rows,
+                       held_lags=[0])
+        assert (fresh.outcome == OUT_SUCCESS).all()
+        assert (fresh.lag == 0).all()
+
+    def test_path_follows_cohort_size(self):
+        """Below ``VECTORIZE_MIN_ROWS`` rows the engine asks an oracle
+        once per row; from there, once per attempt for the whole cohort."""
+        state = FleetState.build(64, seed=1)
+        for count in (engine.VECTORIZE_MIN_ROWS - 1,
+                      engine.VECTORIZE_MIN_ROWS):
+            injector = CountingInjector(spec=CHAOS, seed=2)
+            decide_round(state, injector, RobustnessPolicy(), 1,
+                         np.arange(count), clock_start=12.5)
+            calls = injector.queries()["straggler_factor", 0]
+            vectorized = count >= engine.VECTORIZE_MIN_ROWS
+            assert len(calls) == (1 if vectorized else count)
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_empty_round(self, vectorized):
         state = FleetState.build(16, seed=0)
         injector = FaultInjector(seed=0)
-        decisions = decide_round(state, injector, RobustnessPolicy(), 1,
-                                 np.empty(0, dtype=np.int64),
-                                 vectorized=vectorized)
+        decisions = decide(vectorized, state, injector, RobustnessPolicy(),
+                           1, np.empty(0, dtype=np.int64))
         assert decisions.num_selected == 0
         assert decisions.duration == 0.0
 
@@ -438,7 +494,7 @@ class TestEngineParity:
 
     def test_oracles_see_only_undecided_rows(self):
         """Each batch oracle is asked, once per attempt, about exactly the
-        rows the scalar twin asks its scalar oracle about: the pending,
+        rows the per-client loop asks its scalar oracle about: the pending,
         link-open, feasible rows for straggler and staleness, and only
         rows no earlier stage decided for dropout, corruption and loss."""
         state = FleetState.build(256, seed=11, num_edges=4)
@@ -448,10 +504,10 @@ class TestEngineParity:
         rows = sample_clients(state, 1, 0.8, seed=31, min_battery=0.0)
         vec_injector = CountingInjector(spec=CHAOS, seed=21)
         ref_injector = CountingInjector(spec=CHAOS, seed=21)
-        vec = decide_round(state, vec_injector, policy, 4, rows,
-                           clock_start=12.5)
-        ref = decide_round(state, ref_injector, policy, 4, rows,
-                           clock_start=12.5, vectorized=False)
+        vec = decide(True, state, vec_injector, policy, 4, rows,
+                     clock_start=12.5)
+        ref = decide(False, state, ref_injector, policy, 4, rows,
+                     clock_start=12.5)
         assert_decisions_equal(vec, ref)
         batch, scalar = vec_injector.queries(), ref_injector.queries()
         assert set(batch) == set(scalar)
@@ -490,16 +546,17 @@ class TestEngineParity:
 
     def test_all_cut_round_matches_scalar_twin(self):
         """Every running row is cut, so the dropout, corruption and loss
-        oracles are asked about empty subsets — still bit-identical."""
+        oracles are asked about empty subsets — still bit-identical to the
+        per-client loop."""
         spec = replace(CHAOS, straggler_rate=1.0)
         policy = RobustnessPolicy(max_retries=2, straggler_cutoff_s=1e-6)
         state = FleetState.build(128, seed=3)
         rows = np.arange(128, dtype=np.int64)
         injector = CountingInjector(spec=spec, seed=5)
-        vec = decide_round(state, injector, policy, 2, rows,
-                           clock_start=12.5)
-        ref = decide_round(state, FaultInjector(spec=spec, seed=5), policy,
-                           2, rows, clock_start=12.5, vectorized=False)
+        vec = decide(True, state, injector, policy, 2, rows,
+                     clock_start=12.5)
+        ref = decide(False, state, FaultInjector(spec=spec, seed=5), policy,
+                     2, rows, clock_start=12.5)
         assert_decisions_equal(vec, ref)
         assert set(vec.outcome.tolist()) <= {OUT_CUT, OUT_BLOCKED}
         assert (vec.outcome == OUT_CUT).any()
@@ -702,14 +759,14 @@ class TestHierarchy:
 # Decision-level simulator
 # ----------------------------------------------------------------------
 class TestFleetSimulator:
-    def make(self, num_clients=4096, vectorized=True, seed=41):
+    def make(self, num_clients=4096, seed=41):
         state = FleetState.build(num_clients, seed=seed, num_edges=8)
         return FleetSimulator(
             state, injector=FaultInjector(spec=CHAOS, seed=43),
             policy=RobustnessPolicy(max_retries=1, max_staleness=2,
                                     min_quorum=2),
             topology=EdgeTopology(num_edges=8, edge_quorum=2),
-            client_fraction=0.1, seed=47, vectorized=vectorized)
+            client_fraction=0.1, seed=47)
 
     def test_rounds_record_history_and_conserve(self):
         sim = self.make()
@@ -727,9 +784,13 @@ class TestFleetSimulator:
         assert a.fingerprint() == b.fingerprint()
 
     def test_scalar_engine_matches_vectorized(self):
-        vec = self.make(num_clients=256, vectorized=True)
-        ref = self.make(num_clients=256, vectorized=False)
-        vec.run(3), ref.run(3)
+        # About 25 devices a round: close to the path threshold, so each
+        # run is forced down one path for every round.
+        vec, ref = self.make(num_clients=256), self.make(num_clients=256)
+        with engine_path(vectorized=True):
+            vec.run(3)
+        with engine_path(vectorized=False):
+            ref.run(3)
         assert vec.fingerprint() == ref.fingerprint()
         assert vec.ledger.to_dict() == ref.ledger.to_dict()
 
@@ -850,8 +911,9 @@ class TestFleetFedAvg:
                                     min_quorum=2),
             topology=EdgeTopology(num_edges=3),
             local_epochs=2, client_fraction=0.8,
-            sampling="battery-aware", seed=6, vectorized=vectorized)
-        loop.run(4)
+            sampling="battery-aware", seed=6)
+        with engine_path(vectorized):
+            loop.run(4)
         return loop
 
     def test_engines_produce_identical_training(self, federation):
@@ -911,3 +973,41 @@ class TestFleetFedAvg:
         state = FleetState.build(5, seed=0)
         with pytest.raises(ValueError):
             FleetFedAvg(make_clients(shards), model_fn, fleet_state=state)
+
+
+class TestFedAvgOnEngine:
+    """FedAvg's fault-injected rounds are decided by the fleet engine."""
+
+    def test_round_opening_in_a_link_window_waits_for_it(self, federation):
+        # The clock starts inside a 300 s window.  One attempt each and a
+        # quorum of every client: the round commits only if it opens
+        # after the window.
+        shards, eval_data = federation
+        spec = FaultSpec(link_down_period_s=1000.0,
+                         link_down_duration_s=300.0)
+        loop = FedAvg(make_clients(shards), model_fn, local_epochs=1,
+                      lr=0.3, seed=0, injector=FaultInjector(spec, seed=0),
+                      policy=RobustnessPolicy(max_retries=0,
+                                              min_quorum=len(shards)))
+        history = loop.run(1, eval_data)
+        assert history.ledger.aborts == 0
+        assert loop.server.version == 1
+        assert loop.clock.now > 300.0
+
+    def test_lost_uploads_never_train(self, federation):
+        shards, eval_data = federation
+        loop = FedAvg(make_clients(shards), model_fn, local_epochs=1,
+                      lr=0.3, seed=0,
+                      injector=FaultInjector(
+                          FaultSpec(upload_loss_rate=1.0), seed=0),
+                      policy=RobustnessPolicy(max_retries=1))
+
+        def local_train(*args, **kwargs):
+            raise AssertionError("a client whose upload was lost trained")
+
+        for client in loop.clients:
+            client.local_train = local_train
+        history = loop.run(3, eval_data)
+        assert history.ledger.aborts == 3
+        assert history.ledger.uplink_bytes == 0
+        assert loop.server.version == 0

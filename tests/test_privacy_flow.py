@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn, profiler
+from repro.nn import losses
 from repro.analysis.privacy import Label, PrivacyFlowReport, trace_privacy
 from repro.data import ArrayDataset
 from repro.federated import FederatedClient
@@ -133,29 +134,35 @@ class TestEnginePropagation:
             profiler.reset()
 
 
+def _eager_loss(logits, labels):
+    """Cross-entropy behind a wrapper, which DP-SGD trains eagerly."""
+    return losses.cross_entropy(logits, labels)
+
+
 class TestTrainerTraces:
     # The compiled path replays a plan per example inside the same loop,
-    # so it must report exactly what eager reports.
-    @pytest.mark.parametrize("use_plan", [False, True],
+    # so it must report exactly what eager reports.  Cross-entropy picks
+    # the plan; the same loss behind a wrapper trains eagerly.
+    @pytest.mark.parametrize("loss_fn", [_eager_loss, None],
                              ids=["eager", "plan"])
-    def test_dpsgd_clean_run_has_no_violations(self, use_plan):
+    def test_dpsgd_clean_run_has_no_violations(self, loss_fn):
         x, y = make_digits(60, seed=1)
         trainer = DPSGDTrainer(make_model(din=64, dout=10), lot_size=16,
                                noise_multiplier=1.0, seed=0,
-                               use_plan=use_plan)
+                               loss_fn=loss_fn)
         with trace_privacy() as trace:
             trainer.step(x, y)
         report = trace.report()
         assert report.ok, str(report)
         assert report.noise_events and report.accounting_events
 
-    @pytest.mark.parametrize("use_plan", [False, True],
+    @pytest.mark.parametrize("loss_fn", [_eager_loss, None],
                              ids=["eager", "plan"])
-    def test_dpsgd_without_noise_is_flagged(self, use_plan):
+    def test_dpsgd_without_noise_is_flagged(self, loss_fn):
         x, y = make_digits(60, seed=1)
         trainer = DPSGDTrainer(make_model(din=64, dout=10), lot_size=16,
                                noise_multiplier=0.0, seed=0,
-                               use_plan=use_plan)
+                               loss_fn=loss_fn)
         with trace_privacy() as trace:
             trainer.step(x, y)
         report = trace.report()

@@ -6,8 +6,8 @@ The acceptance bar for the training compiler: for **every** module class
 :class:`repro.train.TrainPlan` reproduces multi-step eager training —
 losses, gradients, parameter trajectories, and (for BatchNorm) running
 statistics — at both float32 and float64, and replays with zero new
-arena allocations after the compile-time freeze.  DP-SGD's ``use_plan``
-path must track its eager twin, and FedAvg's local training, which
+arena allocations after the compile-time freeze.  DP-SGD's compiled
+per-example path must equal its eager twin, and FedAvg's local training, which
 replays one plan shared by every client of a model factory, must equal
 a fresh eager model and optimizer bit for bit.
 """
@@ -528,6 +528,18 @@ def _eager_clipped_sum(model, X, y, clip):
     return total
 
 
+def _eager_loss(logits, labels):
+    """Cross-entropy behind a wrapper, which DP-SGD trains eagerly."""
+    return losses.cross_entropy(logits, labels)
+
+
+class _Halve(nn.Module):
+    """A layer the compiler has no rule for."""
+
+    def forward(self, x):
+        return x * 0.5
+
+
 def test_dpsgd_plan_clipped_sum_matches_eager(monkeypatch):
     """The plan path's clipped per-example sum equals the eager one.
 
@@ -536,35 +548,40 @@ def test_dpsgd_plan_clipped_sum_matches_eager(monkeypatch):
     """
     X, y = _data(13, seed=2)
     trainer = DPSGDTrainer(_make_model(), clip_norm=1.0,
-                           noise_multiplier=0.0, lot_size=len(X),
-                           use_plan=True)
+                           noise_multiplier=0.0, lot_size=len(X))
     updates = []
     monkeypatch.setattr(trainer, "_apply_flat", updates.append)
     assert trainer.step(X, y) == len(X)
+    assert trainer._plan.compile_count == 1
     produced = updates[0] * len(X)
     reference = _eager_clipped_sum(_make_model(), X, y, 1.0)
     np.testing.assert_allclose(produced, reference, rtol=1e-9)
 
 
-def _dpsgd(use_plan):
-    return DPSGDTrainer(_make_model(), lr=0.1, clip_norm=1.0,
+def _dpsgd(compiled, model_fn=_make_model):
+    return DPSGDTrainer(model_fn(), lr=0.1, clip_norm=1.0,
                         noise_multiplier=1.0, lot_size=16, seed=7,
-                        use_plan=use_plan)
+                        loss_fn=None if compiled else _eager_loss)
+
+
+def _assert_same_model(a, b):
+    for (k, x), (_, y) in zip(a.model.state_dict().items(),
+                              b.model.state_dict().items()):
+        np.testing.assert_array_equal(y, x, err_msg=k)
 
 
 def test_dpsgd_use_plan_matches_eager():
     X, y = _data(64, seed=0)
-    eager = _dpsgd(use_plan=False)
-    plan = _dpsgd(use_plan=True)
+    eager = _dpsgd(compiled=False)
+    plan = _dpsgd(compiled=True)
     for _ in range(4):
         eager.step(X, y)
         plan.step(X, y)
+    assert eager._plan is None and plan._plan is not None
     # Same sampling and noise streams; same ledger; same trajectory.
     assert len(plan.accountant.ledger) == len(eager.accountant.ledger)
     assert plan.accountant.spent(1e-5) == eager.accountant.spent(1e-5)
-    for (k, a), (_, b) in zip(eager.model.state_dict().items(),
-                              plan.model.state_dict().items()):
-        np.testing.assert_array_equal(b, a, err_msg=k)
+    _assert_same_model(eager, plan)
 
 
 def test_dpsgd_keeps_float32_models_float32():
@@ -573,9 +590,9 @@ def test_dpsgd_keeps_float32_models_float32():
     X, y = _data(64, seed=0)
     X = X.astype(np.float32)
     states = []
-    for use_plan in (False, True):
+    for compiled in (False, True):
         with default_dtype(np.float32):
-            trainer = _dpsgd(use_plan)
+            trainer = _dpsgd(compiled)
         for _ in range(4):
             trainer.step(X, y)
         state = trainer.model.state_dict()
@@ -586,9 +603,37 @@ def test_dpsgd_keeps_float32_models_float32():
                                    rtol=1e-5, atol=1e-6, err_msg=key)
 
 
-def test_dpsgd_use_plan_rejects_custom_loss():
-    with pytest.raises(ValueError):
-        DPSGDTrainer(_make_model(), loss_fn=losses.mse_loss, use_plan=True)
+def test_dpsgd_custom_loss_trains_eagerly(monkeypatch):
+    """A loss the compiler does not fuse never builds a plan."""
+    X, y = _data(13, seed=2)
+    trainer = DPSGDTrainer(_make_model(), clip_norm=1.0,
+                           noise_multiplier=0.0, lot_size=len(X),
+                           loss_fn=_eager_loss)
+    assert trainer._plan is None
+    updates = []
+    monkeypatch.setattr(trainer, "_apply_flat", updates.append)
+    assert trainer.step(X, y) == len(X)
+    reference = _eager_clipped_sum(_make_model(), X, y, 1.0)
+    np.testing.assert_allclose(updates[0] * len(X), reference, rtol=1e-12)
+
+
+def test_dpsgd_layer_without_rule_falls_back_to_eager():
+    """A layer the compiler has no rule for fails the first compile; the
+    trainer then runs eagerly and matches an eager trainer exactly."""
+    def model_fn():
+        rng = _rng(3)
+        return nn.Sequential(nn.Linear(12, 16, rng=rng), _Halve(),
+                             nn.ReLU(), nn.Linear(16, 4, rng=rng))
+
+    X, y = _data(64, seed=0)
+    fallback = _dpsgd(compiled=True, model_fn=model_fn)
+    eager = _dpsgd(compiled=False, model_fn=model_fn)
+    assert fallback._plan is not None  # cross-entropy asks for the plan
+    for _ in range(3):
+        fallback.step(X, y)
+        eager.step(X, y)
+    assert fallback._plan is None
+    _assert_same_model(eager, fallback)
 
 
 @pytest.mark.parametrize("batch", [8, 10])
