@@ -18,7 +18,7 @@ from repro import nn
 from repro.core.features import sessions_to_flat
 from repro.data import ArrayDataset, StandardScaler
 from repro.federated import FedAvg, FederatedClient
-from repro.mobile import FleetSimulator
+from repro.federated.fleet import FleetState, sample_clients
 from repro.privacy import DPFedAvg
 from repro.synth import TypingDynamicsGenerator
 
@@ -53,24 +53,28 @@ def main():
         eval_y.append(labels[cut:])
     eval_data = (np.concatenate(eval_x), np.concatenate(eval_y))
 
-    fleet = FleetSimulator(num_devices=20, seed=0)
-
-    hours = np.arange(0, 24, 2.0)
-    availability = fleet.eligibility_curve(hours)
+    # FedAvg's round r samples at hour r: the sampler draws each round's
+    # device conditions from (seed, round), so this curve is what those
+    # rounds see.
+    devices = FleetState.build(len(clients), seed=0)
+    hours = np.arange(2, 25, 2)
+    availability = [
+        sample_clients(devices, hour, 1.0, seed=0, min_battery=0.0,
+                       hour=hour).size / len(clients)
+        for hour in hours]
     print("== fleet eligibility over a day (idle & charging & WiFi) ==")
-    print("  ".join("{:02.0f}h:{:.0%}".format(h, a)
+    print("  ".join("{:02d}h:{:.0%}".format(h % 24, a)
                     for h, a in zip(hours, availability)))
 
     print()
-    print("== FedAvg over the eligible fleet ==")
+    print("== FedAvg over the eligible fleet (round r at hour r) ==")
     fedavg = FedAvg(clients, model_fn, local_epochs=4, lr=0.1,
-                    client_fraction=0.5, fleet=fleet, seed=0)
+                    client_fraction=0.5, hours_per_round=1.0, seed=0)
     history_avg = fedavg.run(20, eval_data)
-    print("FedAvg : acc={:.3f} after {:.2f} MB, last round had {} "
-          "participants".format(
-              history_avg.final_accuracy(),
-              history_avg.ledger.total_megabytes(),
-              history_avg.records[-1].participants))
+    print("FedAvg : acc={:.3f} after {:.2f} MB".format(
+        history_avg.final_accuracy(), history_avg.ledger.total_megabytes()))
+    print("participants per round:",
+          [record.participants for record in history_avg.records])
 
     print()
     print("== user-level DP-FedAvg (Sec. II-C) ==")

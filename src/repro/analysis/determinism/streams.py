@@ -209,7 +209,7 @@ REGISTRY = (
              "participant_id"),
     _derived("chaos-spec", "repro/faults/chaos.py"),
     _derived("serve-traffic", "repro/serve/traffic.py"),
-    _derived("mobile-device", "repro/mobile/fleet.py", "device_id"),
+    _derived("mobile-device", "repro/federated/fleet/sampling.py"),
     _derived("fleet-init", "repro/federated/fleet/state.py"),
     _derived("fleet-sample", "repro/federated/fleet/sampling.py",
              "round_index"),

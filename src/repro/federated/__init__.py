@@ -23,7 +23,6 @@ from .selective import (
 from .secure_agg import SecureAggregator
 from .fleet import (
     EdgeTopology,
-    FleetFedAvg,
     FleetSimulator,
     FleetState,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "SelectiveSGDParticipant",
     "SecureAggregator",
     "EdgeTopology",
-    "FleetFedAvg",
     "FleetSimulator",
     "FleetState",
 ]

@@ -3,13 +3,15 @@
 Sec. II-B of the paper contrasts the naive distributed-SGD update (one
 gradient step per client per round) with federated averaging (multiple
 local epochs before aggregation), noting the latter needs 10-100x less
-communication to converge.  Both loops share the same server, clients, and
-byte accounting so that comparison is apples-to-apples.
+communication to converge.  Both loops share the same server, clients,
+sampler and byte accounting so that comparison is apples-to-apples.
 
-With a :class:`repro.faults.FaultInjector` attached, FedAvg's rounds run
-on the fleet round engine (:func:`repro.federated.fleet.decide_round`),
-the one fault cascade of every FedAvg loop: it decides what happened to
-each participant, and only the survivors train.
+Both sample each round's participants with the fleet's keyed sampler
+(:func:`repro.federated.fleet.sample_clients`), optionally under the
+paper's hourly eligibility policy.  With a
+:class:`repro.faults.FaultInjector` attached, FedAvg's rounds run on the
+fleet round engine (:func:`repro.federated.fleet.decide_round`): it
+decides what happened to each participant, and only the survivors train.
 """
 
 from __future__ import annotations
@@ -94,14 +96,58 @@ class FederatedHistory:
         return self.records[-1].accuracy if self.records else 0.0
 
 
-class _BroadcastHistory:
-    """Recent broadcasts, so a lagging client trains on the state it lags
-    to; shared by :class:`FedAvg` and
-    :class:`~repro.federated.fleet.FleetFedAvg`."""
+class _FederatedLoop:
+    """Shared machinery: client sampling, evaluation, accounting.
+
+    The clients are the rows of a :class:`~repro.federated.fleet.FleetState`
+    built from ``(len(clients), seed)``, and each round samples them with
+    :func:`~repro.federated.fleet.sample_clients` under the keyed
+    ``(seed, round)`` draw.  With ``hours_per_round`` set, round ``r``
+    samples at hour ``r * hours_per_round`` under the paper's eligibility
+    policy (idle, charging, on unmetered WiFi); a round nobody is
+    eligible for trains nobody.
+    """
+
+    def __init__(self, clients, model_fn, client_fraction=1.0, seed=0,
+                 hours_per_round=None, injector=None, policy=None):
+        if not clients:
+            raise ValueError("need at least one client")
+        if not 0.0 < client_fraction <= 1.0:
+            raise ValueError("client_fraction must be in (0, 1]")
+        # Imported here: the fleet package imports this module.
+        from .fleet.state import FleetState
+
+        self.clients = list(clients)
+        self.server = ParameterServer(model_fn)
+        self.client_fraction = client_fraction
+        self.seed = seed
+        self.hours_per_round = hours_per_round
+        self.injector = injector
+        self.policy = policy or RobustnessPolicy()
+        self.clock = None
+        # Rows are client positions; the fault oracles key on client ids.
+        self._devices = FleetState.build(len(self.clients), seed)
+        self._state_history = []
+        self._round_index = 0
+        if injector is not None:
+            from ..faults import SimulatedClock
+
+            self.clock = SimulatedClock()
+
+    def _sample_clients(self, round_index):
+        """Ascending positions in ``clients`` of this round's participants."""
+        from .fleet.sampling import sample_clients
+
+        hour = (None if self.hours_per_round is None
+                else round_index * self.hours_per_round)
+        return sample_clients(self._devices, round_index,
+                              self.client_fraction, seed=self.seed,
+                              min_battery=0.0, hour=hour)
 
     def _remember_broadcast(self, version, state):
-        """Keep ``state`` and what an injected lag can reach; returns the
-        lags held, for ``decide_round(held_lags=)``."""
+        """Keep ``state`` and what an injected lag can reach, so a lagging
+        client trains on the state it lags to; returns the lags held, for
+        ``decide_round(held_lags=)``."""
         spec = getattr(self.injector, "spec", None)
         horizon = max(self.policy.max_staleness,
                       getattr(spec, "max_injected_staleness", 0)) + 1
@@ -114,48 +160,6 @@ class _BroadcastHistory:
         wanted = current_version - int(lag)
         return next(state for version, state
                     in reversed(self._state_history) if version == wanted)
-
-
-class _FederatedLoop(_BroadcastHistory):
-    """Shared machinery: client sampling, evaluation, accounting."""
-
-    def __init__(self, clients, model_fn, client_fraction=1.0, seed=0,
-                 fleet=None, hours_per_round=1.0, injector=None, policy=None):
-        if not clients:
-            raise ValueError("need at least one client")
-        if not 0.0 < client_fraction <= 1.0:
-            raise ValueError("client_fraction must be in (0, 1]")
-        self.clients = list(clients)
-        self.server = ParameterServer(model_fn)
-        self.client_fraction = client_fraction
-        self.seed = seed
-        self.rng = np.random.default_rng(seed)
-        self.fleet = fleet
-        self.hours_per_round = hours_per_round
-        self.injector = injector
-        self.policy = policy or RobustnessPolicy()
-        self.clock = None
-        self._state_history = []
-        self._round_index = 0
-        if injector is not None:
-            from ..faults import SimulatedClock
-
-            self.clock = SimulatedClock()
-
-    def _sample_clients(self, round_index):
-        """Positions in ``clients`` of this round's participants."""
-        population = range(len(self.clients))
-        if self.fleet is not None:
-            hour = round_index * self.hours_per_round
-            eligible = set(self.fleet.eligible_at(hour))
-            filtered = [row for row in population
-                        if self.clients[row].client_id in eligible]
-            if filtered:
-                population = filtered
-        count = max(1, int(round(self.client_fraction * len(population))))
-        picks = self.rng.choice(len(population), size=min(count, len(population)),
-                                replace=False)
-        return [population[i] for i in picks]
 
     def run(self, num_rounds, eval_data, eval_every=1, target_accuracy=None,
             checkpoint_path=None, checkpoint_every=1, resume=False):
@@ -178,7 +182,8 @@ class _FederatedLoop(_BroadcastHistory):
         for round_index in range(start_round, num_rounds + 1):
             self._round_index = round_index
             rows = self._sample_clients(round_index)
-            traffic = self._round(rows)
+            # Nobody eligible: nothing trains, commits or moves a byte.
+            traffic = self._round(rows) if len(rows) else RoundTraffic(0, 0)
             history.ledger.record_round(*traffic)
             if round_index % eval_every == 0 or round_index == num_rounds:
                 acc = self.server.evaluate(features, labels)
@@ -234,7 +239,6 @@ class FedAvg(_FederatedLoop):
         self.batch_size = batch_size
         self.lr = lr
         self.momentum = momentum
-        self._devices = None  # the fault-injected rounds' FleetState
 
     def _local_train(self, row, state):
         return self.clients[row].local_train(
@@ -257,18 +261,12 @@ class FedAvg(_FederatedLoop):
     def _robust_round(self, rows):
         """One round under fault injection, decided by the fleet engine.
 
-        Devices are the rows of a :class:`~repro.federated.fleet.FleetState`
-        built from ``(len(clients), seed)``; the oracles key on client
-        ids.  No round opens inside a link window.  Survivors train in
+        No round opens inside a link window.  Survivors train in
         participant order on the broadcast their lag names; a missed
         quorum re-books the round's deliveries as waste.
         """
-        # Imported here: the fleet package imports this module.
         from .fleet.engine import decide_round
-        from .fleet.state import FleetState
 
-        if self._devices is None:
-            self._devices = FleetState.build(len(self.clients), self.seed)
         self.clock.now = self.injector.link_opens_at(self.clock.now)
         state = self.server.broadcast()
         version = self.server.version

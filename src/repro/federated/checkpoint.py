@@ -27,14 +27,14 @@ stopped:
 
 * the global model state (``state/<name>.npy``) and its aggregation
   version,
-* the loop's client-sampling RNG and every client's local RNG,
-* fleet-device RNGs when an availability fleet is attached,
+* every client's local RNG,
 * the simulated clock and broadcast-state history
   (``hist<i>/<name>.npy``) of the fault-tolerant path, and
 * the communication ledger and accuracy records accumulated so far.
 
-Fault schedules themselves need no state here: :mod:`repro.faults` keys
-every decision off ``(seed, round, client, attempt)``, so they replay for
+Client sampling and fault schedules need no state here: the sampler
+keys each round off ``(seed, round)`` and :mod:`repro.faults` every
+decision off ``(seed, round, client, attempt)``, so they replay for
 free.  Nothing is pickled.
 """
 
@@ -54,8 +54,7 @@ from numpy.lib import format as npy_format
 from .comm import CommunicationLedger
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError",
-           "write_snapshot", "read_snapshot", "generator_state",
-           "restore_generator"]
+           "write_snapshot", "read_snapshot"]
 
 FORMAT = "fedavg-checkpoint-v2"
 META = "meta.json"
@@ -250,58 +249,23 @@ class Snapshot:
         return handle, found
 
 
-def generator_state(rng):
-    """JSON-serialisable state of a :class:`numpy.random.Generator`."""
-    return rng.bit_generator.state
-
-
-def restore_generator(rng, state):
-    """Restore a generator snapshot taken by :func:`generator_state`."""
-    rng.bit_generator.state = state
-
-
-def _client_rng_states(clients):
-    states = {}
-    for client in clients:
-        if hasattr(client, "rng_state"):
-            states[str(client.client_id)] = client.rng_state()
-        elif hasattr(client, "rng"):
-            states[str(client.client_id)] = generator_state(client.rng)
-    return states
-
-
-def _restore_client_rngs(clients, states):
-    for client in clients:
-        state = states.get(str(client.client_id))
-        if state is None:
-            continue
-        if hasattr(client, "set_rng_state"):
-            client.set_rng_state(state)
-        elif hasattr(client, "rng"):
-            restore_generator(client.rng, state)
-
-
 def save_checkpoint(path, loop, history, round_index):
     """Write the loop's full resumable state after ``round_index``."""
     meta = {
         "format": FORMAT,
         "round_index": int(round_index),
         "server_version": int(loop.server.version),
-        "loop_rng": generator_state(loop.rng),
-        "client_rngs": _client_rng_states(loop.clients),
+        "client_rngs": {str(client.client_id): client.rng_state()
+                        for client in loop.clients},
         "ledger": history.ledger.to_dict(),
         "records": [asdict(record) for record in history.records],
     }
-    clock = getattr(loop, "clock", None)
-    if clock is not None:
-        meta["clock_now"] = float(clock.now)
-    fleet = getattr(loop, "fleet", None)
-    if fleet is not None and hasattr(fleet, "rng_states"):
-        meta["fleet_rngs"] = fleet.rng_states()
+    if loop.clock is not None:
+        meta["clock_now"] = float(loop.clock.now)
 
     arrays = [("state/{}.npy".format(name), value)
               for name, value in loop.server.state.items()]
-    hist = getattr(loop, "_state_history", None)
+    hist = loop._state_history
     if hist:
         meta["history_versions"] = [int(version) for version, _ in hist]
         for index, (_, state) in enumerate(hist):
@@ -343,16 +307,15 @@ def load_checkpoint(path, loop, history):
 
     loop.server.state = states[0]
     loop.server.version = int(meta["server_version"])
-    restore_generator(loop.rng, meta["loop_rng"])
-    _restore_client_rngs(loop.clients, meta.get("client_rngs", {}))
-    if "clock_now" in meta and getattr(loop, "clock", None) is not None:
+    client_rngs = meta.get("client_rngs", {})
+    for client in loop.clients:
+        state = client_rngs.get(str(client.client_id))
+        if state is not None:
+            client.set_rng_state(state)
+    if "clock_now" in meta and loop.clock is not None:
         loop.clock.now = float(meta["clock_now"])
-    fleet = getattr(loop, "fleet", None)
-    if "fleet_rngs" in meta and fleet is not None and hasattr(fleet, "set_rng_states"):
-        fleet.set_rng_states(meta["fleet_rngs"])
-    if hasattr(loop, "_state_history"):
-        loop._state_history = [(int(version), state) for version, state
-                               in zip(versions, states[1:])]
+    loop._state_history = [(int(version), state) for version, state
+                           in zip(versions, states[1:])]
 
     history.ledger = ledger
     history.records = records

@@ -3,26 +3,27 @@
 Layers, bottom-up:
 
 * :mod:`.state` — columnar device state (:class:`FleetState`);
-* :mod:`.sampling` — keyed per-round eligibility/sampling policies;
+* :mod:`.sampling` — keyed per-round eligibility/sampling policies, the
+  sampler of every federated loop, with the paper's hourly
+  idle/charging/WiFi policy;
 * :mod:`.engine` — the round decision engine, the one fault cascade of
-  every FedAvg loop; it runs per client for small cohorts and as array
+  every chaos round; it runs per client for small cohorts and as array
   ops for large ones, bit-identically;
-* :mod:`.hierarchy` — edge -> cloud quorum aggregation at O(edges);
+* :mod:`.hierarchy` — edge -> cloud quorum partition at O(edges);
 * :mod:`.simulator` — decision-level chaos simulator for 1M devices;
-* :mod:`.checkpoint` — streaming, bounded-memory round snapshots;
-* :mod:`.adapter` — real object clients on the same round path, with
-  the edge tier and keyed sampling.
+* :mod:`.checkpoint` — streaming, bounded-memory round snapshots.
+
+Real clients train in :class:`repro.federated.FedAvg`, which samples
+and decides its rounds through these same layers.
 """
 
-from .adapter import FleetFedAvg
 from .checkpoint import (load_fleet_checkpoint, load_fleet_state,
                          save_fleet_checkpoint)
 from .engine import (OUT_BLOCKED, OUT_CORRUPT, OUT_CUT, OUT_DROPOUT,
                      OUT_INFEASIBLE, OUT_LOST, OUT_STALE, OUT_SUCCESS,
                      OUT_TIMEOUT, OUTCOME_NAMES, RoundDecisions,
                      decide_round)
-from .hierarchy import (EdgeRoundSummary, EdgeTopology, edge_partition,
-                        hierarchical_average)
+from .hierarchy import EdgeRoundSummary, EdgeTopology, edge_partition
 from .sampling import SAMPLING_POLICIES, sample_clients
 from .simulator import FleetSimulator
 from .state import COLUMNS, LINK_TIERS, FleetState
@@ -48,10 +49,8 @@ __all__ = [
     "EdgeTopology",
     "EdgeRoundSummary",
     "edge_partition",
-    "hierarchical_average",
     "FleetSimulator",
     "save_fleet_checkpoint",
     "load_fleet_checkpoint",
     "load_fleet_state",
-    "FleetFedAvg",
 ]

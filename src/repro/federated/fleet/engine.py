@@ -1,11 +1,11 @@
 """The fleet round decision engine: the one fault cascade of a chaos round.
 
-Every fault-injected FedAvg round (:class:`repro.federated.FedAvg`,
-:class:`~repro.federated.fleet.FleetFedAvg` and the decision-level
-:class:`~repro.federated.fleet.FleetSimulator`) asks :func:`decide_round`
-what happened to each participant: the attempt loop (backoff, link
-windows, straggler cutoff, timeout, dropout, staleness rejection,
-corruption, upload loss) in that order, through the keyed fault oracles.
+Every fault-injected round, of :class:`repro.federated.FedAvg` and of
+the decision-level :class:`~repro.federated.fleet.FleetSimulator`, asks
+:func:`decide_round` what happened to each participant: the attempt
+loop (backoff, link windows, straggler cutoff, timeout, dropout,
+staleness rejection, corruption, upload loss) in that order, through
+the keyed fault oracles.
 
 It picks its path by cohort size, and both paths give bit-identical
 outputs (a tested invariant on fleets up to 256).  Below

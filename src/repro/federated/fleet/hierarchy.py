@@ -23,13 +23,11 @@ abort path.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EdgeTopology", "EdgeRoundSummary", "edge_partition",
-           "hierarchical_average"]
+__all__ = ["EdgeTopology", "EdgeRoundSummary", "edge_partition"]
 
 
 @dataclass(frozen=True)
@@ -146,43 +144,3 @@ def edge_partition(decisions, edges, topology, model_bytes,
         survivors=survivors.astype(np.int64), committed=committed,
         cloud_commit=cloud_commit, edge_up=edge_up, edge_down=edge_down,
         sent_bytes=sent_bytes)
-
-
-def hierarchical_average(updates, weights, update_edges, committed):
-    """Weighted model average with the two-tier reduction tree.
-
-    ``updates``/``weights``/``update_edges`` are aligned lists in
-    ascending client order; only updates on committed edges contribute.
-    Edge partials accumulate in client order, the cloud reduces partials
-    in edge-index order — one fixed reduction tree, so the same inputs,
-    whichever engine path decided them, produce the same float64
-    aggregate bit-for-bit.
-    """
-    partials = OrderedDict()
-    for update, weight, edge in zip(updates, weights, update_edges):
-        edge = int(edge)
-        if not committed[edge]:
-            continue
-        if edge not in partials:
-            partials[edge] = [{name: None for name in update}, 0.0]
-        partial, _ = partials[edge]
-        for name, value in update.items():
-            if partial[name] is None:
-                partial[name] = float(weight) * value
-            else:
-                partial[name] = partial[name] + float(weight) * value
-        partials[edge][1] += float(weight)
-    if not partials:
-        raise ValueError("no committed updates to aggregate")
-    total_weight = 0.0
-    for edge in sorted(partials):
-        total_weight += partials[edge][1]
-    result = OrderedDict()
-    first = partials[sorted(partials)[0]][0]
-    for name in first:
-        combined = None
-        for edge in sorted(partials):
-            value = partials[edge][0][name]
-            combined = value if combined is None else combined + value
-        result[name] = combined / total_weight
-    return result

@@ -3,9 +3,9 @@
 :class:`FleetSimulator` drives sampling, the round decision engine, the
 two-tier quorum partition, the cohort ledger, and the column updates —
 everything the federated system does *except* actual local training, so
-a round over 1M devices costs a handful of array ops.  The adapter
-(:mod:`repro.federated.fleet.adapter`) bolts real object clients onto
-the exact same code path for small fleets.
+a round over 1M devices costs a handful of array ops.
+:class:`repro.federated.FedAvg` trains real clients on the same sampler
+and engine, without the edge tier or the column updates.
 
 Determinism: every stochastic input is keyed — sampling by
 ``(seed, round_index)``, faults by ``(seed, tag, round, client,
@@ -40,7 +40,8 @@ class FleetSimulator:
     chaos schedule, ``policy`` for retry/timeout/quorum tolerances,
     ``topology`` for the edge tier.  The engine picks its path by cohort
     size (see :mod:`repro.federated.fleet.engine`).  The simulator holds
-    no model states, so every injected lag stands.
+    no model states, so every injected lag stands.  As in FedAvg, no
+    round opens inside a link window: it waits for the link.
     """
 
     def __init__(self, state, injector=None, policy=None, topology=None,
@@ -74,6 +75,7 @@ class FleetSimulator:
         rows = sample_clients(self.state, self.round_index,
                               self.client_fraction, policy=self.sampling,
                               seed=self.seed, min_battery=self.min_battery)
+        self.clock.now = self.injector.link_opens_at(self.clock.now)
         decisions = decide_round(
             self.state, self.injector, self.policy, self.round_index,
             rows, model_bytes=self.model_bytes,

@@ -1,4 +1,8 @@
-"""Mobile device, network, and fleet simulation substrate."""
+"""Mobile device, network, and cost-model substrate.
+
+The fleet's availability (the paper's idle, charging, on-WiFi policy)
+lives with the federated sampler, :mod:`repro.federated.fleet.sampling`.
+"""
 
 from .device import (
     CLOUD_SERVER,
@@ -11,7 +15,6 @@ from .device import (
 from .network import CELLULAR_3G, CELLULAR_4G, OFFLINE, WIFI, NetworkLink
 from .cost import BYTES_PER_WORD, LayerCost, ModelCostProfile, profile_model
 from .simulator import ExecutionCost, estimate_execution, estimate_transfer
-from .fleet import DeviceState, FleetDevice, FleetSimulator
 
 __all__ = [
     "DeviceProfile",
@@ -32,7 +35,4 @@ __all__ = [
     "ExecutionCost",
     "estimate_execution",
     "estimate_transfer",
-    "DeviceState",
-    "FleetDevice",
-    "FleetSimulator",
 ]

@@ -25,6 +25,17 @@ def _labels_array(labels):
     return np.asarray(labels).astype(int).reshape(-1)
 
 
+def _check_rows(loss, scores, labels):
+    """Refuse scores that are not (batch, classes) or labels that are not
+    one per row: indexing ``scores[arange(labels.size), labels]`` would
+    silently pick the wrong entries."""
+    if scores.ndim != 2 or labels.size != scores.shape[0]:
+        raise ValueError(
+            "{} needs (batch, classes) scores and one label per row; got "
+            "scores of shape {} and {} labels".format(
+                loss, scores.shape, labels.size))
+
+
 def cross_entropy(logits, labels, weight=None, reduction="mean"):
     """Softmax cross-entropy from raw logits.
 
@@ -41,6 +52,7 @@ def cross_entropy(logits, labels, weight=None, reduction="mean"):
     """
     logits = as_tensor(logits)
     labels = _labels_array(labels)
+    _check_rows("cross_entropy", logits, labels)
     log_probs = T.log_softmax(logits, axis=-1)
     picked = log_probs[np.arange(labels.size), labels]
     losses = -picked
@@ -54,6 +66,7 @@ def nll_loss(log_probs, labels, reduction="mean"):
     """Negative log-likelihood given log-probabilities."""
     log_probs = as_tensor(log_probs)
     labels = _labels_array(labels)
+    _check_rows("nll_loss", log_probs, labels)
     picked = log_probs[np.arange(labels.size), labels]
     return _reduce(-picked, reduction)
 
@@ -91,6 +104,7 @@ def hinge_loss(scores, labels, margin=1.0, reduction="mean"):
     """
     scores = as_tensor(scores)
     labels = _labels_array(labels)
+    _check_rows("hinge_loss", scores, labels)
     n = labels.size
     correct = scores[np.arange(n), labels].reshape(n, 1)
     margins = T.relu(scores - correct + margin)

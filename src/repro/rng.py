@@ -53,7 +53,7 @@ NAMESPACES = {
     "selective-participant": 0x10002, # SelectiveSGDParticipant shuffling
     "chaos-spec": 0x10003,            # random_fault_spec rate draws
     "serve-traffic": 0x10004,         # OpenLoopTraffic arrivals
-    "mobile-device": 0x10005,         # DeviceTrace diurnal availability
+    "mobile-device": 0x10005,         # per-device diurnal schedules (sampler)
     "dpsgd": 0x10006,                 # DPSGDTrainer sample/noise spawn root
     "dpfedavg": 0x10007,              # DPFedAvg sample/noise spawn root
     "pate": 0x10008,                  # PATE aggregation noise spawn root

@@ -343,10 +343,11 @@ def _build_cross_entropy(ctx, logits, labels):
     softmax is ``exp(shifted - logsum)``, scaled by ``1/batch`` before
     the label entries lose ``1/batch``, so compiled and eager gradients
     are bit-identical."""
-    if logits.ndim != 2:
-        raise UnsupportedModuleError(
-            "cross-entropy training plans need (batch, classes) logits; "
-            "got shape {}".format(logits.shape))
+    if logits.ndim != 2 or labels.size != logits.shape[0]:
+        raise ShapeError(
+            "cross-entropy training plans need (batch, classes) logits and "
+            "one label per row; got logits of shape {} and {} labels".format(
+                logits.shape, labels.size))
     batch, classes = logits.shape
     dtype = _grad_dtype(logits)
     maxes = ctx.alloc((batch, 1), dtype)

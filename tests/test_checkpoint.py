@@ -84,7 +84,6 @@ def fedavg_state(loop, history):
     return {
         "server": arrays_of(loop.server.state),
         "version": loop.server.version,
-        "rng": loop.rng.bit_generator.state,
         "clients": [client.rng_state() for client in loop.clients],
         "clock": loop.clock.now,
         "history": [(version, arrays_of(state))

@@ -15,11 +15,14 @@ The load-bearing invariants:
 * two-tier quorum re-booking conserves bytes: sent == delivered + wasted
   on every commit/abort path, asserted per round in the ledger;
 * streaming checkpoints resume bit-exactly with bounded peak memory;
-* the object-client adapter produces identical models, ledgers, and
-  client RNG streams under either engine path, and matches FedAvg in
-  the fault-free full-participation case;
-* FedAvg's fault-injected rounds run on the engine: a round never opens
-  inside a link window, and only survivors train.
+* an hour only narrows who is eligible, never the sampling keys;
+* FedAvg samples with the keyed sampler: a round nobody is eligible
+  for trains nobody and moves nothing, and a run under the hourly
+  eligibility policy resumes bit-exactly;
+* FedAvg's fault-injected rounds run on the engine: identical models,
+  ledgers and client RNG streams under either engine path, a round
+  never opens inside a link window (in the simulator either), and only
+  survivors train.
 """
 
 import os
@@ -42,7 +45,10 @@ from repro.federated import (
     CommunicationLedger,
     FedAvg,
     FederatedClient,
+    FedSGD,
+    ParameterServer,
     RobustnessPolicy,
+    RoundTraffic,
 )
 from repro.federated.fleet import (
     OUT_BLOCKED,
@@ -52,13 +58,11 @@ from repro.federated.fleet import (
     OUT_SUCCESS,
     OUTCOME_NAMES,
     EdgeTopology,
-    FleetFedAvg,
     FleetSimulator,
     FleetState,
     SAMPLING_POLICIES,
     decide_round,
     edge_partition,
-    hierarchical_average,
     load_fleet_checkpoint,
     load_fleet_state,
     sample_clients,
@@ -66,6 +70,7 @@ from repro.federated.fleet import (
 )
 from repro.federated.fleet import engine
 from repro.federated.fleet.checkpoint import DEFAULT_CHUNK_ROWS
+from repro.rng import derive_rng
 from repro.synth import iid_partition, make_digits
 
 CHAOS = FaultSpec(dropout_rate=0.3, straggler_rate=0.4, straggler_scale=6.0,
@@ -325,6 +330,21 @@ class TestSampling:
         state = FleetState.build(50, seed=0)
         state.battery[:] = 0.0
         assert sample_clients(state, 1, 0.5).shape == (0,)
+
+    @pytest.mark.parametrize("hour", [3.0, 13.0, 20.5])
+    def test_hour_narrows_eligibility_but_keeps_the_keys(self, hour):
+        # With an hour, the picks are still the smallest keys of the
+        # round's uniform draw, now among the devices the hour admits.
+        state = FleetState.build(400, seed=12)
+        for round_index in range(1, 6):
+            admitted = sample_clients(state, round_index, 1.0, seed=3,
+                                      hour=hour)
+            picks = sample_clients(state, round_index, 0.3, seed=3,
+                                   hour=hour)
+            keys = derive_rng(3, "fleet-sample", round_index).random(400)
+            count = min(max(1, round(0.3 * admitted.size)), admitted.size)
+            nearest = admitted[np.argsort(keys[admitted])[:count]]
+            np.testing.assert_array_equal(picks, np.sort(nearest))
 
     def test_invalid_arguments(self):
         state = FleetState.build(10, seed=0)
@@ -734,26 +754,6 @@ class TestHierarchy:
             edge_partition(decisions, bad_edges,
                            EdgeTopology(num_edges=2), 100)
 
-    def test_hierarchical_average_matches_flat_average(self):
-        rng = np.random.default_rng(0)
-        updates = [{"w": rng.normal(size=4)} for _ in range(6)]
-        weights = [3.0, 1.0, 2.0, 5.0, 1.0, 4.0]
-        edges = [0, 0, 1, 1, 2, 2]
-        committed = np.asarray([True, True, True])
-        result = hierarchical_average(updates, weights, edges, committed)
-        flat = sum(w * u["w"] for u, w in zip(updates, weights)) \
-            / sum(weights)
-        np.testing.assert_allclose(result["w"], flat, rtol=1e-12)
-
-    def test_hierarchical_average_skips_uncommitted_edges(self):
-        updates = [{"w": np.ones(2)}, {"w": np.full(2, 3.0)}]
-        committed = np.asarray([True, False])
-        result = hierarchical_average(updates, [1.0, 1.0], [0, 1], committed)
-        np.testing.assert_array_equal(result["w"], np.ones(2))
-        with pytest.raises(ValueError):
-            hierarchical_average(updates, [1.0, 1.0], [0, 1],
-                                 np.asarray([False, False]))
-
 
 # ----------------------------------------------------------------------
 # Decision-level simulator
@@ -807,6 +807,20 @@ class TestFleetSimulator:
         state = FleetState.build(64, seed=0, num_edges=4)
         with pytest.raises(ValueError):
             FleetSimulator(state, topology=EdgeTopology(num_edges=2))
+
+    def test_round_opening_in_a_link_window_waits_for_it(self):
+        # The clock starts inside a 300 s window and no device may retry:
+        # the round commits only if it opens after the window.
+        spec = FaultSpec(link_down_period_s=1000.0,
+                         link_down_duration_s=300.0)
+        sim = FleetSimulator(FleetState.build(4, seed=0),
+                             injector=FaultInjector(spec, seed=0),
+                             policy=RobustnessPolicy(max_retries=0),
+                             client_fraction=1.0, min_battery=0.0)
+        record = sim.run_round()
+        assert record["cloud_commit"]
+        assert record["survived"] == 4
+        assert sim.clock.now > 300.0
 
 
 # ----------------------------------------------------------------------
@@ -880,7 +894,7 @@ class TestStreamingCheckpoint:
 
 
 # ----------------------------------------------------------------------
-# Object-client adapter
+# FedAvg and FedSGD on the fleet sampler and engine
 # ----------------------------------------------------------------------
 def model_fn():
     rng = np.random.default_rng(42)
@@ -902,81 +916,100 @@ def make_clients(shards):
     ]
 
 
-class TestFleetFedAvg:
-    def run_chaos(self, shards, vectorized):
-        loop = FleetFedAvg(
-            make_clients(shards), model_fn,
-            injector=FaultInjector(spec=MILD, seed=9),
-            policy=RobustnessPolicy(max_retries=2, max_staleness=1,
-                                    min_quorum=2),
-            topology=EdgeTopology(num_edges=3),
-            local_epochs=2, client_fraction=0.8,
-            sampling="battery-aware", seed=6)
-        with engine_path(vectorized):
-            loop.run(4)
-        return loop
+def run_state(loop, history):
+    """What a run leaves behind, in comparable form."""
+    return {
+        "server": {name: value.tobytes()
+                   for name, value in loop.server.state.items()},
+        "version": loop.server.version,
+        "clients": [client.rng_state() for client in loop.clients],
+        "clock": loop.clock.now if loop.clock is not None else None,
+        "ledger": history.ledger.to_dict(),
+        "records": list(history.records),
+    }
 
-    def test_engines_produce_identical_training(self, federation):
-        shards, _ = federation
-        vec = self.run_chaos(shards, vectorized=True)
-        ref = self.run_chaos(shards, vectorized=False)
-        assert vec.server.version == ref.server.version
-        for name in vec.server.state:
-            assert np.array_equal(vec.server.state[name],
-                                  ref.server.state[name]), name
-        assert vec.ledger.to_dict() == ref.ledger.to_dict()
-        assert [c.rng_state() for c in vec.clients] \
-            == [c.rng_state() for c in ref.clients]
-        assert vec.state.fingerprint() == ref.state.fingerprint()
-        assert_conserved(vec.ledger)
 
-    def test_matches_legacy_fedavg_without_faults(self, federation):
+class TestFederatedSampling:
+    """Both loops sample with the keyed fleet sampler."""
+
+    # At 13:00 none of the 12 devices built from this seed is eligible
+    # in round 1 (asserted below through the sampler itself).
+    MIDDAY_SEED = 1
+
+    @pytest.mark.parametrize("kind", ["fedavg", "fedavg-chaos", "fedsgd"])
+    def test_round_nobody_is_eligible_for_trains_nobody(self, federation,
+                                                         kind):
         shards, eval_data = federation
-        fleet = FleetFedAvg(make_clients(shards), model_fn, local_epochs=3,
-                            client_fraction=1.0, min_battery=0.0, seed=6)
-        fleet_history = fleet.run(5, eval_data=eval_data)
-        legacy = FedAvg(make_clients(shards), model_fn, local_epochs=3,
-                        client_fraction=1.0, seed=6)
-        legacy_history = legacy.run(5, eval_data)
-        assert [r.accuracy for r in fleet_history.records] \
-            == [r.accuracy for r in legacy_history.records]
+        seed = self.MIDDAY_SEED
+        devices = FleetState.build(len(shards), seed)
+        assert sample_clients(devices, 1, 1.0, seed=seed, min_battery=0.0,
+                              hour=13.0).size == 0
+        clients = make_clients(shards)
 
-    def test_history_records_sampled_participants(self, federation):
-        shards, eval_data = federation
-        fleet = FleetFedAvg(make_clients(shards), model_fn, local_epochs=1,
-                            client_fraction=0.25, min_battery=0.0, seed=6)
-        fleet_history = fleet.run(3, eval_data=eval_data)
-        legacy = FedAvg(make_clients(shards), model_fn, local_epochs=1,
-                        client_fraction=0.25, seed=6)
-        legacy_history = legacy.run(3, eval_data)
-        sampled = round(0.25 * len(shards))
-        assert [r.participants for r in fleet_history.records] \
-            == [sampled] * 3
-        assert [r.participants for r in legacy_history.records] \
-            == [sampled] * 3
+        def train(*args, **kwargs):
+            raise AssertionError("a client trained in an empty round")
 
-    def test_quorum_abort_skips_version_bump(self, federation):
-        shards, _ = federation
-        loop = FleetFedAvg(
-            make_clients(shards), model_fn,
-            injector=FaultInjector(
-                spec=FaultSpec(dropout_rate=1.0), seed=1),
-            policy=RobustnessPolicy(max_retries=0),
-            client_fraction=1.0, min_battery=0.0, seed=3)
-        summary = loop.run_round()
-        assert not summary.cloud_commit
+        for client in clients:
+            client.local_train = client.compute_gradient = train
+        if kind == "fedsgd":
+            loop = FedSGD(clients, model_fn, hours_per_round=13.0, seed=seed)
+        else:
+            injector = (FaultInjector(MILD, seed=0)
+                        if kind == "fedavg-chaos" else None)
+            loop = FedAvg(clients, model_fn, hours_per_round=13.0,
+                          seed=seed, injector=injector)
+        history = loop.run(1, eval_data)
+        assert [record.participants for record in history.records] == [0]
+        assert history.records[0].accuracy \
+            == ParameterServer(model_fn).evaluate(*eval_data)
+        assert history.ledger.rounds == [RoundTraffic(0, 0)]
         assert loop.server.version == 0
-        assert_conserved(loop.ledger)
 
-    def test_fleet_size_must_match_clients(self, federation):
-        shards, _ = federation
-        state = FleetState.build(5, seed=0)
-        with pytest.raises(ValueError):
-            FleetFedAvg(make_clients(shards), model_fn, fleet_state=state)
+    def test_kill_resume_under_the_hourly_policy_is_bit_exact(
+            self, federation, tmp_path):
+        shards, eval_data = federation
+
+        def make():
+            return FedAvg(make_clients(shards), model_fn, local_epochs=1,
+                          lr=0.3, client_fraction=0.5, hours_per_round=5.0,
+                          seed=2, injector=FaultInjector(MILD, seed=4),
+                          policy=RobustnessPolicy(max_retries=1,
+                                                  max_staleness=1))
+
+        reference = make()
+        expected = run_state(reference, reference.run(6, eval_data))
+        path = str(tmp_path / "fedavg.ckpt")
+        make().run(3, eval_data, checkpoint_path=path)
+        resumed = make()
+        history = resumed.run(6, eval_data, checkpoint_path=path,
+                              resume=True)
+        assert run_state(resumed, history) == expected
+        # The hours matter: some rounds found nobody eligible.
+        participants = [record.participants for record in history.records]
+        assert 0 in participants and max(participants) > 0
 
 
 class TestFedAvgOnEngine:
     """FedAvg's fault-injected rounds are decided by the fleet engine."""
+
+    def run_chaos(self, shards, eval_data, vectorized):
+        loop = FedAvg(make_clients(shards), model_fn, local_epochs=2,
+                      client_fraction=0.8, seed=6,
+                      injector=FaultInjector(spec=MILD, seed=9),
+                      policy=RobustnessPolicy(max_retries=2, max_staleness=1,
+                                              min_quorum=2))
+        with engine_path(vectorized):
+            history = loop.run(4, eval_data)
+        return loop, history
+
+    def test_engines_produce_identical_training(self, federation):
+        shards, eval_data = federation
+        vec, vec_history = self.run_chaos(shards, eval_data, vectorized=True)
+        ref, ref_history = self.run_chaos(shards, eval_data,
+                                          vectorized=False)
+        assert vec.server.version > 0
+        assert run_state(vec, vec_history) == run_state(ref, ref_history)
+        assert_conserved(vec_history.ledger)
 
     def test_round_opening_in_a_link_window_waits_for_it(self, federation):
         # The clock starts inside a 300 s window.  One attempt each and a

@@ -18,7 +18,6 @@ from repro.mobile import (
     CLOUD_SERVER,
     MID_RANGE_PHONE,
     WIFI,
-    FleetSimulator,
     estimate_execution,
     profile_model,
 )
@@ -82,7 +81,7 @@ class TestTrainCompressDeploy:
 
 
 class TestFederatedWithFleet:
-    """FedAvg over the fleet simulator's eligibility policy."""
+    """FedAvg under the sampler's hourly eligibility policy."""
 
     def test_training_respects_eligibility(self):
         x, y = make_digits(600, seed=1)
@@ -98,10 +97,8 @@ class TestFederatedWithFleet:
             FederatedClient(i, ArrayDataset(x[p], y[p]), model_fn, seed=i)
             for i, p in enumerate(parts)
         ]
-        fleet = FleetSimulator(num_devices=12, seed=0)
         trainer = FedAvg(clients, model_fn, local_epochs=2, lr=0.1,
-                         client_fraction=1.0, fleet=fleet,
-                         hours_per_round=2.0, seed=0)
+                         client_fraction=1.0, hours_per_round=2.0, seed=0)
         history = trainer.run(6, make_digits(150, seed=2))
         # Rounds happened and participation varied with the diurnal cycle.
         participants = [r.participants for r in history.records]

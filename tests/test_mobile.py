@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.federated.fleet import FleetState, sample_clients
 from repro.mobile import (
     BYTES_PER_WORD,
     CELLULAR_3G,
@@ -14,14 +15,13 @@ from repro.mobile import (
     MID_RANGE_PHONE,
     OFFLINE,
     WIFI,
-    DeviceState,
     EnergyConstants,
-    FleetSimulator,
     NetworkLink,
     estimate_execution,
     estimate_transfer,
     profile_model,
 )
+from repro.rng import derive_rng
 
 
 @pytest.fixture
@@ -158,33 +158,85 @@ class TestExecutionCost:
         assert total.bytes_up == 15 and total.bytes_down == 25
 
 
+def policy_draws(num_devices, round_index, hour, seed=0):
+    """A per-device oracle of the fleet's hourly eligibility policy.
+
+    Replays the sampler's draws (the schedule stream, then the round's
+    generator after its uniform keys) and returns each device's
+    ``(charging, idle, on_wifi, battery)``.
+    """
+    schedule = derive_rng(seed, "mobile-device")
+    night_owl = schedule.uniform(-0.5, 1.0, num_devices)
+    wifi_at_home = np.clip(schedule.normal(0.9, 0.08, num_devices), 0.4, 1.0)
+    rng = derive_rng(seed, "fleet-sample", round_index)
+    rng.random(num_devices)  # the round's sampling keys
+    draws = [rng.random(num_devices) for _ in range(4)]
+    conditions = []
+    for i in range(num_devices):
+        local = (hour % 24.0 + 6.0 * night_owl[i]) % 24.0
+        asleep = 0.9 if (local >= 23.0 or local < 7.0) else 0.1
+        charging_p = 0.85 if (local >= 22.0 or local < 7.5) else 0.15
+        wifi_p = wifi_at_home[i] if (local >= 18.0 or local < 8.5) else 0.35
+        charging = draws[0][i] < charging_p
+        idle = draws[1][i] < asleep or draws[2][i] < 0.15
+        conditions.append((charging, idle, draws[3][i] < wifi_p))
+    batteries = rng.normal(0.55 + 0.35 * np.asarray(
+        [charging for charging, _, _ in conditions]), 0.15)
+    return [c + (float(b),) for c, b in zip(conditions, batteries)]
+
+
+def admitted(num_devices, round_index, hour, seed=0):
+    """Rows the sampler admits at ``hour``: everyone the hour allows."""
+    return sample_clients(FleetState.build(num_devices, seed), round_index,
+                          1.0, seed=seed, min_battery=0.0, hour=hour)
+
+
 class TestFleet:
+    """The fleet's availability: Google's policy of training only on idle,
+    charging devices on unmetered WiFi, applied by the federated sampler
+    at a given hour."""
+
     def test_eligibility_policy(self):
-        eligible = DeviceState(charging=True, idle=True,
-                               on_unmetered_wifi=True, battery_fraction=0.9)
-        assert eligible.eligible()
-        for flag in ("charging", "idle", "on_unmetered_wifi"):
-            kwargs = dict(charging=True, idle=True, on_unmetered_wifi=True,
-                          battery_fraction=0.9)
-            kwargs[flag] = False
-            assert not DeviceState(**kwargs).eligible()
+        for round_index, hour in ((1, 2.0), (2, 13.0), (3, 21.0)):
+            expected = [
+                row for row, (charging, idle, wifi, battery)
+                in enumerate(policy_draws(300, round_index, hour))
+                if charging and idle and wifi and battery >= 0.2]
+            assert admitted(300, round_index, hour).tolist() == expected
 
     def test_low_battery_blocks(self):
-        state = DeviceState(charging=True, idle=True, on_unmetered_wifi=True,
-                            battery_fraction=0.05)
-        assert not state.eligible(min_battery=0.2)
+        # A device the hour admits still needs the battery the sampler
+        # asks for: the two filters compose.
+        state = FleetState.build(300, seed=0)
+        blocked = 0
+        for round_index in range(1, 4):
+            hourly = sample_clients(state, round_index, 1.0, seed=0,
+                                    min_battery=0.0, hour=3.0)
+            rows = sample_clients(state, round_index, 1.0, seed=0,
+                                  min_battery=0.2, hour=3.0)
+            charged = hourly[state.battery[hourly] >= 0.2]
+            np.testing.assert_array_equal(rows, charged)
+            blocked += hourly.size - charged.size
+        assert blocked > 0
 
     def test_fleet_diurnal_pattern(self):
-        fleet = FleetSimulator(num_devices=200, seed=0)
-        night = fleet.eligibility_curve([3.0])[0]
-        midday = fleet.eligibility_curve([13.0])[0]
-        assert night > midday + 0.2
+        def eligible_share(hour):
+            return np.mean([admitted(200, r, hour).size
+                            for r in range(20)]) / 200
+
+        assert eligible_share(3.0) > eligible_share(13.0) + 0.2
 
     def test_eligible_ids_subset(self):
-        fleet = FleetSimulator(num_devices=30, seed=0)
-        ids = fleet.eligible_at(2.0)
-        assert set(ids) <= set(range(30))
+        # An hour only ever removes devices from the eligible set.
+        state = FleetState.build(300, seed=5)
+        for round_index in range(1, 4):
+            everyone = set(sample_clients(state, round_index, 1.0,
+                                          seed=5).tolist())
+            for hour in (0.0, 2.0, 9.5, 13.0, 19.0, 47.0):
+                rows = sample_clients(state, round_index, 1.0, seed=5,
+                                      hour=hour)
+                assert set(rows.tolist()) <= everyone
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FleetSimulator(num_devices=0)
+            FleetState.build(0, seed=0)

@@ -50,6 +50,16 @@ class TestCrossEntropy:
         loss = losses.cross_entropy(logits, [1])
         assert np.isfinite(loss.item())
 
+    @pytest.mark.parametrize("shape, num_labels", [
+        ((2, 5, 3), 2),  # (batch, time, classes): read as rows of time
+        ((4, 3), 2),     # fewer labels than rows: averaged over two rows
+        ((4,), 4),       # no class axis
+    ], ids=["rank-3", "fewer-labels", "rank-1"])
+    def test_misshapen_inputs_raise(self, shape, num_labels):
+        with pytest.raises(ValueError, match="one label per row"):
+            losses.cross_entropy(Tensor(np.zeros(shape)),
+                                 np.zeros(num_labels, dtype=int))
+
 
 class TestOtherLosses:
     def test_nll_matches_cross_entropy(self, rng):
@@ -60,6 +70,16 @@ class TestOtherLosses:
         ce = losses.cross_entropy(logits, labels)
         nll = losses.nll_loss(T.log_softmax(logits), labels)
         assert ce.item() == pytest.approx(nll.item())
+
+    @pytest.mark.parametrize("loss, shape, num_labels", [
+        (losses.nll_loss, (2, 5, 3), 2),
+        (losses.nll_loss, (4, 3), 2),
+        (losses.hinge_loss, (4, 3), 1),  # one label broadcast over rows
+    ], ids=["nll-rank-3", "nll-fewer-labels", "hinge-fewer-labels"])
+    def test_label_losses_refuse_misshapen_inputs(self, loss, shape,
+                                                  num_labels):
+        with pytest.raises(ValueError, match="one label per row"):
+            loss(Tensor(np.zeros(shape)), np.zeros(num_labels, dtype=int))
 
     def test_bce_matches_formula(self, rng):
         z = rng.normal(size=(6,))

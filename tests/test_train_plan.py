@@ -835,6 +835,25 @@ def test_fedavg_compiler_bug_is_not_hidden_by_eager(broken_linear_rule):
         client.local_train(model_fn().state_dict(), batch_size=8)
 
 
+def test_cross_entropy_refuses_logits_that_are_not_rank_2():
+    """The fused loss raises ShapeError, which no trainer reads as "no
+    rule", so a model with (batch, time, classes) logits fails to train
+    instead of falling back to a wrong eager loss."""
+    ctx = train_plan_mod.TrainContext(train_plan_mod.TrainingArena())
+    logits = ctx.alloc((2, 5, 3), np.float64)
+    labels = ctx.alloc((2,), np.intp)
+    with pytest.raises(ShapeError):
+        train_plan_mod._build_cross_entropy(ctx, logits, labels)
+
+    def model_fn():
+        return nn.Linear(4, 3, rng=np.random.default_rng(0))
+
+    shard = ArrayDataset(np.zeros((6, 5, 4)), np.zeros(6, dtype=np.intp))
+    with pytest.raises(ValueError, match="one label per row"):
+        FederatedClient(0, shard, model_fn).local_train(
+            model_fn().state_dict(), batch_size=2)
+
+
 def test_fedavg_out_of_range_label_raises_as_eager():
     """A label equal to the class count past the compile batch fails the
     call, as the eager loop does, and the shared trainer still trains the
