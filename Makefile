@@ -6,9 +6,9 @@
 
 export PYTHONPATH := src
 
-.PHONY: check test lint sanitize-check chaos-check privacy-audit serve-check fleet-check train-check fleetsim-check plan-audit determinism-check bench-smoke bench-record bench
+.PHONY: check test lint sanitize-check chaos-check privacy-audit serve-check fleet-check train-check fleetsim-check plan-audit determinism-check perfbench-check bench-smoke bench-record bench
 
-check: test lint sanitize-check chaos-check privacy-audit serve-check fleet-check train-check fleetsim-check plan-audit determinism-check bench-smoke
+check: test lint sanitize-check chaos-check privacy-audit serve-check fleet-check train-check fleetsim-check plan-audit determinism-check perfbench-check bench-smoke
 
 test:
 	python -m pytest -x -q
@@ -104,6 +104,17 @@ plan-audit:
 # event.  Exits non-zero on any violation.
 determinism-check:
 	python -m repro.analysis.determinism audit
+
+# Repository-benchmark gate: perfbench's own tests, then a one-second
+# run of each workload.  Every run checks its workload's correctness
+# gates (fleet-1m's resume-fingerprint gate among them) and exits 1 when
+# one fails; no timing is checked here.
+perfbench-check:
+	python3 -m pytest perfbench/test_perfbench.py -q
+	for workload in serve-openloop train-ondevice fedavg-chaos fleet-1m; do \
+		python3 perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 1 --trace 0 || exit 1; \
+	done
 
 bench-smoke:
 	python -m pytest benchmarks/test_perf_microbench.py -q

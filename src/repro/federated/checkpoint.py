@@ -20,10 +20,10 @@ Members are stored, not deflated: a FedAvg round checkpoint is about
 100 KB, and zlib cost several times the rest of the save.
 
 Two schemas share the container: the fleet simulator's column snapshot
-(:mod:`repro.federated.fleet.checkpoint`) and the FedAvg round
-checkpoint below (``fedavg-checkpoint-v2``).  The latter captures
-everything a loop needs to continue *bit-for-bit* as if it had never
-stopped:
+(``fleet-checkpoint-v2``, :mod:`repro.federated.fleet.checkpoint`) and
+the FedAvg round checkpoint below (``fedavg-checkpoint-v2``).  The
+latter captures everything a loop needs to continue *bit-for-bit* as if
+it had never stopped:
 
 * the global model state (``state/<name>.npy``) and its aggregation
   version,

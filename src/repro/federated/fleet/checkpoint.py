@@ -1,11 +1,17 @@
 """Streaming round checkpoints for million-client fleets.
 
-A fleet snapshot (``fleet-checkpoint-v1``) is the snapshot container of
+A fleet snapshot (``fleet-checkpoint-v2``) is the snapshot container of
 :mod:`repro.federated.checkpoint` with
 
 * ``meta.json`` — round counter, clock, topology, ledger, history, and
   the column manifest;
-* ``col_<name>.npy`` — one ``.npy`` member per fleet column.
+* ``col_<name>.npy`` — one ``.npy`` member per fleet column, at the
+  column's width in :data:`~repro.federated.fleet.state.COLUMNS`
+  (93 bytes a device).
+
+``fleet-checkpoint-v1`` held every integer column as int64; such a file
+is refused with a :class:`~repro.federated.checkpoint.CheckpointError`
+naming both formats.
 
 The writer streams each column into its member straight from the
 column's memory, and the reader ``readinto``s bounded chunks directly
@@ -19,17 +25,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..checkpoint import CHUNK_BYTES, META, read_snapshot, write_snapshot
+from ..checkpoint import META, read_snapshot, write_snapshot
 from ..comm import CommunicationLedger
 from .state import COLUMNS, FleetState
 
 __all__ = ["save_fleet_checkpoint", "load_fleet_checkpoint",
            "load_fleet_state"]
 
-FORMAT = "fleet-checkpoint-v1"
-
-# Rows of an 8-byte column per streamed chunk: every column is f8 or i8.
-DEFAULT_CHUNK_ROWS = CHUNK_BYTES // 8
+FORMAT = "fleet-checkpoint-v2"
 
 
 def _member(name):

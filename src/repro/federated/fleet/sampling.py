@@ -20,11 +20,12 @@ Three policies:
 
 Given an ``hour``, the paper's eligibility policy (Sec. II-B) narrows
 the eligible set further: a device trains only while it is idle,
-charging and on unmetered WiFi, with at least 0.2 of its battery left.
-Each device's daily schedule is a pure function of the seed (the
-``mobile-device`` stream); its conditions in a round are drawn from the
-round's generator after the uniform keys, so an hour changes who is
-eligible, never the keys.
+charging and on unmetered WiFi.  How much battery it needs is the
+``min_battery`` rule on the fleet's own ``battery`` column, which
+applies with or without an hour.  Each device's daily schedule is a
+pure function of the seed (the ``mobile-device`` stream); its
+conditions in a round are drawn from the round's generator after the
+uniform keys, so an hour changes who is eligible, never the keys.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ SAMPLING_POLICIES = ("uniform", "battery-aware", "stratified-by-link")
 # Floor for the battery weight: keeps the race finite for devices at
 # exactly the eligibility threshold.
 _MIN_WEIGHT = 1e-9
-
-# The least drawn battery the hourly eligibility policy admits.
-_POLICY_MIN_BATTERY = 0.2
 
 
 def sample_clients(state, round_index, fraction, policy="uniform", seed=0,
@@ -88,8 +86,8 @@ def _policy_admits(num_clients, hour, rng, seed):
     Users charge overnight, are idle while asleep and are on home WiFi
     in the evening and at night; each device shifts that day by up to
     6 h and has its own home-WiFi probability, both drawn from the
-    seed's ``mobile-device`` stream.  The conditions themselves, and
-    the battery level, are drawn from ``rng``.
+    seed's ``mobile-device`` stream.  The conditions themselves are
+    drawn from ``rng``.
     """
     schedule = derive_rng(seed, "mobile-device")
     night_owl = schedule.uniform(-0.5, 1.0, num_clients)
@@ -102,8 +100,7 @@ def _policy_admits(num_clients, hour, rng, seed):
     idle = ((rng.random(num_clients) < asleep)
             | (rng.random(num_clients) < 0.15))
     wifi = rng.random(num_clients) < wifi_p
-    battery = rng.normal(0.55 + 0.35 * charging, 0.15)
-    return charging & idle & wifi & (battery >= _POLICY_MIN_BATTERY)
+    return charging & idle & wifi
 
 
 def _stratified(state, eligible, uniforms, count):

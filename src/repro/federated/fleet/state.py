@@ -7,9 +7,11 @@ whole fleet is a handful of numpy columns — battery level, link
 bandwidth/latency, compute slowdown, staleness, byte counters — so a
 round over 1M devices touches arrays, never per-client Python.
 
-Column layout (name, dtype) is a contract shared with the streaming
-checkpoint format (:mod:`repro.federated.fleet.checkpoint`): append new
-columns at the end, never reorder.
+Each column is stored at the width its values need: 93 bytes a device,
+so a 1M-client fleet is 93 MB.  Column layout (name, dtype) is a
+contract shared with the streaming checkpoint format
+(:mod:`repro.federated.fleet.checkpoint`): append new columns at the
+end, never reorder, and change the format tag with any width.
 """
 
 from __future__ import annotations
@@ -24,23 +26,25 @@ from ...rng import derive_rng
 __all__ = ["FleetState", "COLUMNS", "LINK_TIERS"]
 
 # (name, dtype string) in checkpoint order.  "f8" columns are simulation
-# state; "i8" columns are counters the simulator accumulates.
+# state.  Tiers, edge ids, sample counts, version lags and round counters
+# fit "u1" or "i4"; only the lifetime byte counters need "i8" (with a
+# 10 MB model a device passes 2**31 bytes in about 200 rounds).
 COLUMNS = (
     ("battery", "f8"),          # state of charge in [0, 1]
     ("charge_rate", "f8"),      # recharge per idle round
     ("drain", "f8"),            # discharge per participating round
     ("link_bw", "f8"),          # bytes/second
     ("link_latency", "f8"),     # seconds per transfer setup
-    ("link_tier", "i8"),        # index into LINK_TIERS (sampling strata)
+    ("link_tier", "u1"),        # index into LINK_TIERS (sampling strata)
     ("slowdown", "f8"),         # persistent compute factor >= 1
-    ("num_samples", "i8"),      # local dataset size (aggregation weight)
-    ("edge", "i8"),             # edge-aggregator assignment
-    ("staleness", "i8"),        # last observed version lag
+    ("num_samples", "i4"),      # local dataset size (aggregation weight)
+    ("edge", "i4"),             # edge-aggregator assignment
+    ("staleness", "i4"),        # last observed version lag
     ("bytes_up", "i8"),         # delivered uplink bytes, lifetime
     ("bytes_down", "i8"),       # delivered downlink bytes, lifetime
     ("bytes_wasted", "i8"),     # wasted bytes, lifetime
-    ("rounds_selected", "i8"),  # times sampled into a round
-    ("rounds_completed", "i8"), # times the upload survived
+    ("rounds_selected", "i4"),  # times sampled into a round
+    ("rounds_completed", "i4"), # times the upload survived
 )
 
 # (bandwidth bytes/s, latency s) per connectivity tier: wifi, cellular,
@@ -80,23 +84,27 @@ class FleetState:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, num_clients, seed, num_edges=1, samples_range=(16, 64)):
+    def build(cls, num_clients, seed, num_edges=1):
         """Synthesize a fleet of ``num_clients`` devices.
 
         Every draw comes from the single ``fleet-init`` stream, so the
         fleet is a pure function of ``(seed, num_clients, num_edges)``.
-        Devices partition into ``num_edges`` contiguous edge cohorts.
+        Devices partition into ``num_edges`` contiguous edge cohorts:
+        device ``i`` is in edge ``i * num_edges // num_clients``.  Values
+        are drawn at 64 bits, then stored at their column's width.
         """
         n = int(num_clients)
+        num_edges = int(num_edges)
         if n <= 0:
             raise ValueError("num_clients must be positive")
-        if not 1 <= int(num_edges) <= n:
+        if not 1 <= num_edges <= n:
             raise ValueError("num_edges must be in [1, num_clients]")
         rng = derive_rng(seed, "fleet-init")
         tiers = np.asarray(LINK_TIERS)
         tier = (rng.random(n) * len(LINK_TIERS)).astype(np.int64)
-        ids = np.arange(n, dtype=np.int64)
-        columns = {
+        # Edge e's first device is the least i with i * num_edges >= e * n.
+        firsts = -(-np.arange(num_edges + 1) * n // num_edges)
+        drawn = {
             "battery": rng.uniform(0.05, 1.0, n),
             "charge_rate": rng.uniform(0.02, 0.10, n),
             "drain": rng.uniform(0.05, 0.15, n),
@@ -104,16 +112,12 @@ class FleetState:
             "link_latency": tiers[tier, 1] * rng.uniform(0.8, 1.5, n),
             "link_tier": tier,
             "slowdown": 1.0 + rng.exponential(0.25, n),
-            "num_samples": rng.integers(samples_range[0],
-                                        samples_range[1] + 1, n),
-            "edge": (ids * int(num_edges)) // n,
-            "staleness": np.zeros(n, dtype=np.int64),
-            "bytes_up": np.zeros(n, dtype=np.int64),
-            "bytes_down": np.zeros(n, dtype=np.int64),
-            "bytes_wasted": np.zeros(n, dtype=np.int64),
-            "rounds_selected": np.zeros(n, dtype=np.int64),
-            "rounds_completed": np.zeros(n, dtype=np.int64),
+            "num_samples": rng.integers(16, 65, n),
+            "edge": np.repeat(np.arange(num_edges), np.diff(firsts)),
         }
+        columns = {name: (drawn[name].astype(dtype, copy=False)
+                          if name in drawn else np.zeros(n, dtype=dtype))
+                   for name, dtype in COLUMNS}
         return cls(n, num_edges, columns)
 
     @classmethod
@@ -139,21 +143,24 @@ class FleetState:
         return int(sum(column.nbytes for column in self.columns().values()))
 
     def fingerprint(self):
-        """SHA-256 over layout and contents — the bit-exact resume oracle.
+        """SHA-256 over names and values — the bit-exact resume oracle.
 
-        Hashing is chunked so the fingerprint never materializes a
-        second copy of a full column.
+        Every column is hashed widened to 64 bits (integers as int64,
+        floats as float64), so the fingerprint depends on the values,
+        not on the width they are stored at.  Hashing is chunked so the
+        fingerprint never materializes a second copy of a full column.
         """
         digest = hashlib.sha256()
         digest.update("{}:{}".format(self.num_clients,
                                      self.num_edges).encode())
         for name, column in self.columns().items():
+            wide = np.dtype("f8" if column.dtype.kind == "f" else "i8")
             digest.update(name.encode())
-            digest.update(column.dtype.str.encode())
-            flat = np.ascontiguousarray(column)
-            step = max(1, _FINGERPRINT_CHUNK // max(column.itemsize, 1))
-            for start in range(0, flat.shape[0], step):
-                digest.update(flat[start:start + step].tobytes())
+            digest.update(wide.str.encode())
+            step = _FINGERPRINT_CHUNK // wide.itemsize
+            for start in range(0, column.shape[0], step):
+                digest.update(np.ascontiguousarray(
+                    column[start:start + step], dtype=wide))
         return digest.hexdigest()
 
     # ------------------------------------------------------------------
@@ -166,8 +173,17 @@ class FleetState:
         aligned with it.  Non-participants recharge, participants drain;
         battery clamps to [0, 1].  The battery column updates in place:
         the drained rows are computed first, the whole column recharges,
-        and the drained rows are written back over it.
+        and the drained rows are written back over it.  A lag the
+        ``staleness`` column cannot hold raises ``ValueError`` before
+        any column is written.
         """
+        lag = np.asarray(lag)
+        limits = np.iinfo(self.staleness.dtype)
+        if lag.size and (lag.min() < limits.min or lag.max() > limits.max):
+            raise ValueError(
+                "version lags span [{}, {}]; the staleness column holds "
+                "[{}, {}]".format(lag.min(), lag.max(), limits.min,
+                                  limits.max))
         drained = self.battery[rows] - self.drain[rows]
         self.battery += self.charge_rate
         self.battery[rows] = drained
@@ -177,4 +193,4 @@ class FleetState:
         self.bytes_down[rows] += down
         self.bytes_wasted[rows] += wasted
         self.rounds_selected[rows] += 1
-        self.rounds_completed[rows] += survived.astype(np.int64)
+        self.rounds_completed[rows] += survived

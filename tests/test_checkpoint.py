@@ -1,13 +1,14 @@
 """The snapshot container behind both checkpoint formats.
 
 FedAvg round checkpoints (``fedavg-checkpoint-v2``) and fleet snapshots
-(``fleet-checkpoint-v1``) share one stored ZIP container.  The
+(``fleet-checkpoint-v2``) share one stored ZIP container.  The
 invariants:
 
 * a damaged file (truncated anywhere, or any single bit flipped) either
   raises :class:`CheckpointError` or restores exactly the saved state;
 * a snapshot that does not fit the loop or fleet it is loaded into is
-  rejected before anything is overwritten;
+  rejected before anything is overwritten, and a file of either
+  format's v1 is refused with an error naming both versions;
 * a failed save leaves the previous checkpoint loadable and no temp
   file behind;
 * every member is stored, not deflated, and FedAvg's metadata is UTF-8
@@ -94,8 +95,8 @@ def fedavg_state(loop, history):
 
 
 def fleet_sim(num_clients=1000):
-    # Columns of 8 KB outgrow zipfile's 4 KiB read-ahead, so a damaged
-    # .npy header is parsed before the member's CRC-32 is checked.
+    # Float columns of 8 KB outgrow zipfile's 4 KiB read-ahead, so a
+    # damaged .npy header is parsed before the member's CRC-32 is checked.
     return FleetSimulator(
         FleetState.build(num_clients, seed=5, num_edges=4),
         injector=FaultInjector(FAULTS, seed=2),
@@ -242,7 +243,7 @@ def test_typed_errors_name_the_path_and_member(saved, workdir, kind):
         good = np.load(io.BytesIO(archive.read(member)))
     untagged = dict(meta)
     del untagged["format"]
-    other = "fleet-checkpoint-v1" if kind == "fedavg" else "fedavg-checkpoint-v2"
+    other = "fleet-checkpoint-v2" if kind == "fedavg" else "fedavg-checkpoint-v2"
     cases = {
         "missing": (None, None),
         "empty": (b"", None),
@@ -289,6 +290,34 @@ def test_legacy_fedavg_file_names_both_formats(workdir):
     message = str(caught.value)
     assert "fedavg-checkpoint-v1" in message
     assert "fedavg-checkpoint-v2" in message
+
+
+def test_fleet_v1_snapshot_names_both_formats(saved, workdir):
+    # What fleet-checkpoint-v1 wrote: the same members with every
+    # integer column int64.
+    blob, _ = saved["fleet"]
+    with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+        meta = json.loads(archive.read("meta.json"))
+        columns = {name: np.load(io.BytesIO(archive.read(name)))
+                   for name in archive.namelist() if name != "meta.json"}
+    members = {name: npy_bytes(column.astype(np.int64))
+               for name, column in columns.items()
+               if column.dtype.kind in "iu"}
+    assert len(members) == 9
+    members["meta.json"] = json.dumps(dict(meta,
+                                           format="fleet-checkpoint-v1"))
+    path = write(workdir / "fleet-v1.ckpt", rebuild(blob, replace=members))
+    sim = fleet_sim()
+    sim.run(1)
+    before = fleet_state(sim)
+    for load in (lambda: load_fleet_checkpoint(path, sim),
+                 lambda: load_fleet_state(path)):
+        with pytest.raises(CheckpointError) as caught:
+            load()
+        message = str(caught.value)
+        assert "fleet-checkpoint-v1" in message
+        assert "fleet-checkpoint-v2" in message
+    assert fleet_state(sim) == before
 
 
 # ----------------------------------------------------------------------
@@ -386,4 +415,4 @@ def test_members_are_stored_and_fedavg_meta_is_tagged_json(saved):
             dtype, shape, raw = expected["server"]["layer0.weight"]
             assert server["state/layer0.weight"].tobytes() == raw
         else:
-            assert meta["format"] == "fleet-checkpoint-v1"
+            assert meta["format"] == "fleet-checkpoint-v2"

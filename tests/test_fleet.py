@@ -15,6 +15,8 @@ The load-bearing invariants:
 * two-tier quorum re-booking conserves bytes: sent == delivered + wasted
   on every commit/abort path, asserted per round in the ledger;
 * streaming checkpoints resume bit-exactly with bounded peak memory;
+* fingerprints hash values, not storage widths: a seeded run's
+  fingerprint is pinned under every sampling policy;
 * an hour only narrows who is eligible, never the sampling keys;
 * FedAvg samples with the keyed sampler: a round nobody is eligible
   for trains nobody and moves nothing, and a run under the hourly
@@ -50,6 +52,7 @@ from repro.federated import (
     RobustnessPolicy,
     RoundTraffic,
 )
+from repro.federated.checkpoint import CHUNK_BYTES
 from repro.federated.fleet import (
     OUT_BLOCKED,
     OUT_CUT,
@@ -69,7 +72,6 @@ from repro.federated.fleet import (
     save_fleet_checkpoint,
 )
 from repro.federated.fleet import engine
-from repro.federated.fleet.checkpoint import DEFAULT_CHUNK_ROWS
 from repro.rng import derive_rng
 from repro.synth import iid_partition, make_digits
 
@@ -273,6 +275,23 @@ class TestFleetState:
         assert state.bytes_wasted[5] == 300
         assert state.staleness[7] == 2
 
+    def test_apply_round_refuses_a_lag_the_column_cannot_hold(self):
+        state = FleetState.build(10, seed=1)
+        before = {name: column.copy()
+                  for name, column in state.columns().items()}
+        rows = np.arange(2, 10)
+        # A legal spec: lags are uniform on 1..2**32.
+        injector = FaultInjector(FaultSpec(stale_rate=1.0,
+                                           max_injected_staleness=2**32))
+        lag = injector.staleness_array(1, rows)
+        assert lag.max() > np.iinfo(state.staleness.dtype).max
+        wire = np.full(rows.shape, 100, dtype=np.int64)
+        with pytest.raises(ValueError, match="staleness"):
+            state.apply_round(rows, np.ones(rows.shape, dtype=bool), lag,
+                              wire, wire, wire)
+        for name, column in state.columns().items():
+            np.testing.assert_array_equal(column, before[name], err_msg=name)
+
     def test_column_validation(self):
         state = FleetState.build(8, seed=0)
         columns = {name: col.copy() for name, col in state.columns().items()}
@@ -280,7 +299,7 @@ class TestFleetState:
         with pytest.raises(ValueError):
             FleetState.from_columns(1, columns)
         columns = {name: col.copy() for name, col in state.columns().items()}
-        columns["staleness"] = columns["staleness"].astype(np.int32)
+        columns["staleness"] = columns["staleness"].astype(np.int64)
         with pytest.raises(ValueError):
             FleetState.from_columns(1, columns)
 
@@ -758,15 +777,38 @@ class TestHierarchy:
 # ----------------------------------------------------------------------
 # Decision-level simulator
 # ----------------------------------------------------------------------
+# ``TestFleetSimulator.make()``'s fingerprint after each of its first
+# four rounds under each sampling policy.  Fingerprints hash every
+# column widened to 64 bits, so these hold at any storage width, and
+# any change to a simulated value breaks them.
+PINNED_FINGERPRINTS = {
+    "uniform": (
+        "cd101831d025eda1d947b1e2c04fd0ea6b28e576ca74a946925437a488fa6e9a",
+        "2608b8c9f8fc67faf915bb6b812ffadbe4d2666001f225315f3ea1bea33ed964",
+        "eeee6784336b87c2f2040cc73828980ff3a746ca7c59480c6dbf5f415cb79cd7",
+        "cab50e2c96e91cadd49a030204b5911d4a39adfa73ea30b4198798d0294668e9"),
+    "battery-aware": (
+        "236c34f1f41a7a0d9d5ba18678cc6a1c4794390829acaadd160b5db1aa1565b2",
+        "9e1ad0a2f9f7b4391d1459eaec2031653c0163f72c0ad1bb444423ce937860ae",
+        "6496efd186f1e8a90bbe7fe185f192433e2130fe16fb356d226e50101186d92c",
+        "7545057d6a8584533c43f942ac64495c2c0b770d81679a838705bf2ac4d61b2a"),
+    "stratified-by-link": (
+        "7103f93c137899fce797bb9b6041ed5586f0244e2f9af2af6e90196c69c5a420",
+        "038ddd06c914b4b008e9cc026ad81a0e52574e1373eb63c7e4bb068cdff2da75",
+        "01f9fde2fa3d12cdc741fcdb18eaf7b1ab5e3f6b0a296c859fd09fd908394893",
+        "500215ee8be27ec72e8e83ebf43d879841ac0d0860c78b094c51ea59e2624105"),
+}
+
+
 class TestFleetSimulator:
-    def make(self, num_clients=4096, seed=41):
+    def make(self, num_clients=4096, seed=41, sampling="uniform"):
         state = FleetState.build(num_clients, seed=seed, num_edges=8)
         return FleetSimulator(
             state, injector=FaultInjector(spec=CHAOS, seed=43),
             policy=RobustnessPolicy(max_retries=1, max_staleness=2,
                                     min_quorum=2),
             topology=EdgeTopology(num_edges=8, edge_quorum=2),
-            client_fraction=0.1, seed=47)
+            client_fraction=0.1, sampling=sampling, seed=47)
 
     def test_rounds_record_history_and_conserve(self):
         sim = self.make()
@@ -782,6 +824,15 @@ class TestFleetSimulator:
         a, b = self.make(), self.make()
         a.run(3), b.run(3)
         assert a.fingerprint() == b.fingerprint()
+
+    @pytest.mark.parametrize("policy", SAMPLING_POLICIES)
+    def test_fingerprints_are_pinned(self, policy):
+        sim = self.make(sampling=policy)
+        fingerprints = []
+        for _ in PINNED_FINGERPRINTS[policy]:
+            sim.run_round()
+            fingerprints.append(sim.fingerprint())
+        assert tuple(fingerprints) == PINNED_FINGERPRINTS[policy]
 
     def test_scalar_engine_matches_vectorized(self):
         # About 25 devices a round: close to the path threshold, so each
@@ -882,11 +933,10 @@ class TestStreamingCheckpoint:
         load_peak = load_high - load_base
         tracemalloc.stop()
         # Streaming bound: the writer stages one chunk, never a column
-        # (100k rows = 800 KB/column, chunk = 512 KB), let alone the
-        # 12 MB fleet.
-        chunk_bytes = DEFAULT_CHUNK_ROWS * 8
-        assert save_peak < 4 * chunk_bytes, (save_peak, fleet_bytes)
-        assert load_peak < 4 * chunk_bytes, (load_peak, fleet_bytes)
+        # (100k rows = 800 KB for an f8 column, chunk = 512 KB), let
+        # alone the 9.3 MB fleet.
+        assert save_peak < 4 * CHUNK_BYTES, (save_peak, fleet_bytes)
+        assert load_peak < 4 * CHUNK_BYTES, (load_peak, fleet_bytes)
         # And the resumed run continues exactly like the original.
         sim.run(3)
         resumed.run(3)

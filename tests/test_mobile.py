@@ -163,7 +163,7 @@ def policy_draws(num_devices, round_index, hour, seed=0):
 
     Replays the sampler's draws (the schedule stream, then the round's
     generator after its uniform keys) and returns each device's
-    ``(charging, idle, on_wifi, battery)``.
+    ``(charging, idle, on_wifi)``.
     """
     schedule = derive_rng(seed, "mobile-device")
     night_owl = schedule.uniform(-0.5, 1.0, num_devices)
@@ -180,9 +180,7 @@ def policy_draws(num_devices, round_index, hour, seed=0):
         charging = draws[0][i] < charging_p
         idle = draws[1][i] < asleep or draws[2][i] < 0.15
         conditions.append((charging, idle, draws[3][i] < wifi_p))
-    batteries = rng.normal(0.55 + 0.35 * np.asarray(
-        [charging for charging, _, _ in conditions]), 0.15)
-    return [c + (float(b),) for c, b in zip(conditions, batteries)]
+    return conditions
 
 
 def admitted(num_devices, round_index, hour, seed=0):
@@ -199,9 +197,9 @@ class TestFleet:
     def test_eligibility_policy(self):
         for round_index, hour in ((1, 2.0), (2, 13.0), (3, 21.0)):
             expected = [
-                row for row, (charging, idle, wifi, battery)
+                row for row, (charging, idle, wifi)
                 in enumerate(policy_draws(300, round_index, hour))
-                if charging and idle and wifi and battery >= 0.2]
+                if charging and idle and wifi]
             assert admitted(300, round_index, hour).tolist() == expected
 
     def test_low_battery_blocks(self):
