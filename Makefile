@@ -106,14 +106,16 @@ determinism-check:
 	python -m repro.analysis.determinism audit
 
 # Repository-benchmark gate: perfbench's own tests, then a one-second
-# run of each workload.  Every run checks its workload's correctness
-# gates (fleet-1m's resume-fingerprint gate among them) and exits 1 when
-# one fails; no timing is checked here.
+# traced run of each workload.  `--trace 1` runs the workload untraced,
+# checking every correctness gate (fleet-1m's resume-fingerprint gate
+# among them), then traced, which fails when a function the tracer
+# patches by name has been renamed or deleted; either failure exits 1.
+# No timing is checked here.
 perfbench-check:
 	python3 -m pytest perfbench/test_perfbench.py -q
 	for workload in serve-openloop train-ondevice fedavg-chaos fleet-1m; do \
 		python3 perfbench/run.py --workload $$workload --seed 1 \
-			--seconds 1 --trace 0 || exit 1; \
+			--seconds 1 --trace 1 || exit 1; \
 	done
 
 bench-smoke:

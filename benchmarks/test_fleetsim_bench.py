@@ -155,7 +155,7 @@ def test_rounds_per_second_scaling(benchmark):
                   sim.state.memory_bytes() / 1e6))
     _results["scaling"] = scaling
     # Columnar memory: 1M clients fit in the struct-of-arrays columns
-    # (15 columns at 93 bytes a device = 93 MB), not gigabytes of
+    # (8 columns at 53 bytes a device = 53 MB), not gigabytes of
     # Python objects.
     assert scaling["1000000"]["fleet_bytes"] <= 150 * 1024 * 1024
 

@@ -20,7 +20,7 @@ Members are stored, not deflated: a FedAvg round checkpoint is about
 100 KB, and zlib cost several times the rest of the save.
 
 Two schemas share the container: the fleet simulator's column snapshot
-(``fleet-checkpoint-v2``, :mod:`repro.federated.fleet.checkpoint`) and
+(``fleet-checkpoint-v3``, :mod:`repro.federated.fleet.checkpoint`) and
 the FedAvg round checkpoint below (``fedavg-checkpoint-v2``).  The
 latter captures everything a loop needs to continue *bit-for-bit* as if
 it had never stopped:
@@ -41,6 +41,7 @@ free.  Nothing is pickled.
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 import os
 import tokenize
@@ -67,21 +68,22 @@ CHUNK_BYTES = 1 << 19
 # format was a deflated .npz, from before the container existed.
 _V1_META = "__checkpoint_meta__.npy"
 
-# What zipfile and numpy's .npy header parser raise on a damaged file;
-# the parser's tokenizer fallback adds SyntaxError and TokenError.
+# What zipfile, numpy's .npy header parser (its tokenizer fallback adds
+# SyntaxError and TokenError) and parsing a malformed meta.json raise.
 _DAMAGE = (zipfile.BadZipFile, EOFError, OSError, ValueError, TypeError,
            SyntaxError, tokenize.TokenError, NotImplementedError,
-           RuntimeError)
+           RuntimeError, LookupError, AttributeError, OverflowError)
 
 
 class CheckpointError(ValueError):
     """A checkpoint that cannot be restored as it was saved.
 
     Raised for a missing, empty or truncated file, a CRC-32 mismatch, a
-    missing member, a wrong or absent ``format`` tag, an ``.npy`` header
-    that cannot be parsed, and an array whose shape or dtype does not
-    fit what it is restored into.  The message names the file and, when
-    one is at fault, the member.
+    missing member, a wrong or absent ``format`` tag, a missing or
+    malformed ``meta.json`` field, an ``.npy`` header that cannot be
+    parsed, and an array whose shape or dtype does not fit what it is
+    restored into.  The message names the file and, when one is at
+    fault, the member.
     """
 
 
@@ -171,6 +173,26 @@ class Snapshot:
     def error(self, member, reason):
         """A :class:`CheckpointError` naming this file and ``member``."""
         return _error(self.path, member, reason)
+
+    def field(self, key, kind):
+        """``meta[key]``, which must be a ``kind`` (a bool is no int);
+        raises a :class:`CheckpointError` naming ``meta.json`` if not."""
+        if key not in self.meta:
+            raise self.error(META, "no {!r} field".format(key))
+        value = self.meta[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise self.error(META, "{!r} is {!r}, expected {}".format(
+                key, value, kind.__name__))
+        return value
+
+    def parse(self, key, kind, parse):
+        """``parse`` applied to :meth:`field`; a value it cannot parse
+        raises a :class:`CheckpointError` naming ``meta.json`` too."""
+        value = self.field(key, kind)
+        try:
+            return parse(value)
+        except _DAMAGE as exc:
+            raise self.error(META, "{!r}: {!r}".format(key, exc)) from exc
 
     def check(self, member, shape, dtype=None):
         """Check ``member`` holds exactly a ``shape`` array; returns its dtype.
@@ -280,17 +302,29 @@ def load_checkpoint(path, loop, history):
 
     ``loop`` must be configured identically to the run that wrote the
     checkpoint (same clients, model factory, policies, and seeds) — the
-    checkpoint restores mutable state, not configuration.  Every array
-    member is read and checked against the names and shapes of
-    ``loop.server.state`` before the loop is touched, so a
+    checkpoint restores mutable state, not configuration.  Every
+    ``meta.json`` field is parsed and checked, and every array member
+    read and checked against the names and shapes of
+    ``loop.server.state``, before the loop is touched, so a
     :class:`CheckpointError` leaves it as it was.
     """
     from .algorithms import RoundRecord
 
     model = loop.server.state
     with read_snapshot(path, FORMAT) as snapshot:
-        meta = snapshot.meta
-        versions = meta.get("history_versions", [])
+        round_index = snapshot.field("round_index", int)
+        version = snapshot.field("server_version", int)
+        rng_states = snapshot.parse("client_rngs", dict, lambda states: [
+            _rng_state(client, states[str(client.client_id)])
+            for client in loop.clients])
+        ledger = snapshot.parse("ledger", dict, CommunicationLedger.from_dict)
+        records = snapshot.parse("records", list, lambda records: [
+            RoundRecord(**record) for record in records])
+        clock_now = (None if loop.clock is None
+                     else snapshot.field("clock_now", float))
+        versions = (snapshot.parse("history_versions", list, lambda values: [
+            int(value) for value in values])
+            if "history_versions" in snapshot.meta else [])
         prefixes = ["state/"] + ["hist{}/".format(index)
                                  for index in range(len(versions))]
         expected = {prefix + name + ".npy"
@@ -302,21 +336,20 @@ def load_checkpoint(path, loop, history):
                                                    value.shape))
                               for name, value in model.items())
                   for prefix in prefixes]
-    ledger = CommunicationLedger.from_dict(meta["ledger"])
-    records = [RoundRecord(**record) for record in meta["records"]]
 
     loop.server.state = states[0]
-    loop.server.version = int(meta["server_version"])
-    client_rngs = meta.get("client_rngs", {})
-    for client in loop.clients:
-        state = client_rngs.get(str(client.client_id))
-        if state is not None:
-            client.set_rng_state(state)
-    if "clock_now" in meta and loop.clock is not None:
-        loop.clock.now = float(meta["clock_now"])
-    loop._state_history = [(int(version), state) for version, state
-                           in zip(versions, states[1:])]
-
+    loop.server.version = version
+    for client, state in zip(loop.clients, rng_states):
+        client.set_rng_state(state)
+    if clock_now is not None:
+        loop.clock.now = clock_now
+    loop._state_history = list(zip(versions, states[1:]))
     history.ledger = ledger
     history.records = records
-    return int(meta["round_index"])
+    return round_index
+
+
+def _rng_state(client, state):
+    """``state``, once a copy of ``client``'s bit generator has taken it."""
+    copy.copy(client.rng.bit_generator).state = state
+    return state

@@ -21,10 +21,10 @@ Two recording granularities share one ledger:
 * :meth:`CommunicationLedger.record_round` — flat per-round scalars,
   from FedSGD, FedAvg and selective SGD;
 * :meth:`CommunicationLedger.record_cohort_round` — per-edge arrays
-  from the hierarchical fleet loops (:mod:`repro.federated.fleet`).
-  The ledger folds them into O(edges) running totals plus the same
-  per-round scalar record; per-client traffic is never materialized, so
-  memory is independent of fleet size.
+  from the hierarchical fleet simulator (:mod:`repro.federated.fleet`).
+  The ledger books their sums as the same per-round scalar record and
+  keeps neither per-edge nor per-client traffic, so its memory is
+  independent of fleet size.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ __all__ = [
 
 BYTES_PER_VALUE = 4   # updates are shipped as float32
 BYTES_PER_INDEX = 4   # sparse updates carry an int32 coordinate per value
-
-# Names (and order) of the per-edge columns a cohort record carries.
-_COHORT_FIELDS = ("up", "down", "wasted", "retries", "aborts")
 
 
 def state_bytes(state):
@@ -100,9 +97,6 @@ class CommunicationLedger:
     edge_uplink_bytes: int = 0
     edge_downlink_bytes: int = 0
     rounds: list = field(default_factory=list)
-    # Per-edge running totals (dict of int64 arrays, one per
-    # _COHORT_FIELDS entry), allocated on the first cohort record.
-    cohorts: dict = field(default=None)
 
     def record_round(self, up, down, wasted=0, retries=0, aborts=0,
                      edge_up=0, edge_down=0):
@@ -129,42 +123,24 @@ class CommunicationLedger:
                             edge_up=0, edge_down=0):
         """Log one hierarchical round from per-edge arrays.
 
-        Each of ``up``/``down``/``wasted``/``retries``/``aborts`` is an
-        array with one entry per edge aggregator; ``edge_up``/
-        ``edge_down`` are the round's tier-2 byte scalars.  The arrays
-        fold into the per-edge running totals (:attr:`cohorts`) and into
-        one flat :class:`RoundTraffic` record — per-client records are
-        never materialized, so ledger memory is O(edges + rounds)
-        regardless of fleet size.
-
-        The per-edge columns follow the same one-booking rule as
-        :meth:`record_round`.
+        Each of ``up``/``down``/``wasted``/``retries``/``aborts`` is a
+        1-D array with one entry per edge aggregator; ``edge_up``/
+        ``edge_down`` are the round's tier-2 byte scalars.  The arrays'
+        sums are booked through :meth:`record_round`, under its
+        one-booking rule, as one flat :class:`RoundTraffic` record.
         """
-        columns = {}
-        for name, values in zip(_COHORT_FIELDS,
-                                (up, down, wasted, retries, aborts)):
-            column = np.asarray(values, dtype=np.int64)
+        columns = [np.asarray(values, dtype=np.int64)
+                   for values in (up, down, wasted, retries, aborts)]
+        for name, column in zip(("up", "down", "wasted", "retries",
+                                 "aborts"), columns):
             if column.ndim != 1:
                 raise ValueError(
                     "cohort column {!r} must be 1-D (one entry per "
                     "edge)".format(name))
-            columns[name] = column
-        num_edges = columns["up"].shape[0]
-        if any(c.shape[0] != num_edges for c in columns.values()):
+        if len({column.shape[0] for column in columns}) != 1:
             raise ValueError("cohort columns must share one edge count")
-        if self.cohorts is None:
-            self.cohorts = {name: np.zeros(num_edges, dtype=np.int64)
-                            for name in _COHORT_FIELDS}
-        elif self.cohorts["up"].shape[0] != num_edges:
-            raise ValueError(
-                "cohort round has {} edges but the ledger tracks {}".format(
-                    num_edges, self.cohorts["up"].shape[0]))
-        for name in _COHORT_FIELDS:
-            self.cohorts[name] += columns[name]
-        self.record_round(
-            int(columns["up"].sum()), int(columns["down"].sum()),
-            int(columns["wasted"].sum()), int(columns["retries"].sum()),
-            int(columns["aborts"].sum()), int(edge_up), int(edge_down))
+        self.record_round(*(int(column.sum()) for column in columns),
+                          edge_up=edge_up, edge_down=edge_down)
 
     @property
     def total_bytes(self):
@@ -188,7 +164,7 @@ class CommunicationLedger:
     # ------------------------------------------------------------------
     def to_dict(self):
         """JSON-serialisable snapshot (see :mod:`repro.federated.checkpoint`)."""
-        data = {
+        return {
             "uplink_bytes": self.uplink_bytes,
             "downlink_bytes": self.downlink_bytes,
             "wasted_bytes": self.wasted_bytes,
@@ -198,10 +174,6 @@ class CommunicationLedger:
             "edge_downlink_bytes": self.edge_downlink_bytes,
             "rounds": [list(r) for r in self.rounds],
         }
-        if self.cohorts is not None:
-            data["cohorts"] = {name: [int(v) for v in column]
-                               for name, column in self.cohorts.items()}
-        return data
 
     @classmethod
     def from_dict(cls, data):
@@ -214,9 +186,6 @@ class CommunicationLedger:
             edge_uplink_bytes=int(data.get("edge_uplink_bytes", 0)),
             edge_downlink_bytes=int(data.get("edge_downlink_bytes", 0)),
         )
-        ledger.rounds = [RoundTraffic(*r) for r in data.get("rounds", [])]
-        cohorts = data.get("cohorts")
-        if cohorts is not None:
-            ledger.cohorts = {name: np.asarray(cohorts[name], dtype=np.int64)
-                              for name in _COHORT_FIELDS}
+        ledger.rounds = [RoundTraffic(*map(int, r))
+                         for r in data.get("rounds", [])]
         return ledger

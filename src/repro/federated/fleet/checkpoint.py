@@ -1,16 +1,17 @@
 """Streaming round checkpoints for million-client fleets.
 
-A fleet snapshot (``fleet-checkpoint-v2``) is the snapshot container of
+A fleet snapshot (``fleet-checkpoint-v3``) is the snapshot container of
 :mod:`repro.federated.checkpoint` with
 
 * ``meta.json`` — round counter, clock, topology, ledger, history, and
   the column manifest;
 * ``col_<name>.npy`` — one ``.npy`` member per fleet column, at the
   column's width in :data:`~repro.federated.fleet.state.COLUMNS`
-  (93 bytes a device).
+  (53 bytes a device).
 
-``fleet-checkpoint-v1`` held every integer column as int64; such a file
-is refused with a :class:`~repro.federated.checkpoint.CheckpointError`
+``fleet-checkpoint-v1`` (every integer column int64) and
+``fleet-checkpoint-v2`` (seven more columns that nothing read) are
+refused with a :class:`~repro.federated.checkpoint.CheckpointError`
 naming both formats.
 
 The writer streams each column into its member straight from the
@@ -32,7 +33,7 @@ from .state import COLUMNS, FleetState
 __all__ = ["save_fleet_checkpoint", "load_fleet_checkpoint",
            "load_fleet_state"]
 
-FORMAT = "fleet-checkpoint-v2"
+FORMAT = "fleet-checkpoint-v3"
 
 
 def _member(name):
@@ -61,9 +62,9 @@ def load_fleet_checkpoint(path, sim):
 
     The simulator must be configured identically to the one that wrote
     the snapshot (same fleet size and topology); columns stream into
-    the existing arrays, so no second fleet is ever resident.  The
-    metadata and every column's member and ``.npy`` header are checked
-    before any column is overwritten.  A CRC-32 mismatch, though, shows
+    the existing arrays, so no second fleet is ever resident.  Every
+    ``meta.json`` field, and every column's member and ``.npy`` header,
+    is checked before anything is overwritten.  A CRC-32 mismatch shows
     only once its member has been read to the end: that
     :class:`~repro.federated.checkpoint.CheckpointError` comes after
     the columns before it were restored, and leaves ``sim`` to be
@@ -73,21 +74,26 @@ def load_fleet_checkpoint(path, sim):
     columns = [(_member(name), column)
                for name, column in state.columns().items()]
     with read_snapshot(path, FORMAT) as snapshot:
-        meta = snapshot.meta
         for key, size in (("num_clients", state.num_clients),
-                          ("num_edges", state.num_edges)):
-            if meta[key] != size:
+                          ("num_edges", state.num_edges),
+                          ("columns", list(state.columns()))):
+            found = snapshot.field(key, type(size))
+            if found != size:
                 raise snapshot.error(META, "{} is {} but the simulator "
-                                           "has {}".format(key, meta[key], size))
-        ledger = CommunicationLedger.from_dict(meta["ledger"])
+                                           "has {}".format(key, found, size))
+        round_index = snapshot.field("round_index", int)
+        clock_now = snapshot.field("clock_now", float)
+        ledger = snapshot.parse("ledger", dict, CommunicationLedger.from_dict)
+        history = snapshot.parse("history", list, lambda records: [
+            dict(record) for record in records])
         for member, column in columns:
             snapshot.check(member, column.shape, column.dtype)
         for member, column in columns:
             snapshot.read_into(member, column)
-    sim.round_index = int(meta["round_index"])
-    sim.clock.now = float(meta["clock_now"])
+    sim.round_index = round_index
+    sim.clock.now = clock_now
     sim.ledger = ledger
-    sim.history = meta["history"]
+    sim.history = history
     return sim
 
 
@@ -97,11 +103,11 @@ def load_fleet_state(path, num_edges=None):
     For tooling that wants the fleet without a simulator around it.
     """
     with read_snapshot(path, FORMAT) as snapshot:
-        meta = snapshot.meta
-        n = int(meta["num_clients"])
+        n = snapshot.field("num_clients", int)
+        if num_edges is None:
+            num_edges = snapshot.field("num_edges", int)
         columns = {name: np.zeros(n, dtype=dtype)
                    for name, dtype in COLUMNS}
         for name, column in columns.items():
             snapshot.read_into(_member(name), column)
-    edges = int(num_edges if num_edges is not None else meta["num_edges"])
-    return FleetState.from_columns(edges, columns)
+    return FleetState.from_columns(int(num_edges), columns)

@@ -1,11 +1,11 @@
 """Decision-level fleet simulator: chaos rounds over millions of devices.
 
 :class:`FleetSimulator` drives sampling, the round decision engine, the
-two-tier quorum partition, the cohort ledger, and the column updates —
+two-tier quorum partition, the cohort ledger, and the battery update —
 everything the federated system does *except* actual local training, so
 a round over 1M devices costs a handful of array ops.
 :class:`repro.federated.FedAvg` trains real clients on the same sampler
-and engine, without the edge tier or the column updates.
+and engine, without the edge tier or the battery update.
 
 Determinism: every stochastic input is keyed — sampling by
 ``(seed, round_index)``, faults by ``(seed, tag, round, client,
@@ -28,7 +28,7 @@ from ..algorithms import RobustnessPolicy
 from ..comm import CommunicationLedger
 from .engine import OUTCOME_NAMES, decide_round
 from .hierarchy import EdgeTopology, edge_partition
-from .sampling import sample_clients
+from .sampling import SAMPLING_POLICIES, sample_clients
 
 __all__ = ["FleetSimulator"]
 
@@ -41,7 +41,9 @@ class FleetSimulator:
     ``topology`` for the edge tier.  The engine picks its path by cohort
     size (see :mod:`repro.federated.fleet.engine`).  The simulator holds
     no model states, so every injected lag stands.  As in FedAvg, no
-    round opens inside a link window: it waits for the link.
+    round opens inside a link window: it waits for the link.  An unknown
+    ``sampling`` policy or a ``client_fraction`` outside (0, 1] raises
+    ``ValueError`` here, not in the first round.
     """
 
     def __init__(self, state, injector=None, policy=None, topology=None,
@@ -56,6 +58,12 @@ class FleetSimulator:
             raise ValueError(
                 "topology has {} edges but the fleet was built with "
                 "{}".format(self.topology.num_edges, state.num_edges))
+        if sampling not in SAMPLING_POLICIES:
+            raise ValueError(
+                "unknown sampling policy {!r}; pick one of {}".format(
+                    sampling, SAMPLING_POLICIES))
+        if not 0.0 < client_fraction <= 1.0:
+            raise ValueError("client_fraction must be in (0, 1]")
         self.model_bytes = int(model_bytes)
         self.client_fraction = float(client_fraction)
         self.sampling = sampling
@@ -70,34 +78,32 @@ class FleetSimulator:
     # Round loop
     # ------------------------------------------------------------------
     def run_round(self):
-        """Advance one round; returns the round's summary dict."""
-        self.round_index += 1
-        rows = sample_clients(self.state, self.round_index,
+        """Advance one round; returns the round's summary dict.
+
+        ``round_index`` moves only once the round is recorded.
+        """
+        round_index = self.round_index + 1
+        rows = sample_clients(self.state, round_index,
                               self.client_fraction, policy=self.sampling,
                               seed=self.seed, min_battery=self.min_battery)
-        self.clock.now = self.injector.link_opens_at(self.clock.now)
+        opens = self.injector.link_opens_at(self.clock.now)
         decisions = decide_round(
-            self.state, self.injector, self.policy, self.round_index,
-            rows, model_bytes=self.model_bytes,
-            clock_start=self.clock.now)
+            self.state, self.injector, self.policy, round_index,
+            rows, model_bytes=self.model_bytes, clock_start=opens)
         summary = edge_partition(decisions, self.state.edge[rows],
                                  self.topology, self.model_bytes,
                                  min_survivors=self.policy.min_quorum)
         args, kwargs = summary.ledger_args()
         self.ledger.record_cohort_round(*args, **kwargs)
-        # Device-local lifetime counters keep the engine-level view (a
-        # survivor on an aborted edge did deliver its bytes); the ledger
-        # holds the system view after quorum re-booking.
-        self.state.apply_round(rows, decisions.survived, decisions.lag,
-                               decisions.up, decisions.down,
-                               decisions.wasted)
+        self.state.apply_round(rows)
+        self.clock.now = opens
         self.clock.advance(decisions.duration)
         outcomes = np.bincount(decisions.outcome,
                                minlength=len(OUTCOME_NAMES))
         selected = decisions.num_selected
         survived = decisions.num_survived
         record = {
-            "round": self.round_index,
+            "round": round_index,
             "selected": selected,
             "survived": survived,
             "dropout_fraction": (1.0 - survived / selected) if selected
@@ -111,6 +117,7 @@ class FleetSimulator:
                          in zip(OUTCOME_NAMES, outcomes)},
         }
         self.history.append(record)
+        self.round_index = round_index
         return record
 
     def run(self, num_rounds, checkpoint_path=None, checkpoint_every=1,

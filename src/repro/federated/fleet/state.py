@@ -4,14 +4,16 @@ The object-based federated stack keeps one Python object per client,
 which caps simulated populations at the tens of thousands the paper's
 deployment story starts from, not the millions it targets.  Here the
 whole fleet is a handful of numpy columns — battery level, link
-bandwidth/latency, compute slowdown, staleness, byte counters — so a
-round over 1M devices touches arrays, never per-client Python.
+bandwidth/latency/tier, compute slowdown, edge assignment — so a round
+over 1M devices touches arrays, never per-client Python.  The fleet
+keeps only what sampling, the round engine, the battery update and the
+edge partition read; per-round byte accounting lives in the ledger.
 
-Each column is stored at the width its values need: 93 bytes a device,
-so a 1M-client fleet is 93 MB.  Column layout (name, dtype) is a
+Each column is stored at the width its values need: 53 bytes a device,
+so a 1M-client fleet is 53 MB.  Column layout (name, dtype) is a
 contract shared with the streaming checkpoint format
-(:mod:`repro.federated.fleet.checkpoint`): append new columns at the
-end, never reorder, and change the format tag with any width.
+(:mod:`repro.federated.fleet.checkpoint`): change the format tag with
+any added, removed, reordered or resized column.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from ...rng import derive_rng
 
 __all__ = ["FleetState", "COLUMNS", "LINK_TIERS"]
 
-# (name, dtype string) in checkpoint order.  "f8" columns are simulation
-# state.  Tiers, edge ids, sample counts, version lags and round counters
-# fit "u1" or "i4"; only the lifetime byte counters need "i8" (with a
-# 10 MB model a device passes 2**31 bytes in about 200 rounds).
+# (name, dtype string) in checkpoint order.  Only ``battery`` changes
+# after ``build``; tiers fit "u1" and edge ids "i4".
 COLUMNS = (
     ("battery", "f8"),          # state of charge in [0, 1]
     ("charge_rate", "f8"),      # recharge per idle round
@@ -37,14 +37,7 @@ COLUMNS = (
     ("link_latency", "f8"),     # seconds per transfer setup
     ("link_tier", "u1"),        # index into LINK_TIERS (sampling strata)
     ("slowdown", "f8"),         # persistent compute factor >= 1
-    ("num_samples", "i4"),      # local dataset size (aggregation weight)
     ("edge", "i4"),             # edge-aggregator assignment
-    ("staleness", "i4"),        # last observed version lag
-    ("bytes_up", "i8"),         # delivered uplink bytes, lifetime
-    ("bytes_down", "i8"),       # delivered downlink bytes, lifetime
-    ("bytes_wasted", "i8"),     # wasted bytes, lifetime
-    ("rounds_selected", "i4"),  # times sampled into a round
-    ("rounds_completed", "i4"), # times the upload survived
 )
 
 # (bandwidth bytes/s, latency s) per connectivity tier: wifi, cellular,
@@ -112,11 +105,9 @@ class FleetState:
             "link_latency": tiers[tier, 1] * rng.uniform(0.8, 1.5, n),
             "link_tier": tier,
             "slowdown": 1.0 + rng.exponential(0.25, n),
-            "num_samples": rng.integers(16, 65, n),
             "edge": np.repeat(np.arange(num_edges), np.diff(firsts)),
         }
-        columns = {name: (drawn[name].astype(dtype, copy=False)
-                          if name in drawn else np.zeros(n, dtype=dtype))
+        columns = {name: drawn[name].astype(dtype, copy=False)
                    for name, dtype in COLUMNS}
         return cls(n, num_edges, columns)
 
@@ -166,31 +157,14 @@ class FleetState:
     # ------------------------------------------------------------------
     # Round bookkeeping (whole-column ops only)
     # ------------------------------------------------------------------
-    def apply_round(self, rows, survived, lag, up, down, wasted):
-        """Fold one round's per-participant outcome arrays into the fleet.
+    def apply_round(self, rows):
+        """Drain the round's participants (``rows``), recharge the rest.
 
-        ``rows`` indexes the participating devices; the other arrays are
-        aligned with it.  Non-participants recharge, participants drain;
-        battery clamps to [0, 1].  The battery column updates in place:
-        the drained rows are computed first, the whole column recharges,
-        and the drained rows are written back over it.  A lag the
-        ``staleness`` column cannot hold raises ``ValueError`` before
-        any column is written.
+        Battery clamps to [0, 1].  The column updates in place: the
+        drained rows are computed first, the whole column recharges, and
+        the drained rows are written back over it.
         """
-        lag = np.asarray(lag)
-        limits = np.iinfo(self.staleness.dtype)
-        if lag.size and (lag.min() < limits.min or lag.max() > limits.max):
-            raise ValueError(
-                "version lags span [{}, {}]; the staleness column holds "
-                "[{}, {}]".format(lag.min(), lag.max(), limits.min,
-                                  limits.max))
         drained = self.battery[rows] - self.drain[rows]
         self.battery += self.charge_rate
         self.battery[rows] = drained
         np.clip(self.battery, 0.0, 1.0, out=self.battery)
-        self.staleness[rows] = lag
-        self.bytes_up[rows] += up
-        self.bytes_down[rows] += down
-        self.bytes_wasted[rows] += wasted
-        self.rounds_selected[rows] += 1
-        self.rounds_completed[rows] += survived

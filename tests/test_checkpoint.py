@@ -1,14 +1,16 @@
 """The snapshot container behind both checkpoint formats.
 
 FedAvg round checkpoints (``fedavg-checkpoint-v2``) and fleet snapshots
-(``fleet-checkpoint-v2``) share one stored ZIP container.  The
+(``fleet-checkpoint-v3``) share one stored ZIP container.  The
 invariants:
 
 * a damaged file (truncated anywhere, or any single bit flipped) either
   raises :class:`CheckpointError` or restores exactly the saved state;
-* a snapshot that does not fit the loop or fleet it is loaded into is
-  rejected before anything is overwritten, and a file of either
-  format's v1 is refused with an error naming both versions;
+* a snapshot that does not fit the loop or fleet it is loaded into, or
+  whose ``meta.json`` lacks a field or holds a malformed one, is
+  rejected before anything is overwritten, and a file of an older
+  version of either format is refused with an error naming both
+  versions;
 * a failed save leaves the previous checkpoint loadable and no temp
   file behind;
 * every member is stored, not deflated, and FedAvg's metadata is UTF-8
@@ -243,7 +245,7 @@ def test_typed_errors_name_the_path_and_member(saved, workdir, kind):
         good = np.load(io.BytesIO(archive.read(member)))
     untagged = dict(meta)
     del untagged["format"]
-    other = "fleet-checkpoint-v2" if kind == "fedavg" else "fedavg-checkpoint-v2"
+    other = "fleet-checkpoint-v3" if kind == "fedavg" else "fedavg-checkpoint-v2"
     cases = {
         "missing": (None, None),
         "empty": (b"", None),
@@ -292,31 +294,46 @@ def test_legacy_fedavg_file_names_both_formats(workdir):
     assert "fedavg-checkpoint-v2" in message
 
 
+# The columns fleet-checkpoint-v2 stored after ``edge``, at its widths.
+V2_COUNTERS = (("num_samples", "i4"), ("staleness", "i4"),
+               ("bytes_up", "i8"), ("bytes_down", "i8"),
+               ("bytes_wasted", "i8"), ("rounds_selected", "i4"),
+               ("rounds_completed", "i4"))
+
+
 def test_fleet_v1_snapshot_names_both_formats(saved, workdir):
-    # What fleet-checkpoint-v1 wrote: the same members with every
-    # integer column int64.
+    # What the older formats wrote: v2 stored seven counter columns
+    # after ``edge``, and v1 held every integer column as int64.
     blob, _ = saved["fleet"]
     with zipfile.ZipFile(io.BytesIO(blob)) as archive:
         meta = json.loads(archive.read("meta.json"))
         columns = {name: np.load(io.BytesIO(archive.read(name)))
                    for name in archive.namelist() if name != "meta.json"}
-    members = {name: npy_bytes(column.astype(np.int64))
-               for name, column in columns.items()
-               if column.dtype.kind in "iu"}
-    assert len(members) == 9
-    members["meta.json"] = json.dumps(dict(meta,
-                                           format="fleet-checkpoint-v1"))
-    path = write(workdir / "fleet-v1.ckpt", rebuild(blob, replace=members))
+    rows = columns["col_battery.npy"].shape
+    columns.update(("col_{}.npy".format(name), np.zeros(rows, dtype))
+                   for name, dtype in V2_COUNTERS)
+    names = meta["columns"] + [name for name, _ in V2_COUNTERS]
     sim = fleet_sim()
     sim.run(1)
     before = fleet_state(sim)
-    for load in (lambda: load_fleet_checkpoint(path, sim),
-                 lambda: load_fleet_state(path)):
-        with pytest.raises(CheckpointError) as caught:
-            load()
-        message = str(caught.value)
-        assert "fleet-checkpoint-v1" in message
-        assert "fleet-checkpoint-v2" in message
+    for version in (1, 2):
+        tag = "fleet-checkpoint-v{}".format(version)
+        members = {name: npy_bytes(column.astype(np.int64)
+                                   if version == 1
+                                   and column.dtype.kind in "iu"
+                                   else column)
+                   for name, column in columns.items()}
+        members["meta.json"] = json.dumps(dict(meta, format=tag,
+                                               columns=names))
+        path = write(workdir / "fleet-v{}.ckpt".format(version),
+                     rebuild(blob, replace=members))
+        for load in (lambda: load_fleet_checkpoint(path, sim),
+                     lambda: load_fleet_state(path)):
+            with pytest.raises(CheckpointError) as caught:
+                load()
+            message = str(caught.value)
+            assert tag in message
+            assert "fleet-checkpoint-v3" in message
     assert fleet_state(sim) == before
 
 
@@ -351,18 +368,71 @@ def test_fedavg_rejects_a_model_with_extra_parameters(saved, workdir):
 def test_fleet_rejects_a_missing_column_before_overwriting_any(saved,
                                                                workdir):
     blob, _ = saved["fleet"]
-    # COLUMNS grows at its end, so an older snapshot lacks the last one.
+    # The last column's member is gone; every other one is intact.
     path = write(workdir / "old.ckpt",
-                 rebuild(blob, drop=("col_rounds_completed.npy",)))
+                 rebuild(blob, drop=("col_edge.npy",)))
     sim = fleet_sim()
     sim.run(1)
     before = fleet_state(sim)
     with pytest.raises(CheckpointError) as caught:
         load_fleet_checkpoint(path, sim)
-    assert "col_rounds_completed.npy" in str(caught.value)
+    assert "col_edge.npy" in str(caught.value)
     assert fleet_state(sim) == before
     with pytest.raises(CheckpointError):
         load_fleet_state(path)
+
+
+# meta.json fields each loader must refuse: (format, field, what becomes
+# of its value; None deletes the field).  The container checks the tag
+# and the CRC-32s, so each of these files is intact; only the field is
+# wrong.
+BAD_FIELDS = {
+    "fleet-no-round_index": ("fleet", "round_index", None),
+    "fleet-clock_now-str": ("fleet", "clock_now", lambda now: "soon"),
+    "fleet-no-num_clients": ("fleet", "num_clients", None),
+    "fleet-no-columns": ("fleet", "columns", None),
+    "fleet-no-ledger": ("fleet", "ledger", None),
+    "fleet-ledger-round-str": ("fleet", "ledger",
+                               lambda ledger: dict(ledger, rounds=[["x"]])),
+    "fleet-history-int": ("fleet", "history", lambda history: 5),
+    "fleet-history-record-int": ("fleet", "history",
+                                 lambda history: history + [7]),
+    "fedavg-no-round_index": ("fedavg", "round_index", None),
+    "fedavg-no-server_version": ("fedavg", "server_version", None),
+    "fedavg-no-client_rngs": ("fedavg", "client_rngs", None),
+    "fedavg-client_rng-stateless": (
+        "fedavg", "client_rngs",
+        lambda rngs: dict(rngs, **{"0": {"bit_generator": "PCG64"}})),
+    "fedavg-no-ledger": ("fedavg", "ledger", None),
+    "fedavg-record-partial": ("fedavg", "records",
+                              lambda records: [{"round_index": 1}]),
+    "fedavg-clock_now-str": ("fedavg", "clock_now", lambda now: "soon"),
+    "fedavg-history_versions-str": (
+        "fedavg", "history_versions",
+        lambda versions: ["x"] * len(versions)),
+}
+
+
+@pytest.mark.parametrize("kind, key, damage", list(BAD_FIELDS.values()),
+                         ids=list(BAD_FIELDS))
+def test_a_bad_meta_field_is_refused_before_anything_is_written(
+        saved, tmp_path, kind, key, damage):
+    blob, _ = saved[kind]
+    with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+        meta = json.loads(archive.read("meta.json"))
+    value = meta.pop(key)
+    if damage is not None:
+        meta[key] = damage(value)
+    path = write(tmp_path / "bad.ckpt", rebuild(blob, replace={
+        "meta.json": json.dumps(meta)}))
+    fmt = FORMATS[kind]
+    target = fmt.fresh()
+    before = fmt.state(target)
+    with pytest.raises(CheckpointError) as caught:
+        fmt.load(path, target)
+    assert path in str(caught.value)
+    assert "meta.json" in str(caught.value)
+    assert fmt.state(target) == before
 
 
 # ----------------------------------------------------------------------
@@ -415,4 +485,4 @@ def test_members_are_stored_and_fedavg_meta_is_tagged_json(saved):
             dtype, shape, raw = expected["server"]["layer0.weight"]
             assert server["state/layer0.weight"].tobytes() == raw
         else:
-            assert meta["format"] == "fleet-checkpoint-v2"
+            assert meta["format"] == "fleet-checkpoint-v3"

@@ -17,6 +17,8 @@ The load-bearing invariants:
 * streaming checkpoints resume bit-exactly with bounded peak memory;
 * fingerprints hash values, not storage widths: a seeded run's
   fingerprint is pinned under every sampling policy;
+* the simulator refuses a configuration no round can run, and a round
+  that fails changes nothing;
 * an hour only narrows who is eligible, never the sampling keys;
 * FedAvg samples with the keyed sampler: a round nobody is eligible
   for trains nobody and moves nothing, and a run under the hourly
@@ -72,6 +74,7 @@ from repro.federated.fleet import (
     save_fleet_checkpoint,
 )
 from repro.federated.fleet import engine
+from repro.federated.fleet import simulator as fleet_simulator
 from repro.rng import derive_rng
 from repro.synth import iid_partition, make_digits
 
@@ -260,37 +263,11 @@ class TestFleetState:
         state = FleetState.build(10, seed=1)
         rows = np.asarray([2, 5, 7])
         before = state.battery.copy()
-        survived = np.asarray([True, False, True])
-        state.apply_round(rows, survived,
-                          lag=np.asarray([0, 0, 2]),
-                          up=np.asarray([100, 0, 100]),
-                          down=np.asarray([100, 0, 100]),
-                          wasted=np.asarray([0, 300, 50]))
+        state.apply_round(rows)
         idle = np.setdiff1d(np.arange(10), rows)
         assert (state.battery[idle] >= before[idle]).all()
         assert (state.battery[rows] <= before[rows]).all()
         assert (state.battery >= 0.0).all() and (state.battery <= 1.0).all()
-        assert state.rounds_selected[rows].tolist() == [1, 1, 1]
-        assert state.rounds_completed[rows].tolist() == [1, 0, 1]
-        assert state.bytes_wasted[5] == 300
-        assert state.staleness[7] == 2
-
-    def test_apply_round_refuses_a_lag_the_column_cannot_hold(self):
-        state = FleetState.build(10, seed=1)
-        before = {name: column.copy()
-                  for name, column in state.columns().items()}
-        rows = np.arange(2, 10)
-        # A legal spec: lags are uniform on 1..2**32.
-        injector = FaultInjector(FaultSpec(stale_rate=1.0,
-                                           max_injected_staleness=2**32))
-        lag = injector.staleness_array(1, rows)
-        assert lag.max() > np.iinfo(state.staleness.dtype).max
-        wire = np.full(rows.shape, 100, dtype=np.int64)
-        with pytest.raises(ValueError, match="staleness"):
-            state.apply_round(rows, np.ones(rows.shape, dtype=bool), lag,
-                              wire, wire, wire)
-        for name, column in state.columns().items():
-            np.testing.assert_array_equal(column, before[name], err_msg=name)
 
     def test_column_validation(self):
         state = FleetState.build(8, seed=0)
@@ -299,7 +276,7 @@ class TestFleetState:
         with pytest.raises(ValueError):
             FleetState.from_columns(1, columns)
         columns = {name: col.copy() for name, col in state.columns().items()}
-        columns["staleness"] = columns["staleness"].astype(np.int64)
+        columns["edge"] = columns["edge"].astype(np.int64)
         with pytest.raises(ValueError):
             FleetState.from_columns(1, columns)
 
@@ -649,17 +626,8 @@ class TestCohortLedger:
         assert ledger.wasted_bytes == 350
         assert ledger.edge_bytes == 100
         assert ledger.retries == 3
-        assert ledger.cohorts["up"].tolist() == up.tolist()
+        assert ledger.rounds == [RoundTraffic(300, 300, 350, 3, 0, 40, 60)]
         assert_conserved(ledger)
-
-    def test_cohort_size_is_stable_across_rounds(self):
-        ledger = CommunicationLedger()
-        cols = [np.ones(4, dtype=np.int64) for _ in range(5)]
-        for _ in range(10):
-            ledger.record_cohort_round(*cols)
-        assert ledger.cohorts["up"].shape == (4,)
-        assert ledger.cohorts["up"].tolist() == [10] * 4
-        assert len(ledger.rounds) == 10
 
     def test_cohort_validation(self):
         ledger = CommunicationLedger()
@@ -677,7 +645,7 @@ class TestCohortLedger:
         ledger.record_cohort_round(*cols, edge_up=11, edge_down=13)
         restored = CommunicationLedger.from_dict(ledger.to_dict())
         assert restored.to_dict() == ledger.to_dict()
-        assert restored.cohorts["wasted"].tolist() == [5, 7]
+        assert restored.rounds == [RoundTraffic(12, 12, 12, 12, 12, 11, 13)]
         assert restored.edge_uplink_bytes == 11
 
     def test_legacy_payload_without_cohorts_loads(self):
@@ -688,7 +656,6 @@ class TestCohortLedger:
         }
         ledger = CommunicationLedger.from_dict(legacy)
         assert ledger.total_bytes == 30
-        assert ledger.cohorts is None
         assert ledger.edge_bytes == 0
         assert ledger.rounds[0].sent == 35
 
@@ -780,23 +747,26 @@ class TestHierarchy:
 # ``TestFleetSimulator.make()``'s fingerprint after each of its first
 # four rounds under each sampling policy.  Fingerprints hash every
 # column widened to 64 bits, so these hold at any storage width, and
-# any change to a simulated value breaks them.
+# any change to a simulated value breaks them.  They were computed
+# with the code from before the fleet dropped its seven write-only
+# columns and the ledger its per-edge totals, by hashing that code's
+# eight kept columns and ledger as the fingerprint now does.
 PINNED_FINGERPRINTS = {
     "uniform": (
-        "cd101831d025eda1d947b1e2c04fd0ea6b28e576ca74a946925437a488fa6e9a",
-        "2608b8c9f8fc67faf915bb6b812ffadbe4d2666001f225315f3ea1bea33ed964",
-        "eeee6784336b87c2f2040cc73828980ff3a746ca7c59480c6dbf5f415cb79cd7",
-        "cab50e2c96e91cadd49a030204b5911d4a39adfa73ea30b4198798d0294668e9"),
+        "ad35d80d7994266d6747ebf7c9150946c41ec4372b834cf02eb9e0704f2b4996",
+        "140cc7944fea0f037ad63e63bf5927a3291b5433373877e40fc72f340d4806c3",
+        "f666527ebe19c0c098e298509472c2dfe850f689ddce78e5f483e106bdfd6a67",
+        "9a64f5358605c2d5084e7833a3e81b9153a169a60a3f414a67d68e1303ab1bd0"),
     "battery-aware": (
-        "236c34f1f41a7a0d9d5ba18678cc6a1c4794390829acaadd160b5db1aa1565b2",
-        "9e1ad0a2f9f7b4391d1459eaec2031653c0163f72c0ad1bb444423ce937860ae",
-        "6496efd186f1e8a90bbe7fe185f192433e2130fe16fb356d226e50101186d92c",
-        "7545057d6a8584533c43f942ac64495c2c0b770d81679a838705bf2ac4d61b2a"),
+        "e9f12d9c794722341c6d1bc35b440204363994b91bfa97878cab4ddaab89a31f",
+        "22ed9b4243f2002d52d7cd7a084d40a6dde2c834db3da0ac62ae9555ee9f116f",
+        "9bab7976c2276120e8abd75e13b20884b821d9fc66eab9fb48bfcdd74305f4a5",
+        "edd029739c9fd751c62e038149f144133c061693227f73965e6f94e0a58013b1"),
     "stratified-by-link": (
-        "7103f93c137899fce797bb9b6041ed5586f0244e2f9af2af6e90196c69c5a420",
-        "038ddd06c914b4b008e9cc026ad81a0e52574e1373eb63c7e4bb068cdff2da75",
-        "01f9fde2fa3d12cdc741fcdb18eaf7b1ab5e3f6b0a296c859fd09fd908394893",
-        "500215ee8be27ec72e8e83ebf43d879841ac0d0860c78b094c51ea59e2624105"),
+        "f43b8a31cab09f04e5d19fe03032a1ac80482d83d9b65d883d7ffe830fbb094c",
+        "5c0aa5c20fa3f5e3cf694bc942ffea41651c3a0886140ed5648fcea6866eb972",
+        "5e740f063b030223b7141b16cac18e627b9692169c86fd6c7c35fc6f2113a156",
+        "efecb5d31618cd78a05a2a79ce55d305df27fed878acd1ba20924df5125b75a4"),
 }
 
 
@@ -859,6 +829,26 @@ class TestFleetSimulator:
         with pytest.raises(ValueError):
             FleetSimulator(state, topology=EdgeTopology(num_edges=2))
 
+    @pytest.mark.parametrize("config", [
+        {"sampling": "round-robin"}, {"client_fraction": 0.0},
+        {"client_fraction": 1.5}])
+    def test_constructor_refuses_what_no_round_can_run(self, config):
+        with pytest.raises(ValueError):
+            FleetSimulator(FleetState.build(64, seed=0), **config)
+
+    def test_a_failed_round_changes_nothing(self, monkeypatch):
+        sim = self.make(num_clients=256)
+        sim.run(2)
+        before = sim.fingerprint()
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("edge tier down")
+
+        monkeypatch.setattr(fleet_simulator, "edge_partition", refuse)
+        with pytest.raises(RuntimeError):
+            sim.run_round()
+        assert sim.fingerprint() == before
+
     def test_round_opening_in_a_link_window_waits_for_it(self):
         # The clock starts inside a 300 s window and no device may retry:
         # the round commits only if it opens after the window.
@@ -904,6 +894,27 @@ class TestStreamingCheckpoint:
         state = load_fleet_state(path)
         assert state.fingerprint() == sim.state.fingerprint()
         assert state.num_edges == 16
+
+    def test_lags_past_int32_run_and_resume_bit_exactly(self, tmp_path):
+        # A legal spec whose lags are uniform on 1..2**32: the fleet
+        # keeps no lag, so every one the injector draws runs.
+        spec = FaultSpec(stale_rate=1.0, max_injected_staleness=2**32)
+
+        def make():
+            return FleetSimulator(FleetState.build(200, seed=3),
+                                  injector=FaultInjector(spec, seed=5),
+                                  policy=RobustnessPolicy(max_retries=0),
+                                  client_fraction=0.5, seed=7)
+
+        path = str(tmp_path / "fleet.ckpt")
+        reference = make()
+        reference.run(4)
+        make().run(2, checkpoint_path=path)
+        resumed = make()
+        resumed.run(4, checkpoint_path=path, resume=True)
+        assert resumed.fingerprint() == reference.fingerprint()
+        for record in reference.history:
+            assert record["outcomes"]["stale_rejected"] == record["selected"]
 
     def test_mismatched_fleet_rejected(self, tmp_path):
         path = str(tmp_path / "fleet.ckpt")
