@@ -14,11 +14,17 @@ the same assertions and leaves the committed results alone.
 
 import json
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.synth import TypingDynamicsGenerator
+
+# The kernel microbenchmarks time the reference oracles in
+# ``tests/oracles.py``; the repository root makes ``tests`` importable.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 RECORD_ENV = "REPRO_BENCH_RECORD"
 

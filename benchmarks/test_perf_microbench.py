@@ -26,15 +26,9 @@ import pytest
 from conftest import record_results
 
 from repro import nn
-from repro.tensor import (
-    Tensor,
-    col2im,
-    col2im_loop,
-    conv2d,
-    im2col,
-    im2col_loop,
-)
+from repro.tensor import Tensor, col2im, conv2d, im2col
 from repro.tensor.conv import _out_size
+from tests.oracles import col2im_loop, gru_stepwise, im2col_loop
 
 REPS = 7
 INNER = 5
@@ -162,7 +156,7 @@ class TestGRU:
         hoisted = stepwise = None
         for _ in range(3):
             h, s = best_time_paired(
-                lambda: gru(x), lambda: gru.forward_stepwise(x),
+                lambda: gru(x), lambda: gru_stepwise(gru, x),
                 reps=7, inner=2,
             )
             if hoisted is None or s / h > stepwise / hoisted:

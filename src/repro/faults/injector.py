@@ -276,32 +276,6 @@ class FaultInjector:
             return lags
         return np.where(coin < rate, lags, 0)
 
-    def schedule_array(self, num_rounds, client_ids, attempts=1):
-        """The full fault schedule as dense arrays (the batch
-        counterpart of :meth:`schedule`).
-
-        Returns a dict of arrays shaped ``(num_rounds, len(client_ids),
-        attempts)`` keyed exactly like one :meth:`schedule` cell; rounds
-        are 1-based like everywhere else.  Pure oracle readout — calling
-        it changes nothing.
-        """
-        ids = np.asarray(client_ids)
-        names = ("dropout", "straggler_factor", "upload_lost", "corrupt",
-                 "staleness")
-        oracles = (self.drops_out_array, self.straggler_factor_array,
-                   self.upload_lost_array, self.corrupts_array,
-                   self.staleness_array)
-        table = {}
-        for name, oracle in zip(names, oracles):
-            planes = [
-                [oracle(round_index, ids, attempt)
-                 for attempt in range(attempts)]
-                for round_index in range(1, num_rounds + 1)
-            ]
-            table[name] = np.stack([np.stack(row, axis=-1)
-                                    for row in planes])
-        return table
-
     # ------------------------------------------------------------------
     # Link availability windows
     # ------------------------------------------------------------------
@@ -335,23 +309,3 @@ class FaultInjector:
         if period <= 0.0:
             return np.ones(times.shape, dtype=bool)
         return (times % period) >= self.spec.link_down_duration_s
-
-    def schedule(self, num_rounds, client_ids, attempts=1):
-        """Materialize the full fault schedule as a nested dict (for tests).
-
-        Purely a readout of the deterministic oracle; calling it does not
-        change any subsequent answer.
-        """
-        table = {}
-        for round_index in range(1, num_rounds + 1):
-            for client_id in client_ids:
-                for attempt in range(attempts):
-                    table[(round_index, client_id, attempt)] = {
-                        "dropout": self.drops_out(round_index, client_id, attempt),
-                        "straggler_factor": self.straggler_factor(
-                            round_index, client_id, attempt),
-                        "upload_lost": self.upload_lost(round_index, client_id, attempt),
-                        "corrupt": self.corrupts(round_index, client_id, attempt),
-                        "staleness": self.staleness(round_index, client_id, attempt),
-                    }
-        return table

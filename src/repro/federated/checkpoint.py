@@ -19,9 +19,10 @@ be restored as saved raises :class:`CheckpointError`.
 Members are stored, not deflated: a FedAvg round checkpoint is about
 100 KB, and zlib cost several times the rest of the save.
 
-Two schemas share the container: the fleet simulator's column snapshot
-(``fleet-checkpoint-v3``, :mod:`repro.federated.fleet.checkpoint`) and
-the FedAvg round checkpoint below (``fedavg-checkpoint-v2``).  The
+Two schemas share the container, each holding its loop's mutable state
+and the key its loader checks the loop against: the fleet simulator's
+snapshot (``fleet-checkpoint-v4``, :mod:`repro.federated.fleet.checkpoint`)
+and the FedAvg round checkpoint below (``fedavg-checkpoint-v2``).  The
 latter captures everything a loop needs to continue *bit-for-bit* as if
 it had never stopped:
 
@@ -85,6 +86,29 @@ class CheckpointError(ValueError):
     restored into.  The message names the file and, when one is at
     fault, the member.
     """
+
+
+def _is(value, kind):
+    """Whether ``value`` is a ``kind``; a bool is a value of no other kind."""
+    return isinstance(value, kind) and (kind is bool
+                                        or not isinstance(value, bool))
+
+
+def check_record(record, fields):
+    """``record``, which must be a dict holding exactly the keys of
+    ``fields``, each value of the type ``fields`` maps it to.
+
+    A ``float`` field takes an int too.  Raises ``ValueError`` if not,
+    which :meth:`Snapshot.parse` reports as a :class:`CheckpointError`.
+    """
+    if not isinstance(record, dict) or set(record) != set(fields):
+        raise ValueError("record {!r}, expected the fields {}".format(
+            record, sorted(fields)))
+    for key, kind in fields.items():
+        if not _is(record[key], (int, float) if kind is float else kind):
+            raise ValueError("{!r} is {!r}, expected {}".format(
+                key, record[key], kind.__name__))
+    return record
 
 
 def _error(path, member, reason):
@@ -180,7 +204,7 @@ class Snapshot:
         if key not in self.meta:
             raise self.error(META, "no {!r} field".format(key))
         value = self.meta[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
+        if not _is(value, kind):
             raise self.error(META, "{!r} is {!r}, expected {}".format(
                 key, value, kind.__name__))
         return value
@@ -271,6 +295,11 @@ class Snapshot:
         return handle, found
 
 
+# The fields of a RoundRecord, which are those of each saved record.
+_RECORD_FIELDS = {"round_index": int, "accuracy": float, "participants": int,
+                  "cumulative_megabytes": float}
+
+
 def save_checkpoint(path, loop, history, round_index):
     """Write the loop's full resumable state after ``round_index``."""
     meta = {
@@ -319,7 +348,8 @@ def load_checkpoint(path, loop, history):
             for client in loop.clients])
         ledger = snapshot.parse("ledger", dict, CommunicationLedger.from_dict)
         records = snapshot.parse("records", list, lambda records: [
-            RoundRecord(**record) for record in records])
+            RoundRecord(**check_record(record, _RECORD_FIELDS))
+            for record in records])
         clock_now = (None if loop.clock is None
                      else snapshot.field("clock_now", float))
         versions = (snapshot.parse("history_versions", list, lambda values: [

@@ -11,14 +11,14 @@ Layers, bottom-up:
   ops for large ones, bit-identically;
 * :mod:`.hierarchy` — edge -> cloud quorum partition at O(edges);
 * :mod:`.simulator` — decision-level chaos simulator for 1M devices;
-* :mod:`.checkpoint` — streaming, bounded-memory round snapshots.
+* :mod:`.checkpoint` — round snapshots of the fleet's build key and its
+  one mutable column, streamed in bounded memory.
 
 Real clients train in :class:`repro.federated.FedAvg`, which samples
 and decides its rounds through these same layers.
 """
 
-from .checkpoint import (load_fleet_checkpoint, load_fleet_state,
-                         save_fleet_checkpoint)
+from .checkpoint import load_fleet_checkpoint, save_fleet_checkpoint
 from .engine import (OUT_BLOCKED, OUT_CORRUPT, OUT_CUT, OUT_DROPOUT,
                      OUT_INFEASIBLE, OUT_LOST, OUT_STALE, OUT_SUCCESS,
                      OUT_TIMEOUT, OUTCOME_NAMES, RoundDecisions,
@@ -52,5 +52,4 @@ __all__ = [
     "FleetSimulator",
     "save_fleet_checkpoint",
     "load_fleet_checkpoint",
-    "load_fleet_state",
 ]

@@ -12,7 +12,8 @@ Determinism: every stochastic input is keyed — sampling by
 attempt)``, the fleet itself by ``(seed)`` at build time — so the
 simulator carries no generator state at all.  Checkpoint/resume
 (:mod:`repro.federated.fleet.checkpoint`) therefore only needs the
-columns, the ledger, the clock, and the round counter to be bit-exact.
+fleet's build key, its ``battery`` column, the ledger, the history, the
+clock, and the round counter to be bit-exact.
 """
 
 from __future__ import annotations

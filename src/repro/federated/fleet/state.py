@@ -10,10 +10,13 @@ keeps only what sampling, the round engine, the battery update and the
 edge partition read; per-round byte accounting lives in the ledger.
 
 Each column is stored at the width its values need: 53 bytes a device,
-so a 1M-client fleet is 53 MB.  Column layout (name, dtype) is a
-contract shared with the streaming checkpoint format
-(:mod:`repro.federated.fleet.checkpoint`): change the format tag with
-any added, removed, reordered or resized column.
+so a 1M-client fleet is 53 MB.  A fleet is built from its key
+``(seed, num_clients, num_edges)`` and keeps it.  Every column except
+``battery`` is a pure function of that key, so the streaming checkpoint
+(:mod:`repro.federated.fleet.checkpoint`) stores the key and the
+``battery`` column alone and rebuilds the rest: any change to
+:meth:`FleetState.build`'s draws, or to ``battery``'s width, needs a
+new snapshot format tag.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from ...rng import derive_rng
 
 __all__ = ["FleetState", "COLUMNS", "LINK_TIERS"]
 
-# (name, dtype string) in checkpoint order.  Only ``battery`` changes
-# after ``build``; tiers fit "u1" and edge ids "i4".
+# (name, dtype string) in fingerprint order; tiers fit "u1" and edge ids
+# "i4".  Only ``battery`` changes after ``build``, and it is the only
+# column a snapshot stores: the others follow from the build key.
 COLUMNS = (
     ("battery", "f8"),          # state of charge in [0, 1]
     ("charge_rate", "f8"),      # recharge per idle round
@@ -51,27 +55,20 @@ class FleetState:
     """Per-client simulation state as struct-of-arrays columns.
 
     Construct with :meth:`build` (seeded synthesis through the
-    ``fleet-init`` RNG namespace) or :meth:`from_columns` (checkpoint
-    restore).  All mutation happens through whole-column array ops; no
-    method loops over clients.
+    ``fleet-init`` RNG namespace), which records the build key
+    ``(seed, num_clients, num_edges)``.  All mutation happens through
+    whole-column array ops; no method loops over clients.
     """
 
-    __slots__ = ("num_clients", "num_edges") + tuple(n for n, _ in COLUMNS)
+    __slots__ = ("seed", "num_clients", "num_edges") + tuple(
+        n for n, _ in COLUMNS)
 
-    def __init__(self, num_clients, num_edges, columns):
-        self.num_clients = int(num_clients)
-        self.num_edges = int(num_edges)
+    def __init__(self, seed, num_clients, num_edges, columns):
+        self.seed = seed
+        self.num_clients = num_clients
+        self.num_edges = num_edges
         for name, dtype in COLUMNS:
-            column = columns[name]
-            if column.shape != (self.num_clients,):
-                raise ValueError(
-                    "column {!r} has shape {}, expected ({},)".format(
-                        name, column.shape, self.num_clients))
-            if column.dtype.str[1:] != dtype:
-                raise ValueError(
-                    "column {!r} has dtype {}, expected {}".format(
-                        name, column.dtype.str, dtype))
-            setattr(self, name, column)
+            setattr(self, name, columns[name].astype(dtype, copy=False))
 
     # ------------------------------------------------------------------
     # Construction
@@ -107,21 +104,13 @@ class FleetState:
             "slowdown": 1.0 + rng.exponential(0.25, n),
             "edge": np.repeat(np.arange(num_edges), np.diff(firsts)),
         }
-        columns = {name: drawn[name].astype(dtype, copy=False)
-                   for name, dtype in COLUMNS}
-        return cls(n, num_edges, columns)
-
-    @classmethod
-    def from_columns(cls, num_edges, columns):
-        """Rebuild a fleet from restored columns (checkpoint path)."""
-        num_clients = columns[COLUMNS[0][0]].shape[0]
-        return cls(num_clients, num_edges, columns)
+        return cls(int(seed), n, num_edges, drawn)
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     def columns(self):
-        """The columns in checkpoint order (live views, not copies)."""
+        """The columns in :data:`COLUMNS` order (live views, not copies)."""
         return OrderedDict((name, getattr(self, name))
                            for name, _ in COLUMNS)
 

@@ -32,9 +32,9 @@ class ParameterServer:
     * :meth:`average_states` — w_{t+1} <- sum_k (n_k/n) w_{t+1}^k
       (the FedAvg rule over locally trained weights).
 
-    ``version`` counts committed aggregations; clients echo the version
-    they trained against so :meth:`accepts_staleness` can reject updates
-    computed on a model that has since moved on.
+    ``version`` counts committed aggregations; the round engine
+    (:func:`repro.federated.fleet.decide_round`) decides which lagged
+    updates a round accepts.
     """
 
     def __init__(self, model_fn):
@@ -45,10 +45,6 @@ class ParameterServer:
     def broadcast(self):
         """A copy of the current global state for download."""
         return OrderedDict((k, v.copy()) for k, v in self.state.items())
-
-    def accepts_staleness(self, update_version, max_staleness=0):
-        """Whether an update trained at ``update_version`` is still usable."""
-        return (self.version - int(update_version)) <= int(max_staleness)
 
     def apply_gradients(self, gradients, weights, lr):
         """Apply the sample-weighted average of client gradients."""
@@ -85,13 +81,6 @@ class ParameterServer:
         self.state = new_state
         self.version += 1
 
-    def apply_sparse_update(self, indices, values):
-        """Add sparse (flat-index, value) contributions (selective SGD)."""
-        flat = self._flatten()
-        flat[indices] += values
-        self._unflatten(flat)
-        self.version += 1
-
     def evaluate(self, features, labels):
         """Accuracy of the current global model on the given arrays."""
         from ..tensor import Tensor, no_grad
@@ -102,20 +91,3 @@ class ParameterServer:
         with no_grad():
             logits = model(Tensor(np.asarray(features)))
         return float((logits.numpy().argmax(axis=1) == np.asarray(labels)).mean())
-
-    # ------------------------------------------------------------------
-    # Flat-vector view (used by the selective-SGD scheme)
-    # ------------------------------------------------------------------
-    def _flatten(self):
-        return np.concatenate([v.reshape(-1) for v in self.state.values()])
-
-    def _unflatten(self, flat):
-        offset = 0
-        for name, value in self.state.items():
-            size = value.size
-            self.state[name] = flat[offset:offset + size].reshape(value.shape).copy()
-            offset += size
-
-    @property
-    def num_parameters(self):
-        return int(sum(v.size for v in self.state.values()))

@@ -23,8 +23,8 @@ fused autograd node (:func:`_gru_sequence` / :func:`_lstm_sequence`)
 with a hand-derived backward: one graph node per sequence instead of
 roughly ten per timestep, which removes the per-step closure, parent
 tuple, and temporary-tensor traffic that dominated the gate math.  The
-original per-step path is kept as ``forward_stepwise`` for the
-equivalence tests.
+original per-step path is the equivalence tests' oracle, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -37,14 +37,6 @@ from . import init
 from .module import Module, Parameter
 
 __all__ = ["GRUCell", "GRU", "LSTMCell", "LSTM", "Bidirectional"]
-
-
-def _mask_step(h_new, h_prev, mask_t):
-    """Blend new and previous hidden states according to a 0/1 mask column."""
-    if mask_t is None:
-        return h_new
-    m = Tensor(mask_t[:, None], dtype=h_new.dtype)
-    return h_new * m + h_prev * (1.0 - m)
 
 
 def _sigmoid(x):
@@ -333,27 +325,6 @@ class GRU(Module):
             projected, h, cell.u_r, cell.u_z, cell.u_h, mask, False
         )
 
-    def forward_stepwise(self, x, mask=None, initial_state=None,
-                         return_sequence=False):
-        """Seed implementation: full cell forward at every timestep.
-
-        Numerically matches :meth:`forward` (same operations, input-side
-        matmuls merely batched differently); kept for equivalence tests
-        and as the microbenchmark baseline.
-        """
-        batch, steps, _ = x.shape
-        h = initial_state if initial_state is not None else self.cell.initial_state(batch, dtype=x.dtype)
-        outputs = []
-        for t in range(steps):
-            h_new = self.cell(x[:, t, :], h)
-            mask_t = None if mask is None else np.asarray(mask)[:, t]
-            h = _mask_step(h_new, h, mask_t)
-            if return_sequence:
-                outputs.append(h)
-        if return_sequence:
-            return T.stack(outputs, axis=1), h
-        return h
-
 
 class LSTMCell(Module):
     """Standard LSTM cell (Hochreiter & Schmidhuber), cited by the paper."""
@@ -415,29 +386,6 @@ class LSTM(Module):
             outputs = _lstm_sequence(projected, h, c, self.cell.u, mask, True)
             return outputs, outputs[:, steps - 1, :]
         return _lstm_sequence(projected, h, c, self.cell.u, mask, False)
-
-    def forward_stepwise(self, x, mask=None, return_sequence=False):
-        """Seed implementation kept for equivalence tests and benchmarks."""
-        batch, steps, _ = x.shape
-        h, c = self.cell.initial_state(batch, dtype=x.dtype)
-        outputs = []
-        for t in range(steps):
-            gates = x[:, t, :] @ self.cell.w.T + h @ self.cell.u.T + self.cell.b
-            n = self.cell.hidden_size
-            i = T.sigmoid(gates[:, 0:n])
-            f = T.sigmoid(gates[:, n:2 * n])
-            g = T.tanh(gates[:, 2 * n:3 * n])
-            o = T.sigmoid(gates[:, 3 * n:4 * n])
-            c_new = f * c + i * g
-            h_new = o * T.tanh(c_new)
-            mask_t = None if mask is None else np.asarray(mask)[:, t]
-            h = _mask_step(h_new, h, mask_t)
-            c = _mask_step(c_new, c, mask_t)
-            if return_sequence:
-                outputs.append(h)
-        if return_sequence:
-            return T.stack(outputs, axis=1), h
-        return h
 
 
 class Bidirectional(Module):

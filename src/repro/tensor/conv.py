@@ -5,25 +5,23 @@ CirCNN) all operate on convolutional networks, so the substrate needs real
 2-D convolutions.  We implement them with the classic im2col/col2im
 transformation so the heavy lifting is a single matrix multiply.
 
-Two generations of the lowering kernels live side by side:
+The lowering kernels :func:`im2col` / :func:`col2im`: ``im2col``
+extracts every patch as a zero-copy ``np.lib.stride_tricks.as_strided``
+view and materialises it with a single cache-friendly copy whose
+innermost axis is the contiguous output-width run (the returned matrix
+is a transposed view of that copy, so it is Fortran-ordered; BLAS
+consumes it without another copy).  ``col2im`` scatter-adds overlapping
+patch gradients through a single whole-tensor ``np.bincount`` over a
+cached flat target index that matches the column buffer's native ravel
+order — measured faster than the per-plane bincount, the
+shift-accumulate loop, and a ``np.add.at`` scatter, whose per-element
+ufunc dispatch loses badly.  Both index caches (``_gather_index`` for
+the unfold, ``_bincount_targets`` for the fold) are keyed by
+``(input_shape, kernel, stride, pad)`` so the serving steady state — the
+same geometry every request — never rebuilds an index tensor.
 
-* :func:`im2col` / :func:`col2im` — the fast path.  ``im2col`` extracts
-  every patch as a zero-copy ``np.lib.stride_tricks.as_strided`` view and
-  materialises it with a single cache-friendly copy whose innermost axis
-  is the contiguous output-width run (the returned matrix is a transposed
-  view of that copy, so it is Fortran-ordered; BLAS consumes it without
-  another copy).  ``col2im`` scatter-adds overlapping patch gradients
-  through a single whole-tensor ``np.bincount`` over a cached flat target
-  index that matches the column buffer's native ravel order — measured
-  faster than the per-plane bincount, the shift-accumulate loop, and a
-  ``np.add.at`` scatter, whose per-element ufunc dispatch loses badly.
-  Both index caches (``_gather_index`` for the unfold, ``_bincount_targets``
-  for the fold) are keyed by ``(input_shape, kernel, stride, pad)`` so the
-  serving steady state — the same geometry every request — never rebuilds
-  an index tensor.
-* :func:`im2col_loop` / :func:`col2im_loop` — the original kernel-position
-  double loop, kept verbatim as the reference implementation for the
-  equivalence tests and the microbenchmark baseline.
+The kernel-position double loop they replaced is the equivalence tests'
+oracle and the microbenchmark baseline, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -37,8 +35,6 @@ from .tensor import Tensor, as_tensor
 __all__ = [
     "im2col",
     "col2im",
-    "im2col_loop",
-    "col2im_loop",
     "conv2d",
     "max_pool2d",
     "avg_pool2d",
@@ -47,43 +43,6 @@ __all__ = [
 
 def _out_size(size, kernel, stride, padding):
     return (size + 2 * padding - kernel) // stride + 1
-
-
-# ----------------------------------------------------------------------
-# Legacy reference kernels (seed implementation, kept for equivalence)
-# ----------------------------------------------------------------------
-def im2col_loop(x, kernel_h, kernel_w, stride=1, padding=0):
-    """Reference im2col: double Python loop over kernel positions."""
-    n, c, h, w = x.shape
-    oh = _out_size(h, kernel_h, stride, padding)
-    ow = _out_size(w, kernel_w, stride, padding)
-    padded = np.pad(
-        x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-    )
-    cols = np.empty((n, c, kernel_h, kernel_w, oh, ow), dtype=x.dtype)
-    for i in range(kernel_h):  # repro-lint: allow[hot-loop] KHxKW reference loop kept for equivalence tests
-        i_max = i + stride * oh
-        for j in range(kernel_w):  # repro-lint: allow[hot-loop] reference implementation
-            j_max = j + stride * ow
-            cols[:, :, i, j, :, :] = padded[:, :, i:i_max:stride, j:j_max:stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, -1), oh, ow
-
-
-def col2im_loop(cols, x_shape, kernel_h, kernel_w, stride=1, padding=0):
-    """Reference col2im: shift-accumulate loop over kernel positions."""
-    n, c, h, w = x_shape
-    oh = _out_size(h, kernel_h, stride, padding)
-    ow = _out_size(w, kernel_w, stride, padding)
-    cols = cols.reshape(n, oh, ow, c, kernel_h, kernel_w).transpose(0, 3, 4, 5, 1, 2)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for i in range(kernel_h):  # repro-lint: allow[hot-loop] KHxKW reference loop kept for equivalence tests
-        i_max = i + stride * oh
-        for j in range(kernel_w):  # repro-lint: allow[hot-loop] reference implementation
-            j_max = j + stride * ow
-            padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
-    if padding == 0:
-        return padded
-    return padded[:, :, padding:-padding, padding:-padding]
 
 
 # ----------------------------------------------------------------------
@@ -113,8 +72,9 @@ def _patch_view(x, kernel_h, kernel_w, stride, padding):
 def im2col(x, kernel_h, kernel_w, stride=1, padding=0):
     """Unfold an (N, C, H, W) array into (N*OH*OW, C*KH*KW) patches.
 
-    The result is numerically identical to :func:`im2col_loop` but is
-    produced by one strided gather instead of KH*KW slice copies.  The
+    The result is numerically identical to the kernel-position loop it
+    replaced, but is produced by one strided gather instead of KH*KW
+    slice copies.  The
     copy is ordered (C, KH, KW, N, OH, OW) so the innermost loop runs over
     the contiguous OW axis; the returned matrix is the transposed
     (Fortran-ordered) view of it.

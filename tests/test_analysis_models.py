@@ -12,6 +12,7 @@ from repro.core.deepmood import DeepMood
 from repro.core.deepservice import DeepService
 from repro.core.model import MultiViewGRUClassifier
 from repro.tensor import Tensor, default_dtype
+from tests.oracles import gru_stepwise, lstm_stepwise
 
 
 def _view_specs(view_dims, batch=4, steps=6, dtype=np.float64):
@@ -87,12 +88,13 @@ def test_fusion_stays_float32():
 
 @pytest.mark.parametrize("layer_cls", [nn.GRU, nn.LSTM])
 def test_stepwise_recurrence_stays_float32(layer_cls):
-    # Seed bug: forward_stepwise seeded the recurrence with a
+    # Seed bug: the stepwise recurrence seeded itself with a
     # default-dtype initial state, so float32 sequences ran at float64.
+    stepwise = {nn.GRU: gru_stepwise, nn.LSTM: lstm_stepwise}[layer_cls]
     with default_dtype(np.float32):
         layer = layer_cls(5, 4)
         x = Tensor(np.zeros((3, 6, 5), dtype=np.float32))
-        out = layer.forward_stepwise(x)
+        out = stepwise(layer, x)
     assert out.data.dtype == np.float32
 
 

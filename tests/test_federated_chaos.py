@@ -30,6 +30,7 @@ from repro.federated import (
 )
 from repro.privacy import DPSGDTrainer
 from repro.synth import iid_partition, make_digits
+from tests.oracles import schedule
 
 CHAOS_SEEDS = range(50)          # the fixed seed matrix for `make chaos-check`
 RESUME_SEEDS = (3, 17, 41)       # subset re-run with kill/resume (expensive)
@@ -246,8 +247,8 @@ class TestRobustnessPolicies:
 
 class TestSeedDeterminism:
     def test_same_seed_same_fault_schedule(self):
-        a = chaos_injector(9).schedule(4, range(5), attempts=2)
-        b = chaos_injector(9).schedule(4, range(5), attempts=2)
+        a = schedule(chaos_injector(9), 4, range(5), attempts=2)
+        b = schedule(chaos_injector(9), 4, range(5), attempts=2)
         assert a == b
         assert random_fault_spec(9) == random_fault_spec(9)
 

@@ -14,7 +14,10 @@ The load-bearing invariants:
   are fleet-size-independent);
 * two-tier quorum re-booking conserves bytes: sent == delivered + wasted
   on every commit/abort path, asserted per round in the ledger;
-* streaming checkpoints resume bit-exactly with bounded peak memory;
+* streaming checkpoints resume bit-exactly with bounded peak memory,
+  load only into the fleet built from their key, and rebuild every
+  column but ``battery`` from it, so ``build``'s draws are pinned per
+  snapshot format;
 * fingerprints hash values, not storage widths: a seeded run's
   fingerprint is pinned under every sampling policy;
 * the simulator refuses a configuration no round can run, and a round
@@ -46,6 +49,7 @@ from repro.data import ArrayDataset
 from repro.faults import FaultInjector, FaultSpec
 from repro.faults.keystream import keyed_uniforms
 from repro.federated import (
+    CheckpointError,
     CommunicationLedger,
     FedAvg,
     FederatedClient,
@@ -69,14 +73,15 @@ from repro.federated.fleet import (
     decide_round,
     edge_partition,
     load_fleet_checkpoint,
-    load_fleet_state,
     sample_clients,
     save_fleet_checkpoint,
 )
+from repro.federated.fleet import checkpoint as fleet_checkpoint
 from repro.federated.fleet import engine
 from repro.federated.fleet import simulator as fleet_simulator
 from repro.rng import derive_rng
 from repro.synth import iid_partition, make_digits
+from tests.oracles import schedule, schedule_array
 
 CHAOS = FaultSpec(dropout_rate=0.3, straggler_rate=0.4, straggler_scale=6.0,
                   upload_loss_rate=0.15, corruption_rate=0.1,
@@ -194,8 +199,8 @@ class TestBatchOracles:
         injector = FaultInjector(spec=CHAOS, seed=77)
         rng = np.random.default_rng(5)
         ids = rng.integers(0, 10**6, size=8)
-        table = injector.schedule_array(3, ids, attempts=2)
-        scalar = injector.schedule(3, ids.tolist(), attempts=2)
+        table = schedule_array(injector, 3, ids, attempts=2)
+        scalar = schedule(injector, 3, ids.tolist(), attempts=2)
         for r in range(1, 4):
             for ci, cid in enumerate(ids.tolist()):
                 for a in range(2):
@@ -245,6 +250,14 @@ class TestBatchOracles:
 # ----------------------------------------------------------------------
 # Fleet state columns
 # ----------------------------------------------------------------------
+# Fleet snapshot format -> ``FleetState.build(1000, seed=5, num_edges=4)``'s
+# fingerprint.
+BUILD_PINS = {
+    "fleet-checkpoint-v4":
+        "e15504848c29793ad7fd5dd00483ae28f7ce4bce9968398ec43cac1267f09111",
+}
+
+
 class TestFleetState:
     def test_build_is_seed_deterministic(self):
         a = FleetState.build(512, seed=9, num_edges=4)
@@ -269,16 +282,14 @@ class TestFleetState:
         assert (state.battery[rows] <= before[rows]).all()
         assert (state.battery >= 0.0).all() and (state.battery <= 1.0).all()
 
-    def test_column_validation(self):
-        state = FleetState.build(8, seed=0)
-        columns = {name: col.copy() for name, col in state.columns().items()}
-        columns["battery"] = columns["battery"][:4]
-        with pytest.raises(ValueError):
-            FleetState.from_columns(1, columns)
-        columns = {name: col.copy() for name, col in state.columns().items()}
-        columns["edge"] = columns["edge"].astype(np.int64)
-        with pytest.raises(ValueError):
-            FleetState.from_columns(1, columns)
+    def test_build_is_pinned_to_the_snapshot_format(self):
+        """A fleet snapshot stores the build key and ``battery`` alone and
+        rebuilds every other column with ``build``, so ``build`` may
+        change its draws only under a new snapshot format tag.  Add a pin
+        under the new tag; never edit one."""
+        state = FleetState.build(1000, seed=5, num_edges=4)
+        assert (state.seed, state.num_clients, state.num_edges) == (5, 1000, 4)
+        assert state.fingerprint() == BUILD_PINS[fleet_checkpoint.FORMAT]
 
 
 # ----------------------------------------------------------------------
@@ -868,8 +879,8 @@ class TestFleetSimulator:
 # Streaming checkpoints
 # ----------------------------------------------------------------------
 class TestStreamingCheckpoint:
-    def make(self, num_clients=20_000):
-        state = FleetState.build(num_clients, seed=5, num_edges=16)
+    def make(self, num_clients=20_000, seed=5):
+        state = FleetState.build(num_clients, seed=seed, num_edges=16)
         return FleetSimulator(
             state, injector=FaultInjector(spec=MILD, seed=2),
             policy=RobustnessPolicy(max_retries=1),
@@ -886,14 +897,6 @@ class TestStreamingCheckpoint:
         resumed.run(6, checkpoint_path=path, resume=True)
         assert resumed.fingerprint() == reference.fingerprint()
         assert resumed.ledger.to_dict() == reference.ledger.to_dict()
-
-    def test_standalone_state_loader(self, tmp_path):
-        path = str(tmp_path / "fleet.ckpt")
-        sim = self.make()
-        sim.run(2, checkpoint_path=path)
-        state = load_fleet_state(path)
-        assert state.fingerprint() == sim.state.fingerprint()
-        assert state.num_edges == 16
 
     def test_lags_past_int32_run_and_resume_bit_exactly(self, tmp_path):
         # A legal spec whose lags are uniform on 1..2**32: the fleet
@@ -922,6 +925,14 @@ class TestStreamingCheckpoint:
         other = self.make(num_clients=1000)
         with pytest.raises(ValueError):
             load_fleet_checkpoint(path, other)
+        # Same size and edges, another seed: other devices entirely.
+        reseeded = self.make(seed=6)
+        reseeded.run(1)
+        before = reseeded.fingerprint()
+        with pytest.raises(CheckpointError) as caught:
+            load_fleet_checkpoint(path, reseeded)
+        assert "seed" in str(caught.value)
+        assert reseeded.fingerprint() == before
 
     def test_kill_resume_at_100k_with_bounded_memory(self, tmp_path):
         import tracemalloc

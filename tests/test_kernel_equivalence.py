@@ -2,22 +2,16 @@
 
 The strided im2col/col2im pair and the hoisted-projection recurrent paths
 must be numerically identical (within 1e-10 at float64) to the original
-loop implementations they replaced.
+loop implementations they replaced, kept in ``tests/oracles.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.tensor import (
-    Tensor,
-    col2im,
-    col2im_loop,
-    conv2d,
-    im2col,
-    im2col_loop,
-)
+from repro.tensor import Tensor, col2im, conv2d, im2col
 from repro.tensor.conv import _out_size
+from tests.oracles import col2im_loop, gru_stepwise, im2col_loop, lstm_stepwise
 
 
 @pytest.fixture
@@ -116,7 +110,7 @@ class TestRecurrentEquivalence:
         gru = nn.GRU(5, 7, rng=rng)
         x = Tensor(rng.normal(size=(4, 64, 5)))
         np.testing.assert_allclose(
-            gru(x).numpy(), gru.forward_stepwise(x).numpy(), atol=1e-10, rtol=0
+            gru(x).numpy(), gru_stepwise(gru, x).numpy(), atol=1e-10, rtol=0
         )
 
     def test_gru_hoisted_matches_stepwise_with_mask_and_sequence(self, rng):
@@ -126,7 +120,7 @@ class TestRecurrentEquivalence:
         mask[:, 0] = 1.0
         mask = np.sort(mask, axis=1)[:, ::-1].copy()  # valid prefixes
         seq_fast, last_fast = gru(x, mask=mask, return_sequence=True)
-        seq_slow, last_slow = gru.forward_stepwise(x, mask=mask, return_sequence=True)
+        seq_slow, last_slow = gru_stepwise(gru, x, mask=mask, return_sequence=True)
         np.testing.assert_allclose(seq_fast.numpy(), seq_slow.numpy(),
                                    atol=1e-10, rtol=0)
         np.testing.assert_allclose(last_fast.numpy(), last_slow.numpy(),
@@ -143,7 +137,7 @@ class TestRecurrentEquivalence:
             return [x.grad] + [p.grad.copy() for p in gru.parameters()]
 
         fast = grads_via(gru.forward)
-        slow = grads_via(gru.forward_stepwise)
+        slow = grads_via(lambda x: gru_stepwise(gru, x))
         for a, b in zip(fast, slow):
             np.testing.assert_allclose(a, b, atol=1e-10, rtol=0)
 
@@ -151,7 +145,7 @@ class TestRecurrentEquivalence:
         lstm = nn.LSTM(4, 6, rng=rng)
         x = Tensor(rng.normal(size=(3, 32, 4)))
         np.testing.assert_allclose(
-            lstm(x).numpy(), lstm.forward_stepwise(x).numpy(), atol=1e-10, rtol=0
+            lstm(x).numpy(), lstm_stepwise(lstm, x).numpy(), atol=1e-10, rtol=0
         )
 
     def test_lstm_masked_hoisted_matches_stepwise(self, rng):
@@ -161,7 +155,7 @@ class TestRecurrentEquivalence:
         mask[0, :5] = 1.0
         mask[1, :8] = 1.0
         seq_fast, _ = lstm(x, mask=mask, return_sequence=True)
-        seq_slow, _ = lstm.forward_stepwise(x, mask=mask, return_sequence=True)
+        seq_slow, _ = lstm_stepwise(lstm, x, mask=mask, return_sequence=True)
         np.testing.assert_allclose(seq_fast.numpy(), seq_slow.numpy(),
                                    atol=1e-10, rtol=0)
 
@@ -177,13 +171,13 @@ class TestRecurrentEquivalence:
         ], dtype=float)
         out = bi(Tensor(x_data), mask=mask).numpy()
         # Reference: seed-style per-row reversal + stepwise recurrences.
-        ahead = fwd.forward_stepwise(Tensor(x_data), mask=mask).numpy()
+        ahead = gru_stepwise(fwd, Tensor(x_data), mask=mask).numpy()
         reversed_data = np.zeros_like(x_data)
         reversed_mask = np.zeros_like(mask)
         for i in range(3):
             length = int(mask[i].sum())
             reversed_data[i, :length] = x_data[i, :length][::-1]
             reversed_mask[i, :length] = 1.0
-        behind = bwd.forward_stepwise(Tensor(reversed_data), mask=reversed_mask).numpy()
+        behind = gru_stepwise(bwd, Tensor(reversed_data), mask=reversed_mask).numpy()
         np.testing.assert_allclose(out, np.concatenate([ahead, behind], axis=1),
                                    atol=1e-10, rtol=0)
