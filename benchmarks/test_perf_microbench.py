@@ -7,7 +7,8 @@ replaced and asserts the speedups hold:
   double Python loop; must be at least 3x faster on the reference
   32x8x32x32 / 3x3 workload.
 * **col2im** — per-plane `np.bincount` scatter vs the legacy loop.
-* **conv2d** — forward and backward wall-clock on the same workload.
+* **conv2d** — forward and forward-plus-backward wall-clock on the
+  same workload, timed interleaved.
 * **GRU** — 64-timestep forward, hoisted input projections vs the
   stepwise seed loop; hoisted must win.
 
@@ -112,14 +113,14 @@ class TestConv2d:
         def forward():
             return conv2d(Tensor(conv_input), Tensor(w_data), padding=1)
 
-        fwd = best_time(forward, reps=5, inner=2)
-
         def forward_backward():
             x = Tensor(conv_input, requires_grad=True)
             w = Tensor(w_data, requires_grad=True)
             conv2d(x, w, padding=1).sum().backward()
 
-        both = best_time(forward_backward, reps=5, inner=2)
+        # Interleaved, so both paths see the same scheduling noise.
+        fwd, both = best_time_paired(forward, forward_backward,
+                                     reps=5, inner=2)
         record("conv2d", forward_s=fwd, forward_backward_s=both,
                backward_s=max(both - fwd, 0.0))
         assert fwd > 0 and both >= fwd

@@ -21,11 +21,11 @@ uint32/uint64 **array** arithmetic, so one call produces the first
   conversion of ``Generator.random()``.
 
 Every pass updates a batch-shaped buffer in place.  A stream allocates
-two blocks, one of uint32 rows for seeding and one of uint64 rows for
-the generator, and each draw allocates only the array of doubles it
-returns.  Scalar key positions stay Python ints until they meet a
-vector position, so a shared ``(seed, tag, round)`` prefix is hashed
-once, not per client.
+one block of uint64 rows for the generator, whose scratch rows double
+as the uint32 rows seeding works in, and each draw allocates only the
+array of doubles it returns.  Scalar key positions stay Python ints
+until they meet a vector position, so a shared ``(seed, tag, round)``
+prefix is hashed once, not per client.
 
 Bit-identity with ``default_rng(key).random()`` is a tested invariant
 (`tests/test_fleet.py` proves it property-style against live numpy), so
@@ -217,20 +217,22 @@ class KeyedStream:
     element; each :meth:`next_uniform` call then advances every stream by
     exactly one draw, matching ``Generator.random()`` bit-for-bit.
 
-    Every batch-shaped array is a row of one of two blocks: seven uint32
-    rows for seeding (the pool, two hash outputs, a scratch word) and
-    eight uint64 rows for the generator (the 128-bit state and increment,
-    four scratch words), updated in place.  Rows are ndarrays even for an
-    all-scalar key's 0-d shape, never numpy scalars, which would rebind
-    on ``*=`` and drop the update.
+    Every batch-shaped array is a row of one block of eight uint64 rows:
+    the 128-bit state and increment, then four scratch words, updated in
+    place.  Seeding works in uint32 rows viewed over the scratch words
+    (the pool, two hash outputs, a scratch word), which nothing else
+    reads until seeding ends, so a stream holds 64 bytes per id.  Rows
+    are ndarrays even for an all-scalar key's 0-d shape, never numpy
+    scalars, which would rebind on ``*=`` and drop the update.
     """
 
     def __init__(self, components):
         words = entropy_words(*components)
         shape = np.broadcast_shapes(*[np.shape(word) for word in words])
-        seeding = _rows(np.empty((7,) + shape, dtype=np.uint32))
-        generator = _rows(np.empty((8,) + shape, dtype=np.uint64))
-        low, high, tmp = seeding[4:]
+        block = np.empty((8,) + shape, dtype=np.uint64)
+        generator = _rows(block)
+        seeding = _rows(block[4:].view(np.uint32).reshape((8,) + shape))
+        low, high, tmp = seeding[4:7]
         init_hi, init_lo, seq_hi, seq_lo = generator[:4]
         _state_words(_mixed_pool(words, shape, seeding[:4], low, tmp),
                      generator[:4], low, high, tmp)

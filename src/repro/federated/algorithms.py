@@ -170,10 +170,16 @@ class _FederatedLoop:
         up from that snapshot (if present) and reproduces the
         uninterrupted run bit-for-bit — RNG states, ledger, records, and
         the simulated clock all round-trip (see
-        :mod:`repro.federated.checkpoint`).
+        :mod:`repro.federated.checkpoint`).  An ``eval_every`` or
+        ``checkpoint_every`` below 1 raises ``ValueError`` before any
+        round runs.
         """
         from .checkpoint import load_checkpoint, save_checkpoint
 
+        if eval_every < 1:
+            raise ValueError("eval_every must be at least 1")
+        if checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be at least 1")
         history = FederatedHistory()
         features, labels = eval_data
         start_round = 1

@@ -18,9 +18,11 @@ clock, and the round counter to be bit-exact.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
+import platform
 
 import numpy as np
 
@@ -32,6 +34,38 @@ from .hierarchy import EdgeTopology, edge_partition
 from .sampling import SAMPLING_POLICIES, sample_clients
 
 __all__ = ["FleetSimulator"]
+
+# glibc's mallopt parameter codes (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# The cap of glibc's own dynamic rule on 64-bit, and the largest value
+# older glibc accepts: every cohort-sized temporary comes from the heap.
+_MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024
+# About nine times a 1M-client round's peak temporaries (decide_round
+# peaks 27.7 MB above its entry, sample_clients 18.6 MB, in tracemalloc).
+_TRIM_THRESHOLD_BYTES = 256 * 1024 * 1024
+
+
+def _keep_freed_heap():
+    """Keep the heap a round frees mapped, so the next round reuses it.
+
+    Otherwise glibc hands a round's freed temporaries back to the kernel
+    and the next round faults every page of them in again.  Setting
+    either threshold turns off glibc's dynamic adjustment of both, so
+    both are set: the trim threshold alone would freeze the mmap
+    threshold at 128 KiB, and every cohort-sized array would then be a
+    fresh mapping that faults on every round.  A no-op off glibc.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 0 for a value it refuses (older glibc caps this
+    # one at 16 MiB on 32-bit); the trim threshold alone would then pin
+    # the mmap threshold at 128 KiB.
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 class FleetSimulator:
@@ -45,11 +79,20 @@ class FleetSimulator:
     round opens inside a link window: it waits for the link.  An unknown
     ``sampling`` policy or a ``client_fraction`` outside (0, 1] raises
     ``ValueError`` here, not in the first round.
+
+    Constructing a simulator sets glibc's mmap and trim thresholds (32
+    and 256 MiB), so the memory one round frees stays mapped and the
+    next round reuses it without page faults.  The setting is
+    process-wide and lasts for the life of the process: up to 256 MiB
+    of freed heap stays mapped instead of going back to the kernel.
+    FedAvg and the serving and training runtimes never construct a
+    simulator, so they keep glibc's defaults.
     """
 
     def __init__(self, state, injector=None, policy=None, topology=None,
                  model_bytes=40_000, client_fraction=0.1,
                  sampling="uniform", min_battery=0.2, seed=0):
+        _keep_freed_heap()
         self.state = state
         self.injector = injector if injector is not None \
             else FaultInjector(seed=seed)
@@ -128,10 +171,13 @@ class FleetSimulator:
         With ``checkpoint_path`` set, a streaming snapshot is written
         every ``checkpoint_every`` completed rounds; ``resume=True``
         restores it first and reproduces the uninterrupted run
-        bit-for-bit.
+        bit-for-bit.  A ``checkpoint_every`` below 1 raises
+        ``ValueError`` before any round runs.
         """
         from .checkpoint import load_fleet_checkpoint, save_fleet_checkpoint
 
+        if checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be at least 1")
         if resume and checkpoint_path and os.path.exists(checkpoint_path):
             load_fleet_checkpoint(checkpoint_path, self)
         while self.round_index < num_rounds:

@@ -4,7 +4,8 @@ The load-bearing invariants:
 
 * the vectorized keystream replays ``np.random.default_rng(key)``
   bit-for-bit, so the batch fault oracles equal the scalar ones on any
-  overlapping (round, client, attempt) grid;
+  overlapping (round, client, attempt) grid, and seeds inside its one
+  generator block;
 * the round engine's two paths, array ops and the per-client loop, are
   bit-identical — outcomes, byte tallies, timelines, lags — on fleets
   <= 256 (tests force a path through ``engine.VECTORIZE_MIN_ROWS``),
@@ -21,7 +22,10 @@ The load-bearing invariants:
 * fingerprints hash values, not storage widths: a seeded run's
   fingerprint is pinned under every sampling policy;
 * the simulator refuses a configuration no round can run, and a round
-  that fails changes nothing;
+  that fails changes nothing; it and FedAvg refuse a run interval below
+  one round before any round runs;
+* on glibc, a simulator's rounds reuse the heap earlier rounds freed
+  instead of faulting it back in (counted in a fresh interpreter);
 * an hour only narrows who is eligible, never the sampling keys;
 * FedAvg samples with the keyed sampler: a round nobody is eligible
   for trains nobody and moves nothing, and a run under the hourly
@@ -32,11 +36,14 @@ The load-bearing invariants:
   survivors train.
 """
 
+import json
 import os
+import platform
+import subprocess
 import sys
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -189,6 +196,22 @@ class TestKeystream:
                 + tuple(key[position + 1:])
             reference = np.random.default_rng(element_key).random(ndraws)
             assert np.array_equal(got[i], reference), element_key
+
+    def test_one_draw_stream_peaks_below_80_bytes_per_id(self):
+        # Seeding works inside the generator's eight uint64 rows (64
+        # bytes an id); the id words, the carry and the drawn doubles
+        # come on top.  Separate seeding rows would add 28 bytes an id.
+        import tracemalloc
+
+        ids = np.arange(100_000)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            keyed_uniforms([7, 3, 11, ids, 0], 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / ids.size < 80
 
 
 # ----------------------------------------------------------------------
@@ -781,6 +804,32 @@ PINNED_FINGERPRINTS = {
 }
 
 
+# Minor page faults of each of ten rounds at 100k clients, counted in a
+# fresh interpreter: glibc's thresholds in this one depend on which
+# tests ran first.
+ROUND_FAULTS_SCRIPT = """
+import json, resource, sys
+sys.path.insert(0, {src!r})
+from repro.faults import FaultInjector, FaultSpec
+from repro.federated import RobustnessPolicy
+from repro.federated.fleet import FleetSimulator, FleetState
+
+sim = FleetSimulator(FleetState.build(100_000, seed=5, num_edges=16),
+                     injector=FaultInjector(FaultSpec(**{spec!r}), seed=2),
+                     policy=RobustnessPolicy(max_retries=1),
+                     client_fraction=0.1, seed=4)
+faults = []
+for _ in range(10):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sim.run_round()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+# A tenth of the 731 faults a round the script counted while glibc gave
+# each round's freed temporaries back to the kernel (5 once they stay).
+MAX_ROUND_FAULTS = 73
+
+
 class TestFleetSimulator:
     def make(self, num_clients=4096, seed=41, sampling="uniform"):
         state = FleetState.build(num_clients, seed=seed, num_edges=8)
@@ -873,6 +922,18 @@ class TestFleetSimulator:
         assert record["cloud_commit"]
         assert record["survived"] == 4
         assert sim.clock.now > 300.0
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the simulator tunes glibc's malloc")
+    def test_rounds_reuse_the_heap_they_free(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = ROUND_FAULTS_SCRIPT.format(
+            src=os.path.join(root, "src"), spec=asdict(MILD))
+        done = subprocess.run([sys.executable, "-c", script], cwd=root,
+                              capture_output=True, text=True, check=True)
+        faults = json.loads(done.stdout.strip().splitlines()[-1])
+        # Rounds 4-10: the heap has grown to a round's temporaries.
+        assert np.median(faults[3:]) < MAX_ROUND_FAULTS, faults
 
 
 # ----------------------------------------------------------------------
@@ -1116,3 +1177,47 @@ class TestFedAvgOnEngine:
         assert history.ledger.aborts == 3
         assert history.ledger.uplink_bytes == 0
         assert loop.server.version == 0
+
+
+# ----------------------------------------------------------------------
+# Run intervals
+# ----------------------------------------------------------------------
+def loop_state(loop):
+    """A loop's round counter, history and server state, comparable."""
+    if isinstance(loop, FleetSimulator):
+        return loop.round_index, list(loop.history), loop.fingerprint()
+    server = {name: value.tobytes()
+              for name, value in loop.server.state.items()}
+    return (loop._round_index, len(loop._state_history), loop.server.version,
+            server, [client.rng_state() for client in loop.clients],
+            loop.clock.now)
+
+
+class TestRunIntervals:
+    """An interval below one round is refused before the first round."""
+
+    @pytest.mark.parametrize("kind, interval", [
+        ("fleet", {"checkpoint_every": 0}),
+        ("fleet", {"checkpoint_every": -2}),
+        ("fedavg", {"checkpoint_every": 0}),
+        ("fedavg", {"eval_every": 0}),
+        ("fedavg", {"eval_every": -1}),
+    ])
+    def test_refused_before_any_round_runs(self, federation, tmp_path, kind,
+                                           interval):
+        shards, eval_data = federation
+        path = str(tmp_path / "loop.ckpt")
+        injector = FaultInjector(MILD, seed=0)
+        if kind == "fleet":
+            loop = FleetSimulator(FleetState.build(256, seed=0),
+                                  injector=injector, client_fraction=0.5)
+            args = ()
+        else:
+            loop = FedAvg(make_clients(shards), model_fn, lr=0.3, seed=0,
+                          injector=injector)
+            args = (eval_data,)
+        before = loop_state(loop)
+        with pytest.raises(ValueError, match=next(iter(interval))):
+            loop.run(3, *args, checkpoint_path=path, **interval)
+        assert loop_state(loop) == before
+        assert not os.path.exists(path)
