@@ -78,7 +78,8 @@ def write_results():
                 "optimizer": "sgd(lr={})".format(LR),
                 "loss": "cross_entropy",
                 "cpu_count": os.cpu_count(),
-                "timing": "best of {} passes, seconds".format(REPS),
+                "timing": "best of {} interleaved passes, seconds".format(
+                    REPS),
             },
             "strategies": _results,
         }
@@ -98,13 +99,6 @@ def _record(name, total):
     }
 
 
-def _best(run_pass):
-    best = float("inf")
-    for _ in range(REPS):
-        best = min(best, run_pass())
-    return best
-
-
 def test_training_strategies(workload):
     views, labels = workload
 
@@ -122,9 +116,6 @@ def test_training_strategies(workload):
             optimizer.step()
         return time.perf_counter() - start
 
-    eager_total = _best(eager_pass)
-    _record("eager", eager_total)
-
     # -- plan: compiled forward+backward+update ------------------------
     plan_model = _model()
     plan = TrainPlan(plan_model, loss="cross_entropy", optimizer="sgd",
@@ -137,7 +128,13 @@ def test_training_strategies(workload):
             plan.step(views, labels)
         return time.perf_counter() - start
 
-    plan_total = _best(plan_pass)
+    # Alternating the two passes within each repetition exposes both to
+    # the same scheduling-noise windows, as best_time_paired does.
+    eager_total = plan_total = float("inf")
+    for _ in range(REPS):
+        eager_total = min(eager_total, eager_pass())
+        plan_total = min(plan_total, plan_pass())
+    _record("eager", eager_total)
     _record("plan", plan_total)
 
     speedup = eager_total / plan_total

@@ -39,6 +39,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from ..lint import _attribute_chain, _numpy_aliases
+
 __all__ = ["RngSite", "collect", "collect_file", "collect_tree",
            "library_root", "summarize"]
 
@@ -67,27 +69,6 @@ class RngSite:
     def __repr__(self):
         return "RngSite({!r}:{} {} {})".format(
             self.path, self.line, self.origin, self.detail)
-
-
-def _attribute_chain(node):
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None
-
-
-def _numpy_aliases(tree):
-    aliases = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                if item.name == "numpy":
-                    aliases.add(item.asname or "numpy")
-    return aliases
 
 
 def _is_seed_expr(node):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import ast
 
-from ..lint import Violation
+from ..lint import Violation, _attribute_chain
 
 __all__ = ["DET_RULES", "det_lint"]
 
@@ -60,17 +60,6 @@ _ORDER_FREE_CONSUMERS = {"len", "min", "max", "set", "frozenset",
 # Consumers that materialize or fold the iterable in iteration order.
 _ORDER_SENSITIVE_CONSUMERS = {"sum", "list", "tuple", "join", "enumerate",
                               "iter", "next", "map", "filter", "zip"}
-
-
-def _attribute_chain(node):
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None
 
 
 # ----------------------------------------------------------------------

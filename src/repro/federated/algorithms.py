@@ -301,16 +301,4 @@ class FedAvg(_FederatedLoop):
             wasted += up + down
             up = down = 0
         self.clock.advance(decisions.duration)
-        self._note_fault_counters(wasted, retries, aborts)
         return RoundTraffic(up, down, wasted, retries, aborts)
-
-    @staticmethod
-    def _note_fault_counters(wasted, retries, aborts):
-        from .. import profiler
-
-        if retries:
-            profiler.record_event("federated/retries", retries)
-        if aborts:
-            profiler.record_event("federated/round-aborts", aborts)
-        if wasted:
-            profiler.record_bytes("federated/wasted-bytes", wasted)

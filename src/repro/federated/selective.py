@@ -210,8 +210,11 @@ class DistributedSelectiveSGD:
         injector attached, each participant gets the retry/backoff policy;
         an ``abort`` counts a participant whose upload never landed that
         round (there is no round commit to quorum-gate here — the server
-        is updated incrementally).
+        is updated incrementally).  An ``eval_every`` below 1 raises
+        ``ValueError`` before any participant trains.
         """
+        if eval_every < 1:
+            raise ValueError("eval_every must be at least 1")
         history = FederatedHistory()
         features, labels = eval_data
         for round_index in range(1, num_rounds + 1):

@@ -260,18 +260,6 @@ class GRUCell(Module):
             axis=1,
         )
 
-    def step(self, projected, h):
-        """Advance one step from precomputed input projections.
-
-        ``projected`` is one timestep's slice of :meth:`input_projection`;
-        only the hidden-side matmuls run here.
-        """
-        n = self.hidden_size
-        r = T.sigmoid(projected[:, 0:n] + h @ self.u_r.T)
-        z = T.sigmoid(projected[:, n:2 * n] + h @ self.u_z.T)
-        candidate = T.tanh(projected[:, 2 * n:3 * n] + (r * h) @ self.u_h.T)
-        return z * h + (1.0 - z) * candidate
-
     def initial_state(self, batch_size, dtype=None):
         """Zero hidden state for a batch."""
         return Tensor(np.zeros((batch_size, self.hidden_size)), dtype=dtype)

@@ -118,7 +118,13 @@ class DPFedAvg:
 
     def run(self, num_rounds, eval_data, delta=1e-5, eval_every=1,
             epsilon_budget=None):
-        """Train for ``num_rounds`` rounds (or until the budget is spent)."""
+        """Train for ``num_rounds`` rounds (or until the budget is spent).
+
+        An ``eval_every`` below 1 raises ``ValueError`` before any round
+        trains or spends privacy budget.
+        """
+        if eval_every < 1:
+            raise ValueError("eval_every must be at least 1")
         history = FederatedHistory()
         features, labels = eval_data
         for round_index in range(1, num_rounds + 1):

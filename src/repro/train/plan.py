@@ -10,7 +10,8 @@ then replays them with
   gradients flow through per-buffer gradient arrays the compiler pairs
   with every forward intermediate;
 * **fused elementwise chains** — gate nonlinearities inside the GRU/LSTM
-  recurrences, bias+activation after Linear/Conv (peepholed by the
+  recurrences (a cell compiles as one step of its layer's recurrence),
+  bias+activation after Linear/Conv (peepholed by the
   Sequential rule), and softmax+cross-entropy run as single closures
   over preallocated scratch instead of one autograd node per ufunc;
 * **reused im2col columns** — conv backward consumes the forward's
@@ -1698,7 +1699,9 @@ def _train_depthwise(module, inputs, ctx):
 
 
 # ----------------------------------------------------------------------
-# Rules: recurrent layers
+# Rules: recurrent layers.  One compiled recurrence per cell type:
+# _gru_stack and _lstm_recurrence hold all the gate math, and a GRUCell
+# or LSTMCell compiles as one step of them from the state it is given.
 # ----------------------------------------------------------------------
 def _train_sequence_inputs(module, inputs):
     if isinstance(inputs, tuple):
@@ -1744,15 +1747,21 @@ def _hoisted_projection_backward(ctx, x2, g_x2, parts):
     return run
 
 
-def _state_rows(ctx, steps, shape, dtype):
+def _state_rows(ctx, steps, shape, dtype, loaded=False):
     """Recurrent state rows: timestep ``t`` reads row ``t % len(rows)``.
 
     Each row holds one state of ``shape``.  Training keeps every
-    timestep for backward (``steps + 1`` rows, row 0 the zero initial
-    state written once here).  Forward-only mode alternates between two
-    rows, zeroed by a step of their own (the whole buffer, so the plan
-    auditor sees it fully written).
+    timestep for backward (``steps + 1`` rows); forward-only mode
+    alternates between two.  Row 0 is the initial state.  ``loaded``
+    rows get it from the caller, which copies a given state into row 0
+    at the top of its forward step, so that one step writes the whole
+    buffer, as the plan auditor requires.  Otherwise it is zero:
+    written once here in training, and in forward-only mode by a step
+    of its own that zeroes the whole buffer (so the plan auditor sees
+    it fully written).
     """
+    if loaded:
+        return ctx.alloc((steps + 1 if ctx.training else 2,) + shape, dtype)
     if ctx.training:
         # Persistent: row 0 is the zero initial state, written once here.
         rows = ctx.alloc((steps + 1,) + shape, dtype, persistent=True)
@@ -1763,148 +1772,50 @@ def _state_rows(ctx, steps, shape, dtype):
     return rows
 
 
+def _one_step(module, ctx, x, states):
+    """A cell's ``x`` as a one-step sequence, after checking its shapes.
+
+    ``x`` must be (batch, input) and each of ``states`` (batch, hidden).
+    The (batch, 1, input) view shares ``x``'s gradient, so a cell fed by
+    another layer still sends back its input gradient.
+    """
+    values = (x,) + states
+    if not all(isinstance(value, np.ndarray) for value in values) \
+            or x.ndim != 2 or x.shape[1] != module.input_size or any(
+                state.shape != (x.shape[0], module.hidden_size)
+                for state in states):
+        raise ShapeError(
+            "{}: expects a (batch, {}) input and (batch, {}) state, got "
+            "{}".format(type(module).__name__, module.input_size,
+                        module.hidden_size,
+                        ", ".join(str(value.shape)
+                                  if isinstance(value, np.ndarray)
+                                  else type(value).__name__
+                                  for value in values)))
+    seq = x.reshape(x.shape[0], 1, module.input_size)
+    ctx.alias_grad(seq, x)
+    return seq
+
+
 @register_train_rule(nn.GRUCell)
 def _train_gru_cell(module, inputs, ctx):
+    # One step of the GRU recurrence, from the given state.
     if not isinstance(inputs, tuple) or len(inputs) != 2:
         raise ShapeError("GRUCell training rule expects (x, h) inputs")
     x, h = inputs
-    hidden = module.hidden_size
-    batch = x.shape[0]
-    dtype = np.result_type(x.dtype, h.dtype, module.w_r.data.dtype)
-    shape = (batch, hidden)
-    b_r, b_z, b_h = module.b_r.data, module.b_z.data, module.b_h.data
-    wrT = ctx.keep(module.w_r.data.T)
-    wzT = ctx.keep(module.w_z.data.T)
-    whT = ctx.keep(module.w_h.data.T)
-    urT = ctx.keep(module.u_r.data.T)
-    uzT = ctx.keep(module.u_z.data.T)
-    uhT = ctx.keep(module.u_h.data.T)
-    r = ctx.alloc(shape, dtype)
-    z = ctx.alloc(shape, dtype)
-    cand = ctx.alloc(shape, dtype)
-    rh = ctx.alloc(shape, dtype)
-    pre = ctx.alloc(shape, dtype)
-    tmp = ctx.alloc(shape, dtype)
-    scratch = ctx.alloc(shape, dtype)
-    sigmask = ctx.bool_buf(shape)
-    out = ctx.alloc(shape, dtype)
-
-    def forward():
-        np.matmul(x, wrT, out=pre)
-        np.add(pre, b_r, out=pre)
-        np.matmul(h, urT, out=tmp)
-        np.add(pre, tmp, out=pre)
-        kernels.sigmoid_(pre, r, scratch, sigmask)
-        np.matmul(x, wzT, out=pre)
-        np.add(pre, b_z, out=pre)
-        np.matmul(h, uzT, out=tmp)
-        np.add(pre, tmp, out=pre)
-        kernels.sigmoid_(pre, z, scratch, sigmask)
-        np.multiply(r, h, out=rh)
-        np.matmul(x, whT, out=pre)
-        np.add(pre, b_h, out=pre)
-        np.matmul(rh, uhT, out=tmp)
-        np.add(pre, tmp, out=pre)
-        np.tanh(pre, out=cand)
-        np.multiply(z, h, out=out)
-        np.subtract(1.0, z, out=tmp)
-        np.multiply(tmp, cand, out=tmp)
-        np.add(out, tmp, out=out)
-
-    ctx.fwd(forward)
-
-    g_out = ctx.grad(out)
-    if g_out is None:
-        return out
-    g_x = ctx.grad(x)
-    g_h = ctx.grad(h)
-    gdt = g_out.dtype
-    wrd, wzd, whd = module.w_r.data, module.w_z.data, module.w_h.data
-    urd, uzd, uhd = module.u_r.data, module.u_z.data, module.u_h.data
-    g_wr = ctx.param_grad(module.w_r)
-    g_wz = ctx.param_grad(module.w_z)
-    g_wh = ctx.param_grad(module.w_h)
-    g_ur = ctx.param_grad(module.u_r)
-    g_uz = ctx.param_grad(module.u_z)
-    g_uh = ctx.param_grad(module.u_h)
-    g_br = ctx.param_grad(module.b_r)
-    g_bz = ctx.param_grad(module.b_z)
-    g_bh = ctx.param_grad(module.b_h)
-    gz = ctx.alloc(shape, gdt)
-    gcand = ctx.alloc(shape, gdt)
-    gpre = ctx.alloc(shape, gdt)
-    grh = ctx.alloc(shape, gdt)
-    ta = ctx.alloc(shape, gdt)
-    tmp_wx = ctx.alloc((hidden, module.input_size), gdt)
-    tmp_hh = ctx.alloc((hidden, hidden), gdt)
-    tmp_bias = ctx.alloc((hidden,), gdt)
-    tmp_h = None if g_h is None else ctx.alloc(shape, gdt)
-    tmp_x = None if g_x is None else ctx.alloc((batch, module.input_size), gdt)
-
-    def gate_grads(gact, inp, g_w, g_b, g_u, wd, ud):
-        np.matmul(gact.T, inp, out=tmp_wx)
-        np.add(g_w, tmp_wx, out=g_w)
-        np.sum(gact, axis=0, out=tmp_bias)
-        np.add(g_b, tmp_bias, out=g_b)
-        np.matmul(gact.T, h, out=tmp_hh)
-        np.add(g_u, tmp_hh, out=g_u)
-        if g_x is not None:
-            np.matmul(gact, wd, out=tmp_x)
-            np.add(g_x, tmp_x, out=g_x)
-        if g_h is not None:
-            np.matmul(gact, ud, out=tmp_h)
-            np.add(g_h, tmp_h, out=g_h)
-
-    def backward():
-        # out = z*h + (1-z)*cand
-        np.multiply(g_out, h, out=gz)
-        np.multiply(g_out, cand, out=ta)
-        np.subtract(gz, ta, out=gz)
-        np.subtract(1.0, z, out=ta)
-        np.multiply(g_out, ta, out=gcand)
-        if g_h is not None:
-            np.multiply(g_out, z, out=tmp_h)
-            np.add(g_h, tmp_h, out=g_h)
-        # cand = tanh(x@w_h.T + (r*h)@u_h.T + b_h)
-        np.multiply(cand, cand, out=ta)
-        np.subtract(1.0, ta, out=ta)
-        np.multiply(gcand, ta, out=gpre)
-        np.matmul(gpre.T, x, out=tmp_wx)
-        np.add(g_wh, tmp_wx, out=g_wh)
-        np.sum(gpre, axis=0, out=tmp_bias)
-        np.add(g_bh, tmp_bias, out=g_bh)
-        np.matmul(gpre.T, rh, out=tmp_hh)
-        np.add(g_uh, tmp_hh, out=g_uh)
-        np.matmul(gpre, uhd, out=grh)
-        if g_x is not None:
-            np.matmul(gpre, whd, out=tmp_x)
-            np.add(g_x, tmp_x, out=g_x)
-        if g_h is not None:
-            np.multiply(grh, r, out=tmp_h)
-            np.add(g_h, tmp_h, out=g_h)
-        # r = sigmoid(...)
-        np.multiply(grh, h, out=gpre)
-        np.multiply(gpre, r, out=gpre)
-        np.subtract(1.0, r, out=ta)
-        np.multiply(gpre, ta, out=gpre)
-        gate_grads(gpre, x, g_wr, g_br, g_ur, wrd, urd)
-        # z = sigmoid(...)
-        np.multiply(gz, z, out=gpre)
-        np.subtract(1.0, z, out=ta)
-        np.multiply(gpre, ta, out=gpre)
-        gate_grads(gpre, x, g_wz, g_bz, g_uz, wzd, uzd)
-
-    ctx.bwd(backward)
-    return out
+    seq = _one_step(module, ctx, x, (h,))
+    return _gru_stack(ctx, [module], [(seq, None)], [h])[0]
 
 
-def _gru_stack(ctx, cells, seqs):
+def _gru_stack(ctx, cells, seqs, initial=None):
     """Compile GRU recurrences that share one hidden size as one loop.
 
     ``cells`` holds each view's :class:`~repro.nn.GRUCell` and ``seqs``
     its ``(x, mask)`` input, ``x`` shaped (batch, steps, features);
-    returns each view's final hidden state.  Each timestep issues one
-    set of numpy calls for all views, forward and backward:
+    returns each view's final hidden state.  The recurrences start from
+    zero, or from ``initial``, one (batch, hidden) buffer per view, which
+    then receives its gradient.  Each timestep issues one set of numpy
+    calls for all views, forward and backward:
 
     * state and gate stacks are step-major with the view axis second,
       so a timestep's slice is contiguous;
@@ -1937,7 +1848,8 @@ def _gru_stack(ctx, cells, seqs):
     steps = max(lengths)
     rows = steps * batch
     dtype = np.result_type(*[x.dtype for x, _ in seqs],
-                           *[cell.w_r.data.dtype for cell in cells])
+                           *[cell.w_r.data.dtype for cell in cells],
+                           *[h.dtype for h in initial or ()])
 
     def per_view(stack):
         # One view drops the view axis: plain 2-D operands, as unstacked.
@@ -1949,7 +1861,8 @@ def _gru_stack(ctx, cells, seqs):
     order = (steps, batch) if ctx.training else (batch, steps)
     prz = ctx.alloc((views,) + order + (2 * hidden,), dtype)
     ph = ctx.alloc((views,) + order + (hidden,), dtype)
-    hs = _state_rows(ctx, steps, (views, batch, hidden), dtype)
+    hs = _state_rows(ctx, steps, (views, batch, hidden), dtype,
+                     loaded=initial is not None)
     # Gate stacks: every timestep for backward, one in forward-only mode.
     kept = steps if ctx.training else 1
     rzs = ctx.alloc((kept, views, batch, 2 * hidden), dtype)
@@ -1973,9 +1886,10 @@ def _gru_stack(ctx, cells, seqs):
     pre = per_view(ctx.alloc((views, batch, hidden), dtype))
     tmp = per_view(ctx.alloc((views, batch, hidden), dtype))
 
-    # Copied in at the top of each forward: masks, and in training the
-    # inputs' step-major rows (casting covers boolean masks).
-    fills = []
+    # Copied in at the top of each forward: the initial states, masks,
+    # and in training the inputs' step-major rows (casting covers
+    # boolean masks).
+    fills = [] if initial is None else list(zip(hs[0], initial))
     ms = None
     if any(mask is not None or length < steps
            for (_, mask), length in zip(seqs, lengths)):
@@ -2138,6 +2052,12 @@ def _gru_stack(ctx, cells, seqs):
         gnew = per_view(ctx.alloc((views, batch, hidden), gdt))
         carry = per_view(ctx.alloc((views, batch, hidden), gdt))
     seeds = list(zip(gh, g_outs))
+    # After the loop the ping-pong buffer last written holds the
+    # gradient of the initial state.
+    left = ghn if steps % 2 else gh
+    initial_grads = [(g, left[index])
+                     for index, g in enumerate(map(ctx.grad, initial or ()))
+                     if g is not None]
 
     # the running hidden-state gradient ping-pongs between two buffers
     # so each timestep writes straight into the next one's input
@@ -2186,6 +2106,8 @@ def _gru_stack(ctx, cells, seqs):
             vadd(g_nxt, ta, g_nxt)
             if m_t is not None:
                 vadd(g_nxt, carry, g_nxt)
+        for g, g_left in initial_grads:
+            vadd(g, g_left, g)
         for dst, src in gathers:
             vcopy(dst, src)
         for a, b, dst in contractions:
@@ -2212,127 +2134,20 @@ def _train_gru(module, inputs, ctx):
     return _gru_stack(ctx, [module.cell], [seq])[0]
 
 
-@register_train_rule(nn.LSTMCell)
-def _train_lstm_cell(module, inputs, ctx):
-    if (not isinstance(inputs, tuple) or len(inputs) != 2
-            or not isinstance(inputs[1], tuple)):
-        raise ShapeError("LSTMCell training rule expects (x, (h, c)) inputs")
-    x, (h, c) = inputs
-    hidden = module.hidden_size
-    batch = x.shape[0]
-    dtype = np.result_type(x.dtype, h.dtype, module.w.data.dtype)
-    shape = (batch, hidden)
-    b = module.b.data
-    wT = ctx.keep(module.w.data.T)
-    uT = ctx.keep(module.u.data.T)
-    proj = ctx.alloc((batch, 4 * hidden), dtype)
-    gates = ctx.alloc((batch, 4 * hidden), dtype)
-    i_v = ctx.keep(gates[:, :hidden])
-    f_v = ctx.keep(gates[:, hidden:2 * hidden])
-    g_v = ctx.keep(gates[:, 2 * hidden:3 * hidden])
-    o_v = ctx.keep(gates[:, 3 * hidden:])
-    tc = ctx.alloc(shape, dtype)
-    tmp = ctx.alloc(shape, dtype)
-    scratch = ctx.alloc(shape, dtype)
-    sigmask = ctx.bool_buf(shape)
-    h_out = ctx.alloc(shape, dtype)
-    c_out = ctx.alloc(shape, dtype)
+def _lstm_recurrence(ctx, cell, x, mask, initial=None):
+    """Compile an LSTM recurrence over ``x`` (batch, steps, features).
 
-    def forward():
-        np.matmul(x, wT, out=proj)
-        np.add(proj, b, out=proj)
-        np.matmul(h, uT, out=gates)
-        np.add(gates, proj, out=gates)
-        # activate in place: each gate view overwrites its own
-        # pre-activation (sigmoid_ permits x aliasing out)
-        kernels.sigmoid_(i_v, i_v, scratch, sigmask)
-        kernels.sigmoid_(f_v, f_v, scratch, sigmask)
-        np.tanh(g_v, out=g_v)
-        kernels.sigmoid_(o_v, o_v, scratch, sigmask)
-        np.multiply(f_v, c, out=c_out)
-        np.multiply(i_v, g_v, out=tmp)
-        np.add(c_out, tmp, out=c_out)
-        np.tanh(c_out, out=tc)
-        np.multiply(o_v, tc, out=h_out)
-
-    ctx.fwd(forward)
-
-    g_h_out = ctx.grad(h_out)
-    if g_h_out is None:
-        return (h_out, c_out)
-    g_c_out = ctx.grad(c_out)
-    g_x = ctx.grad(x)
-    g_h = ctx.grad(h)
-    g_c = ctx.grad(c)
-    gdt = g_h_out.dtype
-    wd, ud = module.w.data, module.u.data
-    g_w = ctx.param_grad(module.w)
-    g_u = ctx.param_grad(module.u)
-    g_b = ctx.param_grad(module.b)
-    dp = ctx.alloc((batch, 4 * hidden), gdt)
-    dp_i = ctx.keep(dp[:, :hidden])
-    dp_f = ctx.keep(dp[:, hidden:2 * hidden])
-    dp_g = ctx.keep(dp[:, 2 * hidden:3 * hidden])
-    dp_o = ctx.keep(dp[:, 3 * hidden:])
-    gci = ctx.alloc(shape, gdt)
-    ta = ctx.alloc(shape, gdt)
-    tmp_w = ctx.alloc(wd.shape, gdt)
-    tmp_u = ctx.alloc(ud.shape, gdt)
-    tmp_b = ctx.alloc(b.shape, gdt)
-    dp_t = ctx.keep(dp.T)
-    tmp_x = None if g_x is None else ctx.alloc(x.shape, gdt)
-    tmp_h = None if g_h is None else ctx.alloc(shape, gdt)
-
-    def backward():
-        # h_out = o * tanh(c_out); the saved tanh feeds both paths
-        np.multiply(g_h_out, o_v, out=gci)
-        np.multiply(tc, tc, out=ta)
-        np.subtract(1.0, ta, out=ta)
-        np.multiply(gci, ta, out=gci)
-        np.add(gci, g_c_out, out=gci)
-        np.multiply(gci, g_v, out=dp_i)
-        np.multiply(dp_i, i_v, out=dp_i)
-        np.subtract(1.0, i_v, out=ta)
-        np.multiply(dp_i, ta, out=dp_i)
-        np.multiply(gci, c, out=dp_f)
-        np.multiply(dp_f, f_v, out=dp_f)
-        np.subtract(1.0, f_v, out=ta)
-        np.multiply(dp_f, ta, out=dp_f)
-        np.multiply(gci, i_v, out=dp_g)
-        np.multiply(g_v, g_v, out=ta)
-        np.subtract(1.0, ta, out=ta)
-        np.multiply(dp_g, ta, out=dp_g)
-        np.multiply(g_h_out, tc, out=dp_o)
-        np.multiply(dp_o, o_v, out=dp_o)
-        np.subtract(1.0, o_v, out=ta)
-        np.multiply(dp_o, ta, out=dp_o)
-        np.matmul(dp_t, x, out=tmp_w)
-        np.add(g_w, tmp_w, out=g_w)
-        np.matmul(dp_t, h, out=tmp_u)
-        np.add(g_u, tmp_u, out=g_u)
-        np.sum(dp, axis=0, out=tmp_b)
-        np.add(g_b, tmp_b, out=g_b)
-        if g_x is not None:
-            np.matmul(dp, wd, out=tmp_x)
-            np.add(g_x, tmp_x, out=g_x)
-        if g_h is not None:
-            np.matmul(dp, ud, out=tmp_h)
-            np.add(g_h, tmp_h, out=g_h)
-        if g_c is not None:
-            np.multiply(gci, f_v, out=ta)
-            np.add(g_c, ta, out=g_c)
-
-    ctx.bwd(backward)
-    return (h_out, c_out)
-
-
-@register_train_rule(nn.LSTM)
-def _train_lstm(module, inputs, ctx):
-    x, mask = _train_sequence_inputs(module, inputs)
-    cell = module.cell
-    hidden = module.hidden_size
+    Returns the final ``(h, c)``.  The recurrence starts from zero, or
+    from ``initial``, an ``(h, c)`` pair of (batch, hidden) buffers,
+    which then receive their gradients.  Only a cell passes ``initial``
+    and returns ``c`` to a later layer, so only then is ``c``'s gradient
+    requested, to seed the backward.  The input projection is hoisted
+    out of the loop and the four gates [i; f; g; o] share one matmul.
+    """
+    hidden = cell.hidden_size
     batch, steps, features = x.shape
-    dtype = np.result_type(x.dtype, cell.w.data.dtype)
+    dtype = np.result_type(x.dtype, cell.w.data.dtype,
+                           *[state.dtype for state in initial or ()])
     rows = batch * steps
     x2 = ctx.keep(x.reshape(rows, features))
     b = cell.b.data
@@ -2340,8 +2155,11 @@ def _train_lstm(module, inputs, ctx):
     uT = ctx.keep(cell.u.data.T)
     p = ctx.alloc((rows, 4 * hidden), dtype)
     p3 = ctx.keep(p.reshape(batch, steps, 4 * hidden))
-    hs = _state_rows(ctx, steps, (batch, hidden), dtype)
-    cs = _state_rows(ctx, steps, (batch, hidden), dtype)
+    hs = _state_rows(ctx, steps, (batch, hidden), dtype,
+                     loaded=initial is not None)
+    cs = _state_rows(ctx, steps, (batch, hidden), dtype,
+                     loaded=initial is not None)
+    loads = [] if initial is None else list(zip((hs[0], cs[0]), initial))
     # Gate stacks: every timestep for backward, one in forward-only mode.
     kept = steps if ctx.training else 1
     gates_saved = ctx.alloc((kept, batch, 4 * hidden), dtype)
@@ -2381,6 +2199,8 @@ def _train_lstm(module, inputs, ctx):
     def forward():
         np.matmul(x2, wT, out=p)
         np.add(p, b, out=p)
+        for dst, src in loads:
+            np.copyto(dst, src)
         if mcols is not None:
             np.copyto(mcols, mask, casting="unsafe")
         for (p_t, h_prev, h_next, c_prev, c_next, saved,
@@ -2409,10 +2229,12 @@ def _train_lstm(module, inputs, ctx):
 
     ctx.fwd(forward)
     out = ctx.keep(hs[steps % len(hs)])
+    c_out = ctx.keep(cs[steps % len(cs)])
 
     g_out = ctx.grad(out)
     if g_out is None:
-        return out
+        return out, c_out
+    g_c_out = None if initial is None else ctx.grad(c_out)
     g_x = ctx.grad(x)
     gdt = g_out.dtype
     g_x2 = None if g_x is None else ctx.keep(g_x.reshape(rows, features))
@@ -2451,10 +2273,16 @@ def _train_lstm(module, inputs, ctx):
                           saved[:, 3 * hidden:], tcs[t], gp[:, t, :], m_t))
     hoisted = _hoisted_projection_backward(
         ctx, x2, g_x2, [(gp2, cell.w, cell.b)])
+    initial_grads = [(g, left) for g, left in
+                     zip(map(ctx.grad, initial or ()), (gh, gc))
+                     if g is not None]
 
     def backward():
         np.copyto(gh, g_out)
-        gc[...] = 0.0
+        if g_c_out is None:
+            gc[...] = 0.0
+        else:
+            np.copyto(gc, g_c_out)
         for (h_prev, c_prev, i_v, f_v, g_v, o_v, tc_t,
              gp_t, m_t) in bwd_table:
             if m_t is None:
@@ -2495,10 +2323,29 @@ def _train_lstm(module, inputs, ctx):
             if m_t is not None:
                 np.add(gh, carh, out=gh)
                 np.add(gc, carc, out=gc)
+        for g, left in initial_grads:
+            np.add(g, left, out=g)
         hoisted()
 
     ctx.bwd(backward)
-    return out
+    return out, c_out
+
+
+@register_train_rule(nn.LSTMCell)
+def _train_lstm_cell(module, inputs, ctx):
+    # One step of the LSTM recurrence, from the given state.
+    if (not isinstance(inputs, tuple) or len(inputs) != 2
+            or not isinstance(inputs[1], tuple) or len(inputs[1]) != 2):
+        raise ShapeError("LSTMCell training rule expects (x, (h, c)) inputs")
+    x, state = inputs
+    seq = _one_step(module, ctx, x, state)
+    return _lstm_recurrence(ctx, module, seq, None, state)
+
+
+@register_train_rule(nn.LSTM)
+def _train_lstm(module, inputs, ctx):
+    x, mask = _train_sequence_inputs(module, inputs)
+    return _lstm_recurrence(ctx, module.cell, x, mask)[0]
 
 
 @register_train_rule(nn.Bidirectional)

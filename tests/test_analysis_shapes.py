@@ -200,6 +200,29 @@ def test_malformed_input_is_a_shape_error(make_module, inputs):
         check_module(make_module(), inputs)
 
 
+@pytest.mark.parametrize("make_cell,shapes", [
+    (lambda: nn.GRUCell(5, 7), ((5,), (3, 7))),
+    (lambda: nn.GRUCell(5, 7), ((3, 5), (1, 7))),
+    (lambda: nn.LSTMCell(5, 7), ((5,), ((3, 7), (3, 7)))),
+    (lambda: nn.LSTMCell(5, 7), ((3, 5), ((1, 7), (3, 7)))),
+    (lambda: nn.LSTMCell(5, 7), ((3, 5), ((3, 7), (1, 7)))),
+], ids=["gru-x-rank", "gru-h-batch", "lstm-x-rank", "lstm-h-batch",
+        "lstm-c-batch"])
+def test_malformed_cell_input_is_a_shape_error(make_cell, shapes):
+    # The eager cell runs each of these: numpy broadcasts one input row,
+    # or a (1, hidden) state, over the batch.
+    def build(make):
+        x, state = shapes
+        if isinstance(state[0], tuple):
+            return make(x), tuple(make(s) for s in state)
+        return make(x), make(state)
+
+    with pytest.raises(ShapeError, match=r"\(batch, 7\) state"):
+        check_module(make_cell(), build(Spec))
+    with pytest.raises(ShapeError, match=r"\(batch, 7\) state"):
+        compile_plan(make_cell(), build(np.zeros))
+
+
 @pytest.mark.parametrize("make_head", [
     lambda: nn.FullyConnectedFusion([4, 6], 8, 2),
     lambda: nn.FactorizationMachineFusion([4, 6], 3, 2),

@@ -16,6 +16,7 @@ from repro.federated import (
     sparse_update_bytes,
     state_bytes,
 )
+from repro.privacy import DPFedAvg
 from repro.synth import make_digits, shard_partition
 
 
@@ -173,6 +174,41 @@ class TestFedAlgorithms:
             FedAvg(clients, model_fn, client_fraction=0.0)
         with pytest.raises(ValueError):
             FedAvg(clients, model_fn, local_epochs=0)
+
+
+@pytest.mark.parametrize("kind", ["dpfedavg", "selective"])
+def test_eval_every_below_one_is_refused_before_any_round(kind):
+    """No round trains, and DP-FedAvg spends no privacy budget, before
+    the refusal."""
+    x, y = make_digits(200, seed=5)
+    shards = [ArrayDataset(x[p], y[p])
+              for p in np.array_split(np.arange(len(y)), 4)]
+    if kind == "dpfedavg":
+        loop = DPFedAvg(
+            [FederatedClient(i, shard, model_fn, seed=i)
+             for i, shard in enumerate(shards)],
+            model_fn, sample_prob=1.0, noise_multiplier=1.0, seed=0)
+
+        def arrays():
+            return [value.copy() for value in loop.server.state.values()]
+    else:
+        loop = DistributedSelectiveSGD(
+            [SelectiveSGDParticipant(i, shard, model_fn, seed=i)
+             for i, shard in enumerate(shards)],
+            model_fn, seed=0)
+
+        def arrays():
+            return [value for p in loop.participants
+                    for value in p.model.state_dict().values()]
+    before = arrays()
+    with pytest.raises(ValueError, match="eval_every"):
+        loop.run(2, (x, y), eval_every=0)
+    after = arrays()
+    assert len(after) == len(before)
+    for moved, held in zip(after, before):
+        np.testing.assert_array_equal(moved, held)
+    if kind == "dpfedavg":
+        assert loop.accountant.steps == 0
 
 
 class TestSelectiveSGD:

@@ -229,6 +229,57 @@ def test_plan_training_matches_eager(name, dtype):
     _assert_state_matches(eager_module, module, dtype)
 
 
+class _FedCells(nn.Module):
+    """A GRUCell and two steps of an LSTMCell whose inputs and states
+    come from Linear layers: every input gradient of both cell rules
+    runs, ``c`` handed from one LSTM step to the next included."""
+
+    def __init__(self):
+        super().__init__()
+        rng = _rng(80)
+        self.x_in = nn.Linear(6, 5, rng=rng)
+        self.h_in = nn.Linear(6, 7, rng=rng)
+        self.c_in = nn.Linear(6, 7, rng=rng)
+        self.gru = nn.GRUCell(5, 7, rng=rng)
+        self.lstm = nn.LSTMCell(5, 7, rng=rng)
+
+    def forward(self, x):
+        a = self.x_in(x)
+        h = self.gru(a, self.h_in(x))
+        state = self.lstm(a, (h, self.c_in(x)))
+        return self.lstm(a, state)[0]
+
+
+def _train_fed_cells(module, inputs, ctx):
+    a = ctx.build(module.x_in, inputs)
+    h = ctx.build(module.gru, (a, ctx.build(module.h_in, inputs)))
+    state = ctx.build(module.lstm,
+                      (a, (h, ctx.build(module.c_in, inputs))))
+    return ctx.build(module.lstm, (a, state))[0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["float32", "float64"])
+def test_cells_send_back_input_gradients(dtype, monkeypatch):
+    """Cells fed by other layers: three compiled SGD steps == eager."""
+    monkeypatch.setattr(train_plan_mod, "_TRAIN_RULES",
+                        dict(train_plan_mod._TRAIN_RULES))
+    train_plan_mod.register_train_rule(_FedCells)(_train_fed_cells)
+    inputs = _arr((4, 6), dtype, 81)
+    target = _mse_target(_FedCells, inputs, dtype)
+    eager_module, eager_losses = _eager_train(
+        _FedCells, inputs, target, "mse",
+        lambda params: SGD(params, lr=0.05), steps=3)
+
+    module = _FedCells()
+    plan = TrainPlan(module, loss="mse", optimizer="sgd",
+                     optimizer_args={"lr": 0.05})
+    plan_losses = [plan.step(inputs, target) for _ in range(3)]
+
+    np.testing.assert_allclose(plan_losses, eager_losses, **_tolerance(dtype))
+    _assert_state_matches(eager_module, module, dtype)
+
+
 def test_case_registry_covers_every_exported_layer():
     """Every layer repro.nn exports is exercised by some training case."""
     exercised = set()
