@@ -21,8 +21,8 @@ scratch on numpy/scipy:
   and the image benchmarks;
 * :mod:`repro.baselines` — from-scratch LR, SVM, CART, random forest, and
   XGBoost-style boosting;
-* :mod:`repro.profiler` — scoped timers plus per-op call/byte counters
-  hooked into the autograd engine and ``nn.Module`` forward passes;
+* :mod:`repro.profiler` — per-op call/byte counters and per-module
+  timings hooked into the autograd engine and ``nn.Module`` forward passes;
 * :mod:`repro.faults` — seeded fault injection (dropout, stragglers,
   link loss, corruption, staleness, availability windows) and the chaos
   harness behind the robustness tests;

@@ -241,7 +241,6 @@ def color_train_plan(plan, inputs, target, ir):
     dropout RNG streams are restored afterwards.
     """
     from ...train import plan as train_plan
-    from ...train.plan import TrainingArena
 
     values = train_plan._to_arrays(inputs)
     coerced = plan._coerce_target(target)
@@ -258,8 +257,8 @@ def color_train_plan(plan, inputs, target, ir):
     try:
         trace = plan.retrace(
             values, coerced,
-            arena_factory=lambda: TrainingArena(slot_plan=slot_plan))
-        plan._arena_factory = TrainingArena
+            arena_factory=lambda: BufferArena(slot_plan=slot_plan))
+        plan._arena_factory = BufferArena
         _check_structure(ir, trace.arena)
         plan._rebind()
         param_arrays = [arr for _, _, arr in plan._bound_params]
@@ -287,6 +286,6 @@ def color_train_plan(plan, inputs, target, ir):
                 "colored training replay depends on the arena's initial "
                 "contents — slot reuse rejected")
     except Exception:
-        plan.retrace(values, coerced, arena_factory=TrainingArena)
+        plan.retrace(values, coerced, arena_factory=BufferArena)
         raise
     return SlotReport(ir.label, before_bytes, trace.arena.nbytes, slots)

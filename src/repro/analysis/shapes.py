@@ -106,7 +106,7 @@ class _CheckContext(TrainContext):
     """Forward-only build that tags each step and error with its layer."""
 
     def __init__(self, root):
-        super().__init__(BufferArena(label="analysis.shapes"), training=False)
+        super().__init__(BufferArena(), training=False)
         self.trace = Trace()
         self.step_layers = []
         self._names = {id(m): name for name, m in root.named_modules()}
@@ -135,7 +135,9 @@ class _CheckContext(TrainContext):
             # located once, by the innermost layer they pass through.
             if exc is self._error:
                 raise
-            self._error = ShapeError("{}: {}".format(where, exc))
+            # A rule's message starts with its class; ``where`` names it.
+            message = str(exc).removeprefix(type(module).__name__ + ": ")
+            self._error = ShapeError("{}: {}".format(where, message))
             raise self._error from exc
         finally:
             self._layers.pop()

@@ -128,9 +128,3 @@ class MagnitudePruner:
                          epochs=epochs_per_stage, batch_size=batch_size, rng=rng)
             reached.append(sparsity(self.model))
         return reached
-
-    def nonzero_count(self):
-        """Number of surviving connections among prunable weights."""
-        return int(sum(mask.sum() for mask in self.masks.values())) if self.masks else (
-            sum(p.data.size for _, p in prunable_parameters(self.model))
-        )

@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from .. import profiler
 from ..nn import losses
 from ..optim import Adam
 from ..privacy import flow
@@ -122,8 +121,7 @@ class PrivateLocalTransformer:
         # Raw device data is the private source; the taint tracker (when
         # active) propagates the label through every local-net op.
         flow.mark_private(array)
-        with profiler.timer("private_inference.extract"):
-            representation = self._forward(array)
+        representation = self._forward(array)
         norms = np.linalg.norm(representation, axis=1, keepdims=True)
         scale = np.minimum(1.0, self.bound / np.maximum(norms, 1e-12))
         clipped = (representation * scale).astype(representation.dtype,
@@ -248,13 +246,8 @@ class PrivateInferencePipeline:
         transmitted = self.transformer.perturb(
             self.transformer.extract(features), rng=rng)
         flow.release(transmitted, "private_inference.uplink")
-        profiler.record_bytes(
-            "private_inference.uplink",
-            self.transformer.transmitted_bytes(transmitted.shape[1])
-            * transmitted.shape[0],
-        )
         self.cloud_net.eval()
-        with no_grad(), profiler.timer("private_inference.cloud"):
+        with no_grad():
             logits = self.cloud_net(Tensor(transmitted))
         return logits.numpy().argmax(axis=1)
 

@@ -31,10 +31,6 @@ class LayerCost:
     output_size: int   # elements leaving the layer
 
     @property
-    def param_bytes(self):
-        return self.params * BYTES_PER_WORD
-
-    @property
     def output_bytes(self):
         return self.output_size * BYTES_PER_WORD
 
@@ -52,10 +48,6 @@ class ModelCostProfile:
     @property
     def total_params(self):
         return sum(layer.params for layer in self.layers)
-
-    @property
-    def total_param_bytes(self):
-        return self.total_params * BYTES_PER_WORD
 
     def split(self, index):
         """Partition into (device part, cloud part) at layer ``index``."""

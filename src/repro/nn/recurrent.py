@@ -219,6 +219,22 @@ def _lstm_sequence(projected, h0, c0, u, mask, return_sequence):
     return Tensor._make(out_data, (projected, u, h0, c0), backward)
 
 
+def _check_cell_inputs(cell, x, states):
+    """Refuse what numpy would broadcast into a wrong, well-formed state.
+
+    ``x`` must be (batch, input_size) and each state (batch,
+    hidden_size): the message the compiled cell rules raise.
+    """
+    shapes = [tuple(value.shape) for value in (x,) + tuple(states)]
+    batch = shapes[0][0] if len(shapes[0]) == 2 else None
+    if shapes[0] != (batch, cell.input_size) or any(
+            shape != (batch, cell.hidden_size) for shape in shapes[1:]):
+        raise ValueError(
+            "{}: expects a (batch, {}) input and (batch, {}) state, got "
+            "{}".format(type(cell).__name__, cell.input_size,
+                        cell.hidden_size, ", ".join(map(str, shapes))))
+
+
 class GRUCell(Module):
     """Single-step GRU following the paper's Eq. (1)."""
 
@@ -240,6 +256,7 @@ class GRUCell(Module):
 
     def forward(self, x, h):
         """Advance one step: (batch, input) x (batch, hidden) -> (batch, hidden)."""
+        _check_cell_inputs(self, x, (h,))
         r = T.sigmoid(x @ self.w_r.T + h @ self.u_r.T + self.b_r)
         z = T.sigmoid(x @ self.w_z.T + h @ self.u_z.T + self.b_z)
         candidate = T.tanh(x @ self.w_h.T + (r * h) @ self.u_h.T + self.b_h)
@@ -330,6 +347,7 @@ class LSTMCell(Module):
 
     def forward(self, x, state):
         """Advance one step; ``state`` is an (h, c) pair of tensors."""
+        _check_cell_inputs(self, x, state)
         return self.step(x @ self.w.T + self.b, state)
 
     def input_projection(self, x):

@@ -1,5 +1,5 @@
-"""Operation-level profiling: scoped timers, per-op call/byte counters
-hooked into the autograd engine, and per-module forward timings.
+"""Operation-level profiling: per-op call/byte counters hooked into the
+autograd engine, and per-module forward timings.
 
 Quick use::
 
@@ -9,36 +9,11 @@ Quick use::
         model(batch)
     print(profiler.report())
 
-or label arbitrary regions::
-
-    with profiler.timer("im2col"):
-        cols, oh, ow = im2col(x, 3, 3)
+Runtime counts that belong to an object (a plan's ``compile_count``, an
+arena's ``nbytes``, a server's ``metrics()``) are kept by that object,
+not here.
 """
 
-from .core import (
-    disable,
-    enable,
-    get_stats,
-    is_enabled,
-    profile,
-    record_bytes,
-    record_event,
-    record_time,
-    report,
-    reset,
-    timer,
-)
+from .core import disable, enable, get_stats, profile, report, reset
 
-__all__ = [
-    "disable",
-    "enable",
-    "get_stats",
-    "is_enabled",
-    "profile",
-    "record_bytes",
-    "record_event",
-    "record_time",
-    "report",
-    "reset",
-    "timer",
-]
+__all__ = ["disable", "enable", "get_stats", "profile", "report", "reset"]

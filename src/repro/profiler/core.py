@@ -13,8 +13,7 @@ instrumentation side of that argument for our substrate:
 * **per-module timers** — a hook wrapped around
   :meth:`repro.nn.Module.__call__` attributes ``perf_counter`` wall-clock
   time to each module class (self-inclusive: a Sequential's time includes
-  its children's);
-* **scoped timers** — :func:`timer` labels arbitrary code regions.
+  its children's).
 
 Everything is a no-op until :func:`enable` is called; the hooks cost one
 ``is None`` check on the hot path when disabled.
@@ -29,13 +28,8 @@ from contextlib import contextmanager
 __all__ = [
     "enable",
     "disable",
-    "is_enabled",
     "reset",
     "profile",
-    "timer",
-    "record_bytes",
-    "record_time",
-    "record_event",
     "get_stats",
     "report",
 ]
@@ -61,9 +55,6 @@ class _State:
     enabled = False
     ops = OrderedDict()        # op name -> _OpStat
     modules = OrderedDict()    # module class name -> _TimeStat
-    timers = OrderedDict()     # scope label -> _TimeStat
-    extra_bytes = OrderedDict()  # label -> int (manual byte accounting)
-    events = OrderedDict()     # label -> int (retries, aborts, faults, ...)
 
 
 def _op_name(backward):
@@ -97,7 +88,7 @@ def _module_hook(module, args, kwargs):
 
 
 def enable():
-    """Start recording op counters and module/scoped timings."""
+    """Start recording op counters and module timings."""
     from ..tensor import tensor as tensor_mod
     from ..nn import module as module_mod
 
@@ -116,18 +107,10 @@ def disable():
     _State.enabled = False
 
 
-def is_enabled():
-    """Return whether profiling hooks are currently installed."""
-    return _State.enabled
-
-
 def reset():
     """Clear all accumulated statistics."""
     _State.ops = OrderedDict()
     _State.modules = OrderedDict()
-    _State.timers = OrderedDict()
-    _State.extra_bytes = OrderedDict()
-    _State.events = OrderedDict()
 
 
 @contextmanager
@@ -147,55 +130,6 @@ def profile():
             disable()
 
 
-@contextmanager
-def timer(label):
-    """Scoped ``perf_counter`` timer; accumulates under ``label``.
-
-    Records regardless of :func:`enable` so cheap ad-hoc timing does not
-    require switching the engine hooks on.
-    """
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - start
-        stat = _State.timers.get(label)
-        if stat is None:
-            stat = _State.timers[label] = _TimeStat()
-        stat.calls += 1
-        stat.seconds += elapsed
-
-
-def record_bytes(label, count):
-    """Manually account ``count`` bytes under ``label`` (e.g. uplink traffic)."""
-    _State.extra_bytes[label] = _State.extra_bytes.get(label, 0) + int(count)
-
-
-def record_time(label, seconds):
-    """Accumulate an externally measured duration under a scoped-timer label.
-
-    The non-context-manager twin of :func:`timer` for callers that already
-    hold a measured duration (the serving runtime's per-request latency
-    accounting, a plan's replayed-forward time).  Records regardless of
-    :func:`enable`, like :func:`timer`.
-    """
-    stat = _State.timers.get(label)
-    if stat is None:
-        stat = _State.timers[label] = _TimeStat()
-    stat.calls += 1
-    stat.seconds += float(seconds)
-
-
-def record_event(label, count=1):
-    """Count a discrete occurrence under ``label`` (e.g. a retry or abort).
-
-    Like :func:`record_bytes`, this records regardless of :func:`enable`
-    so fault-tolerance layers can account retries without the engine
-    hooks switched on.
-    """
-    _State.events[label] = _State.events.get(label, 0) + int(count)
-
-
 def get_stats():
     """Snapshot of every counter as plain dicts (JSON-serialisable)."""
     return {
@@ -207,12 +141,6 @@ def get_stats():
             name: {"calls": s.calls, "seconds": s.seconds}
             for name, s in _State.modules.items()
         },
-        "timers": {
-            label: {"calls": s.calls, "seconds": s.seconds}
-            for label, s in _State.timers.items()
-        },
-        "extra_bytes": dict(_State.extra_bytes),
-        "events": dict(_State.events),
     }
 
 
@@ -251,22 +179,6 @@ def report():
                     1e3 * stat.seconds / max(stat.calls, 1),
                 )
             )
-    if _State.timers:
-        lines.append("scoped timers")
-        lines.append("  {:<24} {:>8} {:>12}".format("scope", "calls", "total"))
-        ranked = sorted(_State.timers.items(), key=lambda kv: -kv[1].seconds)
-        for label, stat in ranked:
-            lines.append(
-                "  {:<24} {:>8} {:>10.3f} s".format(label, stat.calls, stat.seconds)
-            )
-    if _State.extra_bytes:
-        lines.append("byte counters")
-        for label, count in _State.extra_bytes.items():
-            lines.append("  {:<24} {:>12}".format(label, _format_bytes(count)))
-    if _State.events:
-        lines.append("event counters")
-        for label, count in _State.events.items():
-            lines.append("  {:<24} {:>12}".format(label, count))
     if not lines:
         return "(profiler: nothing recorded)"
     return "\n".join(lines)

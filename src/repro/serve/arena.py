@@ -4,10 +4,8 @@ Every intermediate a compiled plan writes lives in one of these arenas.
 Buffers are allocated exactly once, at compile (trace) time; after the
 arena is frozen, any attempt to allocate from a replay step raises
 immediately instead of silently growing memory per request.  The arena
-reports every allocation to :func:`repro.profiler.record_bytes` under
-its byte-accounting ``label`` (``serve.arena`` by default; the training
-compiler uses ``train.arena``), which is what the benchmarks'
-zero-allocation-after-warm-up assertions read.
+counts every byte it allocates in ``nbytes``, which is what the
+benchmarks' zero-allocation-after-warm-up assertions read.
 
 Two extensions support the plan auditor (:mod:`repro.analysis.plans`):
 
@@ -21,24 +19,21 @@ Two extensions support the plan auditor (:mod:`repro.analysis.plans`):
   allocation indices onto shared byte slots.  An arena built with a
   slot plan hands out views into per-slot backings instead of fresh
   arrays, so buffers whose live ranges never overlap share memory.
-  Byte accounting then reports each slot backing once, keeping the
-  zero-alloc-after-freeze benchmark contract intact.
+  ``nbytes`` then counts each slot backing once.
 
 The serving fleet adds a third layer: an :class:`ArenaPool` shares slot
 *backings* across the colored arenas of several models.  A single-
 threaded server only ever replays one plan at a time, so the scratch
 slots of model A and model B can occupy the same bytes; the pool sizes
 each slab to the largest capacity any member slot plan reserves for it.
-Pool slabs are allocated once (at registry freeze) under the pool's
-byte-accounting label, so a pool that grows after warm-up trips the
-same zero-alloc assertions a thawed arena would.
+Pool slabs are allocated once (at registry freeze) and counted in the
+pool's ``nbytes``, so a pool that grows after warm-up trips the same
+zero-alloc assertions a thawed arena would.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .. import profiler
 
 __all__ = ["ArenaPool", "BufferArena", "ArenaFrozenError", "SlotPlan"]
 
@@ -61,11 +56,6 @@ class SlotPlan:
         self.assignments = dict(assignments)
         self.capacities = dict(capacities)
 
-    @property
-    def slot_bytes(self):
-        """Total bytes of all slot backings."""
-        return sum(self.capacities.values())
-
     def __len__(self):
         return len(self.assignments)
 
@@ -82,8 +72,7 @@ class ArenaPool:
     :meth:`freeze`, leasing a new slot raises instead of allocating.
     """
 
-    def __init__(self, label="serve.arena"):
-        self.label = label
+    def __init__(self):
         self._capacities = {}
         self._slabs = {}
         self.leases = 0
@@ -112,7 +101,6 @@ class ArenaPool:
             self._capacities[slot] = size
             slab = np.zeros(size, dtype=np.uint8)
             self._slabs[slot] = slab
-            profiler.record_bytes(self.label, size)
         elif slab.nbytes < capacity:
             raise ValueError(
                 "pool slab for slot {} holds {} bytes but the arena needs "
@@ -139,13 +127,12 @@ class ArenaPool:
 class BufferArena:
     """Owns the preallocated numpy buffers of one compiled trace."""
 
-    def __init__(self, label="serve.arena", slot_plan=None, pool=None):
+    def __init__(self, slot_plan=None, pool=None):
         self._buffers = []
         self._persistent = []
         self._slot_backings = {}
         self.slot_plan = slot_plan
         self.pool = pool
-        self.label = label
         self.nbytes = 0
         self.frozen = False
 
@@ -168,7 +155,6 @@ class BufferArena:
         if slot is None:
             buffer = np.zeros(shape, dtype=dtype)
             self.nbytes += buffer.nbytes
-            profiler.record_bytes(self.label, buffer.nbytes)
         else:
             if persistent:
                 raise ValueError(
@@ -187,15 +173,13 @@ class BufferArena:
         if backing is None:
             capacity = int(self.slot_plan.capacities[slot])
             if self.pool is not None:
-                # Shared bytes: the pool recorded them once at slab
+                # Shared bytes: the pool counts them once at slab
                 # creation; each arena still counts the slab towards its
                 # own nbytes so SlotReport stays honest per trace.
                 backing = self.pool.lease(slot, capacity)
-                self.nbytes += backing.nbytes
             else:
                 backing = np.zeros(capacity, dtype=np.uint8)
-                self.nbytes += capacity
-                profiler.record_bytes(self.label, capacity)
+            self.nbytes += backing.nbytes
             self._slot_backings[slot] = backing
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         if nbytes > backing.nbytes:
@@ -204,10 +188,6 @@ class BufferArena:
                 "allocation".format(slot, backing.nbytes, nbytes)
             )
         return backing[:nbytes].view(dtype).reshape(shape)
-
-    def alloc_like(self, array, persistent=False):
-        """Allocate a buffer with ``array``'s shape and dtype."""
-        return self.alloc(array.shape, array.dtype, persistent=persistent)
 
     @property
     def buffers(self):

@@ -39,11 +39,11 @@ module grows it into a fleet:
 **Fault isolation**: a failing request must not poison its batchmates.
 Malformed payloads are rejected at submit time with the collator's
 error on that ticket alone; if a *batched* replay raises, the server
-falls back to running each request alone (counted under the
-``serve.batch_fallback`` profiler event) so only the genuinely bad
-request fails; and every output row is checked for NaN/Inf, so numeric
-corruption in one row raises
-:class:`~repro.analysis.sanitize.NumericError` on that ticket only.
+falls back to running each request alone (counted as
+``metrics()["fallbacks"]``) so only the genuinely bad request fails;
+and every output row is checked for NaN/Inf, so numeric corruption in
+one row raises :class:`~repro.analysis.sanitize.NumericError` on that
+ticket only.
 
 Time is injectable (``clock=SimulatedClock()``, from
 :mod:`repro.faults`); with a ``service_model`` the fleet charges
@@ -60,7 +60,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import profiler
 from ..analysis.sanitize import NumericError
 from ..inference.earlyexit import exit_gate
 from .arena import ArenaPool, BufferArena
@@ -135,13 +134,10 @@ class TokenBucket:
         self.clock = clock
         self.tokens = float(burst)
         self._last = clock()
-        self.admitted = 0
-        self.denied = 0
 
     def try_take(self, now=None):
         """Consume one token if available; returns whether it was."""
         if self.rate is None:
-            self.admitted += 1
             return True
         now = self.clock() if now is None else now
         elapsed = max(0.0, now - self._last)
@@ -149,9 +145,7 @@ class TokenBucket:
         self.tokens = min(self.burst, self.tokens + elapsed * self.rate)
         if self.tokens >= 1.0:
             self.tokens -= 1.0
-            self.admitted += 1
             return True
-        self.denied += 1
         return False
 
 
@@ -450,7 +444,6 @@ class FleetTicket:
         self._error = error
         self.done = True
         self.latency = now - self.submitted_at
-        profiler.record_time("serve.request_latency", self.latency)
 
 
 class _TenantStats:
@@ -516,6 +509,7 @@ class FleetServer:
         self._tenant_depth = {name: 0 for name in self.tenants}
         self._seq = 0
         self._batches = 0
+        self._fallbacks = 0
         self.submitted = 0
         self.resolved = {"result": 0, "numeric_error": 0, "rejected": 0,
                          "error": 0}
@@ -660,7 +654,7 @@ class FleetServer:
         try:
             rows = self._run(entry, [t.payload for t in tickets], batch_size)
         except Exception:
-            profiler.record_event("serve.batch_fallback")
+            self._fallbacks += 1
             self._run_individually(entry, tickets)
             return
         self._resolve_rows(entry, tickets, rows)
@@ -685,7 +679,6 @@ class FleetServer:
             elapsed = float(self.service_model(entry.name, batch_size))
             self.clock.advance(elapsed)
         entry.estimator.observe(batch_size, elapsed)
-        profiler.record_time("serve.fleet_batch", elapsed)
         return rows
 
     def _run_individually(self, entry, tickets):
@@ -736,7 +729,6 @@ class FleetServer:
         ticket.escalated = True
         ticket.batch = None
         ticket.slot = None
-        profiler.record_event("serve.cascade_escalation")
         self._enqueue(entry, ticket, self.tenants[ticket.tenant].priority)
 
     # -- resolution accounting ----------------------------------------
@@ -791,6 +783,7 @@ class FleetServer:
             "submitted": self.submitted,
             "resolved": dict(self.resolved),
             "batches": self._batches,
+            "fallbacks": self._fallbacks,
             "escalation_rate": (total_escalated / total_cascade)
             if total_cascade else 0.0,
         }

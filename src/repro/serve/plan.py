@@ -50,7 +50,6 @@ from collections import OrderedDict
 import numpy as np
 
 from .. import nn
-from .. import profiler
 from ..tensor import Tensor, no_grad
 from .arena import BufferArena
 
@@ -251,12 +250,14 @@ class Plan:
         was_training = module.training
         module.eval()
         try:
-            with no_grad():
-                reference = _strip_output(_call_eager(module, values))
+            # Rules first: an input they refuse raises their ShapeError
+            # instead of whatever the eager reference would raise.
             arena = self._arena_factory()
             input_buffers = _alloc_inputs(values, arena)
             context = TrainContext(arena, training=False)
             output = context.build(module, input_buffers)
+            with no_grad():
+                reference = _strip_output(_call_eager(module, values))
             _write_inputs(input_buffers, values)
             trace = _CompiledTrace(input_buffers, output,
                                    tuple(context.fwd_steps), arena)
@@ -276,7 +277,6 @@ class Plan:
                 self._traces.popitem(last=False)
             self._traces[signature] = trace
             self.compile_count += 1
-            profiler.record_event("serve.plan_trace")
         return trace
 
     # -- execution ------------------------------------------------------
@@ -299,9 +299,7 @@ class Plan:
     def measure(self, inputs, repeats=10):
         """Best replay wall-clock seconds over ``repeats`` (after warm-up).
 
-        Accumulates the measured time under the ``serve.plan_run``
-        profiler timer; deployment planning uses this as the measured
-        per-forward cost.
+        Deployment planning uses this as the measured per-forward cost.
         """
         self.run(inputs, copy=False)  # warm the trace cache
         best = float("inf")
@@ -309,7 +307,6 @@ class Plan:
             start = time.perf_counter()
             self.run(inputs, copy=False)
             best = min(best, time.perf_counter() - start)
-        profiler.record_time("serve.plan_run", best)
         return best
 
     def retrace(self, inputs, arena_factory=None):

@@ -1,9 +1,10 @@
 """Compiled training path: forward+backward plans in one process.
 
 ``compile_train_plan`` captures one traced forward+backward+update as
-a list of zero-arg step closures over a :class:`TrainingArena` of
-preallocated activation, gradient, and optimizer-state buffers.  Its
-layer rules (:func:`register_train_rule`) are the repo's only ones:
+a list of zero-arg step closures over a
+:class:`~repro.serve.arena.BufferArena` of preallocated activation,
+gradient, and optimizer-state buffers.  Its layer rules
+(:func:`register_train_rule`) are the repo's only ones:
 :mod:`repro.serve` compiles inference plans through their forward-only
 mode.  ``TrainPlan.grad_step`` and ``flat_grad`` expose one step's
 gradients without an update, which DP-SGD's per-example loop replays;
@@ -13,7 +14,6 @@ factory.
 
 from .plan import (
     TrainPlan,
-    TrainingArena,
     TrainVerificationError,
     compile_train_plan,
     register_train_rule,
@@ -21,7 +21,6 @@ from .plan import (
 
 __all__ = [
     "TrainPlan",
-    "TrainingArena",
     "TrainVerificationError",
     "compile_train_plan",
     "register_train_rule",

@@ -3,8 +3,8 @@
 ``compile_train_plan(module, example_input, example_target)`` traces one
 training step through the module tree and records three step lists —
 forward, backward, and optimizer update — of zero-argument closures over
-buffers preallocated in a :class:`TrainingArena`.  ``TrainPlan.step``
-then replays them with
+buffers preallocated in a :class:`~repro.serve.arena.BufferArena`.
+``TrainPlan.step`` then replays them with
 
 * **no graph construction** — nothing goes through ``Tensor._make``;
   gradients flow through per-buffer gradient arrays the compiler pairs
@@ -56,7 +56,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from .. import nn
-from .. import profiler
 from ..nn import losses
 from ..tensor import Tensor
 from ..tensor import conv as conv_mod
@@ -74,20 +73,12 @@ from ..serve.plan import (
 )
 
 __all__ = [
-    "TrainingArena",
     "TrainContext",
     "TrainPlan",
     "TrainVerificationError",
     "compile_train_plan",
     "register_train_rule",
 ]
-
-
-class TrainingArena(BufferArena):
-    """Arena for training plans; bytes accounted under ``train.arena``."""
-
-    def __init__(self, slot_plan=None):
-        super().__init__(label="train.arena", slot_plan=slot_plan)
 
 
 class TrainVerificationError(RuntimeError):
@@ -608,7 +599,7 @@ class TrainPlan:
         self.loss_kind = loss
         self.spec = _OptimizerSpec.resolve(optimizer, optimizer_args)
         self._cache_limit = cache_limit
-        self._arena_factory = arena_factory or TrainingArena
+        self._arena_factory = arena_factory or BufferArena
         self._traces = OrderedDict()
         self._last = None
         self._bound_params = None   # [(name, param, array)]
@@ -826,7 +817,6 @@ class TrainPlan:
                 self._traces.popitem(last=False)
             self._traces[signature] = trace
             self.compile_count += 1
-            profiler.record_event("train.plan_trace")
         return trace
 
     # -- execution ------------------------------------------------------

@@ -206,18 +206,21 @@ def test_malformed_input_is_a_shape_error(make_module, inputs):
     (lambda: nn.LSTMCell(5, 7), ((5,), ((3, 7), (3, 7)))),
     (lambda: nn.LSTMCell(5, 7), ((3, 5), ((1, 7), (3, 7)))),
     (lambda: nn.LSTMCell(5, 7), ((3, 5), ((3, 7), (1, 7)))),
+    (lambda: nn.LSTMCell(5, 7), ((3, 1, 5), ((3, 7), (3, 7)))),
 ], ids=["gru-x-rank", "gru-h-batch", "lstm-x-rank", "lstm-h-batch",
-        "lstm-c-batch"])
+        "lstm-c-batch", "lstm-x-sequence"])
 def test_malformed_cell_input_is_a_shape_error(make_cell, shapes):
-    # The eager cell runs each of these: numpy broadcasts one input row,
-    # or a (1, hidden) state, over the batch.
+    # Without the rule's check numpy would broadcast one input row, or a
+    # (1, hidden) state, over the batch.
     def build(make):
         x, state = shapes
         if isinstance(state[0], tuple):
             return make(x), tuple(make(s) for s in state)
         return make(x), make(state)
 
-    with pytest.raises(ShapeError, match=r"\(batch, 7\) state"):
+    name = type(make_cell()).__name__
+    with pytest.raises(ShapeError,
+                       match=r"^{}: expects .*\(batch, 7\) state".format(name)):
         check_module(make_cell(), build(Spec))
     with pytest.raises(ShapeError, match=r"\(batch, 7\) state"):
         compile_plan(make_cell(), build(np.zeros))
@@ -239,7 +242,8 @@ def test_fusion_view_widths_must_match_view_sizes(make_head):
 
 
 def test_sequence_rank_mismatch_is_a_shape_error():
-    with pytest.raises(ShapeError, match=r"\(batch, time, features\)"):
+    with pytest.raises(ShapeError,
+                       match=r"^GRU: expects \(batch, time, features\)"):
         check_module(nn.GRU(5, 4), Spec((3, 5)))
 
 

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import repro.profiler as profiler
 from repro import nn
 from repro.data import ArrayDataset
 from repro.faults import (
@@ -374,22 +373,6 @@ class TestLedgerFaultCounters:
             ledger = loop.run(2, (x, y)).ledger
             assert ledger.uplink_bytes == 0
             assert ledger.wasted_bytes > 0
-
-
-class TestProfilerEventCounters:
-    def test_record_and_report(self):
-        profiler.reset()
-        profiler.record_event("federated/retries")
-        profiler.record_event("federated/retries", 4)
-        profiler.record_event("federated/round-aborts", 2)
-        stats = profiler.get_stats()
-        assert stats["events"] == {"federated/retries": 5,
-                                   "federated/round-aborts": 2}
-        text = profiler.report()
-        assert "event counters" in text
-        assert "federated/retries" in text
-        profiler.reset()
-        assert profiler.get_stats()["events"] == {}
 
 
 class TestServerRobustnessPolicies:

@@ -48,6 +48,32 @@ class TestGRUCell:
         check_gradients(loss, [x1, x2, cell.w_r, cell.u_h, cell.b_z])
 
 
+@pytest.mark.parametrize("make_cell,shapes", [
+    (lambda: nn.GRUCell(5, 7), ((5,), (3, 7))),
+    (lambda: nn.GRUCell(5, 7), ((3, 5), (1, 7))),
+    (lambda: nn.GRUCell(5, 7), ((3, 1, 5), (3, 7))),
+    (lambda: nn.LSTMCell(5, 7), ((5,), ((3, 7), (3, 7)))),
+    (lambda: nn.LSTMCell(5, 7), ((3, 5), ((1, 7), (3, 7)))),
+    (lambda: nn.LSTMCell(5, 7), ((3, 5), ((3, 7), (1, 7)))),
+    (lambda: nn.LSTMCell(5, 7), ((3, 1, 5), ((3, 7), (3, 7)))),
+], ids=["gru-x-rank", "gru-h-batch", "gru-x-sequence", "lstm-x-rank",
+        "lstm-h-batch", "lstm-c-batch", "lstm-x-sequence"])
+def test_cell_refuses_what_numpy_would_broadcast(make_cell, shapes):
+    """An eager cell refuses the inputs its compiled rule refuses,
+    instead of broadcasting one row or a (1, hidden) state over the
+    batch."""
+    cell = make_cell()
+    x, state = shapes
+    if isinstance(state[0], tuple):
+        state = tuple(Tensor(np.zeros(s)) for s in state)
+    else:
+        state = Tensor(np.zeros(state))
+    name = type(cell).__name__
+    with pytest.raises(ValueError, match=r"^{}: expects a \(batch, 5\) input "
+                       r"and \(batch, 7\) state".format(name)):
+        cell(Tensor(np.ones(x)), state)
+
+
 class TestGRULayer:
     def test_output_shapes(self, rng):
         gru = nn.GRU(3, 5, rng=rng)

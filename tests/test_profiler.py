@@ -1,8 +1,12 @@
 """Tests for the op-level profiler subsystem."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import repro
 import repro.profiler as profiler
 import repro.tensor as T
 from repro import nn
@@ -93,24 +97,6 @@ class TestModuleTimers:
         np.testing.assert_array_equal(plain, profiled)
 
 
-class TestScopedTimers:
-    def test_timer_accumulates(self):
-        with profiler.timer("outer"):
-            with profiler.timer("inner"):
-                pass
-        with profiler.timer("inner"):
-            pass
-        timers = profiler.get_stats()["timers"]
-        assert timers["inner"]["calls"] == 2
-        assert timers["outer"]["calls"] == 1
-        assert timers["outer"]["seconds"] >= 0
-
-    def test_record_bytes(self):
-        profiler.record_bytes("uplink", 1024)
-        profiler.record_bytes("uplink", 1024)
-        assert profiler.get_stats()["extra_bytes"]["uplink"] == 2048
-
-
 class TestReport:
     def test_empty_report(self):
         assert "nothing recorded" in profiler.report()
@@ -119,13 +105,12 @@ class TestReport:
         model = nn.Linear(4, 4)
         x = Tensor(rng.normal(size=(2, 4)))
         with profiler.profile():
-            with profiler.timer("step"):
-                model(x).sum()
+            model(x).sum()
         text = profiler.report()
         assert "ops (autograd engine)" in text
         assert "__matmul__" in text
+        assert "modules (forward wall-clock" in text
         assert "Linear" in text
-        assert "step" in text
 
     def test_reset_clears(self, rng):
         with profiler.profile():
@@ -134,18 +119,42 @@ class TestReport:
         assert profiler.get_stats()["ops"] == {}
 
 
-class TestInferenceIntegration:
-    def test_private_pipeline_records_timers_and_bytes(self, rng):
-        from repro.inference import PrivateInferencePipeline, PrivateLocalTransformer
+def _profiler_imports(path, root):
+    """Line numbers of the imports of ``repro.profiler`` in ``path``."""
+    package = list(path.relative_to(root).parent.parts)
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] \
+                if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names = [module] + [module + "." + alias.name
+                                for alias in node.names]
+        else:
+            continue
+        if any(name == "repro.profiler" or name.startswith("repro.profiler.")
+               for name in names):
+            yield node.lineno
 
-        local = nn.Sequential(nn.Linear(8, 6), nn.ReLU())
-        cloud = nn.Sequential(nn.Linear(6, 3))
-        transformer = PrivateLocalTransformer(local, nullification_rate=0.1,
-                                              noise_sigma=0.5)
-        pipeline = PrivateInferencePipeline(transformer, cloud)
-        features = rng.normal(size=(10, 8))
-        pipeline.predict(features)
-        stats = profiler.get_stats()
-        assert stats["timers"]["private_inference.extract"]["calls"] == 1
-        assert stats["timers"]["private_inference.cloud"]["calls"] == 1
-        assert stats["extra_bytes"]["private_inference.uplink"] == 10 * 6 * 4
+
+def test_only_the_package_root_imports_the_profiler():
+    # Runtime counts live on the objects that own them (compile_count,
+    # arena_nbytes, metrics()); the profiler keeps only its engine hooks.
+    src = pathlib.Path(repro.__file__).resolve().parent
+    root = src.parent
+    found = [
+        "{}:{}".format(path.relative_to(root), line)
+        for path in sorted(src.rglob("*.py"))
+        if path.parent.relative_to(src).parts[:1] != ("profiler",)
+        and path != src / "__init__.py"
+        for line in _profiler_imports(path, root)
+    ]
+    assert found == []
+    assert list(_profiler_imports(src / "__init__.py", root))
+
+
+def test_public_surface_is_the_engine_hooks():
+    assert sorted(profiler.__all__) == [
+        "disable", "enable", "get_stats", "profile", "report", "reset"]
+    assert sorted(profiler.get_stats()) == ["modules", "ops"]

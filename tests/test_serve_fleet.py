@@ -369,9 +369,9 @@ class TestSoak:
         assert by_class["result"] > 0 and by_class["rejected"] > 0
 
     def test_every_resolution_charged_exactly_one_latency_sample(self, soak):
-        _, _, _, tickets, stats, _ = soak
-        assert stats["timers"]["serve.request_latency"]["calls"] \
-            == len(tickets)
+        _, fleet, _, tickets, _, _ = soak
+        assert all(ticket.latency is not None for ticket in tickets)
+        assert sum(fleet.metrics()["resolved"].values()) == len(tickets)
 
     def test_injected_corruption_resolves_as_numeric_error(self, soak):
         _, _, arrivals, tickets, _, injector = soak
@@ -385,8 +385,8 @@ class TestSoak:
 
     def test_zero_arena_allocations_after_warmup(self, soak):
         _, _, _, _, stats, _ = soak
-        assert stats["extra_bytes"].get("serve.arena", 0) == 0, \
-            "fleet serving allocated arena bytes after registry freeze"
+        assert stats["arena_served"] == stats["arena_frozen"], \
+            "fleet serving traced or allocated after registry freeze"
         assert not stats["ops"], "serving touched the autodiff engine"
 
     def test_cascade_escalations_happened(self, soak):
@@ -449,13 +449,22 @@ def _soak_once(seed, requests=SOAK_REQUESTS):
         size=(len(arrivals), FEATURES))
     index_of = {id(a): i for i, a in enumerate(arrivals)}
 
+    frozen = _arena_state(registry)
     profiler.reset()
-    tickets = run_soak(fleet, arrivals,
-                       lambda a: payloads[index_of[id(a)]],
-                       clock, injector=injector)
-    stats = profiler.get_stats()
+    with profiler.profile():
+        tickets = run_soak(fleet, arrivals,
+                           lambda a: payloads[index_of[id(a)]],
+                           clock, injector=injector)
+    stats = {"ops": profiler.get_stats()["ops"], "arena_frozen": frozen,
+             "arena_served": _arena_state(registry)}
     profiler.reset()
     return registry, fleet, arrivals, tickets, stats, injector
+
+
+def _arena_state(registry):
+    """What a replay that traced or allocated would change."""
+    return registry.arena_bytes(), [
+        entry.plan.compile_count for entry in registry.entries.values()]
 
 
 def _fingerprint(soak):

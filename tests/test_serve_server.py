@@ -13,7 +13,7 @@ per-request execution.
 import numpy as np
 import pytest
 
-from repro import nn, profiler
+from repro import nn
 from repro.analysis.sanitize import NumericError
 from repro.core.model import MultiViewGRUClassifier
 from repro.faults import SimulatedClock, corrupt_state
@@ -92,14 +92,10 @@ class _FlakyPlan:
         return self.plan.run(inputs, copy=copy)
 
 
-def _fallback_events(submit):
-    profiler.reset()
-    try:
-        tickets = submit()
-        return tickets, profiler.get_stats()["events"].get(
-            "serve.batch_fallback", 0)
-    finally:
-        profiler.reset()
+def _fallback_events(server, submit):
+    before = server.metrics()["fallbacks"]
+    tickets = submit()
+    return tickets, server.metrics()["fallbacks"] - before
 
 
 def test_bucket_size_rounds_to_power_of_two():
@@ -137,7 +133,7 @@ def test_non_power_of_two_max_batch_replays_full_batches_whole(max_batch):
     payloads = [_rng(i + 1).standard_normal(FEATURES)
                 for i in range(max_batch)]
     tickets, fallbacks = _fallback_events(
-        lambda: [_submit(server, p) for p in payloads])
+        server, lambda: [_submit(server, p) for p in payloads])
     assert fallbacks == 0
     assert replays == [max_batch]
     for ticket, payload in zip(tickets, payloads):
@@ -232,7 +228,7 @@ def test_nan_corruption_fails_only_the_corrupted_request():
     # Reuse the federated stack's fault injection: NaN-splatter one payload.
     payloads[1] = corrupt_state({"x": payloads[1]}, _rng(9), fraction=0.3)["x"]
     tickets, fallbacks = _fallback_events(
-        lambda: [_submit(server, p) for p in payloads])
+        server, lambda: [_submit(server, p) for p in payloads])
     # NaN rows are isolated by the per-row check, not by a fallback.
     assert fallbacks == 0
     assert all(t.done for t in tickets)
@@ -254,7 +250,7 @@ def test_batch_failure_falls_back_to_individual_requests():
     entry.plan = _FlakyPlan(entry.plan)
     payloads = [_rng(i + 1).standard_normal(FEATURES) for i in range(2)]
     tickets, fallbacks = _fallback_events(
-        lambda: [_submit(server, p) for p in payloads])
+        server, lambda: [_submit(server, p) for p in payloads])
     assert fallbacks == 1
     assert entry.plan.batch_calls == 1
     for ticket, payload in zip(tickets, payloads):
@@ -277,7 +273,7 @@ def test_fallback_fails_only_the_bad_requests():
     corrupt = corrupt_state({"x": _rng(2).standard_normal(FEATURES)},
                             _rng(9), fraction=0.3)["x"]
     tickets, fallbacks = _fallback_events(
-        lambda: [_submit(server, p)
+        server, lambda: [_submit(server, p)
                  for p in (good, crashing, corrupt, good)])
     assert fallbacks == 1
     assert entry.plan.batch_calls == 1
@@ -294,19 +290,17 @@ def test_fallback_fails_only_the_bad_requests():
 
 def test_latency_is_recorded_per_request():
     server, _, clock = _vector_server(max_batch_size=8, max_wait_ms=1.0)
-    profiler.reset()
     first = _submit(server, _rng(1).standard_normal(FEATURES))
     clock.advance(0.0005)
     second = _submit(server, _rng(2).standard_normal(FEATURES))
     clock.advance(0.0006)
     server.poll()
-    timers = profiler.get_stats()["timers"]
-    profiler.reset()
     assert first.latency == pytest.approx(0.0011)
     assert second.latency == pytest.approx(0.0006)
-    stat = timers["serve.request_latency"]
-    assert stat["calls"] == 2
-    assert stat["seconds"] == pytest.approx(0.0017)
+    metrics = server.metrics()
+    assert sum(metrics["resolved"].values()) == 2
+    assert metrics["tenants"]["tenant"]["p50_latency_s"] == \
+        pytest.approx(0.00085)
 
 
 def test_multiview_requests_served_end_to_end():
@@ -374,7 +368,7 @@ def test_overlong_view_fails_alone_at_submit(monkeypatch):
         server.flush()
         return tickets
 
-    tickets, fallbacks = _fallback_events(submit_all)
+    tickets, fallbacks = _fallback_events(server, submit_all)
     bad = tickets[-1]
     assert bad.done and bad.failed
     with pytest.raises(ValueError, match="exceeds max_length 16"):

@@ -17,6 +17,7 @@ import pytest
 
 from repro import nn, profiler
 from repro import train as train_mod
+from repro.federated import client as client_mod
 from repro.analysis.plans.audit import exported_layers
 from repro.core.model import MultiViewGRUClassifier
 from repro.data import ArrayDataset, DataLoader
@@ -331,14 +332,15 @@ def test_step_allocates_nothing_after_freeze():
     plan = compile_train_plan(module, inputs, labels, loss="cross_entropy",
                               optimizer="sgd", optimizer_args={"lr": 0.05})
     plan.step(inputs, labels)  # warm-up: trace exists, this is pure replay
+    before = (plan.compile_count, plan.arena_nbytes)
     profiler.reset()
     with profiler.profile():
         for _ in range(3):
             plan.step(inputs, labels)
     stats = profiler.get_stats()
     profiler.reset()
-    assert stats["extra_bytes"].get("train.arena", 0) == 0, \
-        "replayed training step touched the arena allocator"
+    assert (plan.compile_count, plan.arena_nbytes) == before, \
+        "replayed training step traced again or grew the arena"
     assert not stats["ops"], \
         "replayed training step routed work through the autodiff engine"
 
@@ -782,8 +784,11 @@ def _eager_local_train(model_fn, dataset, rng, state, loss_fn, epochs,
     return model.state_dict()
 
 
-def _plan_traces():
-    return profiler.get_stats()["events"].get("train.plan_trace", 0)
+def _plan_traces(model_fn):
+    """Traces compiled by the shared FedAvg trainers of ``model_fn``."""
+    trainers = client_mod._TRAINERS.get(model_fn, {})
+    return sum(trainer.plan.compile_count for trainer in trainers.values()
+               if trainer is not None)
 
 
 def _assert_matches_oracle(model_fn, shards, loss_fn=losses.cross_entropy,
@@ -847,12 +852,12 @@ def test_fedavg_dropout_local_train_matches_eager_oracle():
 
 def test_fedavg_custom_loss_trains_eagerly():
     """A loss the compiler does not fuse trains eagerly, unchanged."""
-    before = _plan_traces()
+    model_fn = _factory()
     _assert_matches_oracle(
-        _factory(),
+        model_fn,
         _shards(targets=lambda n: _rng(2).integers(0, 2, size=(n, 4))),
         loss_fn=losses.binary_cross_entropy, rounds=2)
-    assert _plan_traces() == before
+    assert _plan_traces(model_fn) == 0
 
 
 class _Doubler(nn.Module):
@@ -890,7 +895,7 @@ def test_cross_entropy_refuses_logits_that_are_not_rank_2():
     """The fused loss raises ShapeError, which no trainer reads as "no
     rule", so a model with (batch, time, classes) logits fails to train
     instead of falling back to a wrong eager loss."""
-    ctx = train_plan_mod.TrainContext(train_plan_mod.TrainingArena())
+    ctx = train_plan_mod.TrainContext(BufferArena())
     logits = ctx.alloc((2, 5, 3), np.float64)
     labels = ctx.alloc((2,), np.intp)
     with pytest.raises(ShapeError):
@@ -935,9 +940,8 @@ def test_fedavg_empty_shard_returns_the_broadcast_state():
     client = FederatedClient(0, empty, model_fn)
     state = {key: value + 1.0
              for key, value in model_fn().state_dict().items()}
-    before = _plan_traces()
     produced, count = client.local_train(state, batch_size=8)
-    assert count == 0 and _plan_traces() == before
+    assert count == 0 and _plan_traces(model_fn) == 0
     for key, value in state.items():
         np.testing.assert_array_equal(produced[key], value, err_msg=key)
 
@@ -974,9 +978,8 @@ def test_fedavg_clients_of_one_factory_share_one_compile():
     """Two clients with equal shard sizes compile one trace between them,
     across rounds: one shared trainer, not one per client."""
     model_fn = _factory()
-    before = _plan_traces()
     _assert_matches_oracle(model_fn, _shards(sizes=(24, 24)), rounds=3)
-    assert _plan_traces() - before == 1
+    assert _plan_traces(model_fn) == 1
 
 
 def test_federated_plan_training_rejects_mis_shaped_state():
