@@ -92,7 +92,7 @@ fleetsim-check:
 # batching-server ticket isolation, check that every layer repro.nn
 # exports has a rule in the one layer-rule registry (both compilers and
 # the shape check build from it), and apply verified arena slot
-# coloring.  Exits non-zero on any violation.
+# coloring to the serving plans.  Exits non-zero on any violation.
 plan-audit:
 	python -m repro.analysis.plans audit --dtype float32 --dtype float64
 

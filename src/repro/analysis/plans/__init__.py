@@ -19,7 +19,7 @@ spends the result:
   buffers/stores, definedness and aliasing checks over the IR;
 * :mod:`repro.analysis.plans.color` — liveness-interval interference
   coloring of buffers into shared arena slots, applied by re-tracing
-  the plan over a :class:`~repro.serve.arena.SlotPlan` arena (the
+  a serve plan over a :class:`~repro.serve.arena.SlotPlan` arena (the
   compile-time eager verification re-runs, and a post-coloring two-fill
   check proves the reuse is semantics-preserving);
 * :mod:`repro.analysis.plans.audit` — the CLI:
@@ -49,7 +49,6 @@ _LAZY_EXPORTS = {
     "SlotReport": "color",
     "build_slot_plan": "color",
     "color_plan": "color",
-    "color_train_plan": "color",
     "audit_server_isolation": "audit",
     "audit_rule_coverage": "audit",
     "audit_case": "audit",

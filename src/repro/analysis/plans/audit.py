@@ -6,8 +6,8 @@ in the audit registry at every requested dtype:
 * serve-plan extraction + two-fill definedness proof, dead-buffer and
   aliasing checks, then slot coloring with its semantics-preservation
   verification;
-* the same over the compiled training step (forward, gradient zeroing,
-  backward, optimizer updates);
+* the same checks, without coloring, over the compiled training step
+  (forward, gradient zeroing, backward, SGD momentum updates);
 * the dynamic batching-server isolation audit
   (:func:`audit_server_isolation`);
 * the layer-rule coverage check (:func:`audit_rule_coverage`): every
@@ -47,16 +47,17 @@ def audit_case(name, dtype=np.float64, kinds=("serve", "train"),
                color=True):
     """Audit one registry case; returns ``(violations, reports)``.
 
-    ``reports`` maps ``"serve"``/``"train"`` to the coloring
-    :class:`~repro.analysis.plans.color.SlotReport` (when ``color``).
+    ``reports`` maps ``"serve"``/``"train"`` to a
+    :class:`~repro.analysis.plans.color.SlotReport` (when ``color``):
+    the serve plan's coloring, and the train plan's arena as built,
+    since training plans are audited but not colored.
     """
     from ...serve.plan import Plan
     from ...train.plan import TrainPlan
-    from .color import color_plan, color_train_plan
+    from .color import SlotReport, build_slot_plan, color_plan
     from .extract import extract_plan_ir, extract_train_ir
-    from .registry import AUDIT_CASES, build_case
+    from .registry import build_case
 
-    case = AUDIT_CASES[name]
     violations = []
     reports = {}
 
@@ -72,15 +73,13 @@ def audit_case(name, dtype=np.float64, kinds=("serve", "train"),
         if color:
             report = color_plan(plan, inputs, ir)
             # The coloring must itself be alias-free under the checker.
-            from .color import build_slot_plan
-
             violations += check_aliasing(ir, build_slot_plan(ir).assignments)
             reports["serve"] = report
 
     if "train" in kinds:
         module, inputs, target = build_case(name, dtype)
-        plan = TrainPlan(module, loss="mse", optimizer=case.optimizer,
-                         optimizer_args=case.optimizer_args)
+        plan = TrainPlan(module, loss="mse", optimizer="sgd",
+                         optimizer_args={"lr": 0.05, "momentum": 0.9})
         plan.step(inputs, target)
         tag = "{}/train/{}".format(name, np.dtype(dtype).name)
         ir, vios = extract_train_ir(plan, inputs, target, label=tag)
@@ -88,11 +87,8 @@ def audit_case(name, dtype=np.float64, kinds=("serve", "train"),
         violations += find_dead_buffers(ir)
         violations += check_aliasing(ir)
         if color:
-            from .color import build_slot_plan
-
-            report = color_train_plan(plan, inputs, target, ir)
-            violations += check_aliasing(ir, build_slot_plan(ir).assignments)
-            reports["train"] = report
+            reports["train"] = SlotReport(tag, plan.arena_nbytes,
+                                          plan.arena_nbytes, [])
 
     return violations, reports
 
@@ -309,13 +305,19 @@ def main(argv=None):
     violations, reports = audit_all(
         cases=args.case, dtypes=dtypes, kinds=kinds,
         color=not args.no_color, emit=print)
-    total_before = sum(r.before_bytes for r in reports.values())
-    total_after = sum(r.after_bytes for r in reports.values())
-    if reports:
-        print("arena bytes: {} -> {} (-{:.1f}%) across {} plans".format(
-            total_before, total_after,
-            100.0 * (total_before - total_after) / max(total_before, 1),
-            len(reports)))
+    for kind in kinds:
+        built = [r for key, r in reports.items() if key[2] == kind]
+        if not built:
+            continue
+        before = sum(r.before_bytes for r in built)
+        if kind == "train":
+            print("train arena bytes: {} across {} plans (not colored)"
+                  .format(before, len(built)))
+            continue
+        after = sum(r.after_bytes for r in built)
+        print("serve arena bytes: {} -> {} (-{:.1f}%) across {} plans".format(
+            before, after, 100.0 * (before - after) / max(before, 1),
+            len(built)))
     if violations:
         print("{} violation(s):".format(len(violations)))
         for vio in violations:

@@ -3,9 +3,9 @@
 Two buffers may share storage iff their live intervals never overlap.
 :func:`build_slot_plan` greedily colors the extracted IR's buffers
 (largest first) into shared byte slots — classic interference-graph
-coloring over interval graphs — and :func:`color_plan` /
-:func:`color_train_plan` apply the result by re-tracing the plan over
-a :class:`~repro.serve.arena.SlotPlan` arena.  Persistent buffers and
+coloring over interval graphs — and :func:`color_plan` applies the
+result by re-tracing a serve plan over a
+:class:`~repro.serve.arena.SlotPlan` arena.  Persistent buffers and
 observable outputs are never colored; inputs are (they are rewritten
 at the start of every replay, which is exactly their IR interval).
 
@@ -24,8 +24,6 @@ Safety is checked three ways after the re-trace:
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from ...serve.arena import BufferArena, SlotPlan
@@ -38,7 +36,7 @@ from .extract import (
     byte_bounds,
     collect_arrays,
 )
-__all__ = ["SlotReport", "build_slot_plan", "color_plan", "color_train_plan"]
+__all__ = ["SlotReport", "build_slot_plan", "color_plan"]
 
 
 class SlotReport:
@@ -160,8 +158,7 @@ def _dirty_fill(arena, rng):
             _poison(buf, rng)
 
 
-def _two_fill_outputs(arena, write_inputs, execute, outputs, externals,
-                      rngs, unlock=contextlib.nullcontext):
+def _two_fill_outputs(arena, write_inputs, execute, outputs, externals, rngs):
     """Output checksums of two replays from differently-dirtied arenas."""
     pristine = _Pristine(arena, externals, rngs)
     sums = []
@@ -169,7 +166,7 @@ def _two_fill_outputs(arena, write_inputs, execute, outputs, externals,
         for seed in (0xD1217, 0x2B4D5):
             pristine.restore()
             _dirty_fill(arena, np.random.default_rng(seed))
-            with unlock(), np.errstate(all="ignore"):
+            with np.errstate(all="ignore"):
                 write_inputs()
                 execute()
             sums.append([_checksum(out) for out in outputs])
@@ -228,64 +225,5 @@ def color_plan(plan, inputs, ir, arena_factory=None):
                 "uncolored trace — slot reuse rejected")
     except Exception:
         plan.retrace(values, arena_factory=BufferArena)
-        raise
-    return SlotReport(ir.label, before_bytes, trace.arena.nbytes, slots)
-
-
-def color_train_plan(plan, inputs, target, ir):
-    """Apply slot coloring to a train plan trace; returns a SlotReport.
-
-    The two-fill check replays forward+zero+backward+updates and
-    requires the loss, every named gradient, and every parameter to
-    end bit-identical across fills; parameters, optimizer state, and
-    dropout RNG streams are restored afterwards.
-    """
-    from ...train import plan as train_plan
-
-    values = train_plan._to_arrays(inputs)
-    coerced = plan._coerce_target(target)
-    trace = plan._trace_for(values, coerced)
-    before_bytes = trace.arena.nbytes
-    slot_plan = build_slot_plan(ir)
-    slots = [
-        (capacity, [ir.buffers[i].name
-                    for i, s in slot_plan.assignments.items() if s == sid])
-        for sid, capacity in sorted(slot_plan.capacities.items())
-    ]
-    if not slot_plan.assignments:
-        return SlotReport(ir.label, before_bytes, before_bytes, [])
-    try:
-        trace = plan.retrace(
-            values, coerced,
-            arena_factory=lambda: BufferArena(slot_plan=slot_plan))
-        plan._arena_factory = BufferArena
-        _check_structure(ir, trace.arena)
-        plan._rebind()
-        param_arrays = [arr for _, _, arr in plan._bound_params]
-        outputs = [trace.loss] + [g for _, _, g in trace.named_grads] \
-            + param_arrays
-
-        def write_inputs():
-            train_plan._write_inputs(trace.inputs, values)
-            np.copyto(trace.target, coerced)
-
-        def execute():
-            trace.run_forward()
-            trace.zero_grads()
-            trace.run_backward()
-            trace.run_updates()
-
-        all_steps = list(trace.fwd_steps) + list(trace.bwd_steps) \
-            + list(trace.updates)
-        externals, rngs = _collect_env(all_steps, trace.arena)
-        sums = _two_fill_outputs(trace.arena, write_inputs, execute,
-                                 outputs, externals, rngs,
-                                 unlock=plan._unlocked)
-        if sums[0] != sums[1]:
-            raise ColoringError(
-                "colored training replay depends on the arena's initial "
-                "contents — slot reuse rejected")
-    except Exception:
-        plan.retrace(values, coerced, arena_factory=BufferArena)
         raise
     return SlotReport(ir.label, before_bytes, trace.arena.nbytes, slots)

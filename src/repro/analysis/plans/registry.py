@@ -80,17 +80,14 @@ def _depthwise():
 
 
 class AuditCase:
-    """One auditable architecture: module + inputs + train setup."""
+    """One auditable architecture: module + example inputs."""
 
-    __slots__ = ("name", "factory", "build", "optimizer", "optimizer_args")
+    __slots__ = ("name", "factory", "build")
 
-    def __init__(self, name, factory, build, optimizer="sgd",
-                 optimizer_args=None):
+    def __init__(self, name, factory, build):
         self.name = name
         self.factory = factory
         self.build = build   # dtype -> example input structure
-        self.optimizer = optimizer
-        self.optimizer_args = optimizer_args or {"lr": 0.05, "momentum": 0.9}
 
 
 def _identity_net():
@@ -178,9 +175,7 @@ def _deepmood_ragged_fm():
 
 AUDIT_CASES = {
     case.name: case for case in [
-        # Adam on the MLP so both optimizer-state paths are audited.
-        AuditCase("mlp", _mlp, lambda dt: _arr((5, 10), dt),
-                  optimizer="adam", optimizer_args={"lr": 0.01}),
+        AuditCase("mlp", _mlp, lambda dt: _arr((5, 10), dt)),
         AuditCase("identity", _identity_net, lambda dt: _arr((3, 6), dt)),
         AuditCase("batchnorm", _batchnorm_net,
                   lambda dt: _arr((6, 10), dt, 10)),

@@ -8,7 +8,7 @@ from .quantization import (
     quantize_model,
     uniform_quantize,
 )
-from .huffman import HuffmanCode, encoded_bits, huffman_decode, huffman_encode
+from .huffman import HuffmanCode, huffman_decode, huffman_encode
 from .pipeline import (
     CompressionReport,
     DeepCompressionPipeline,
@@ -30,7 +30,6 @@ __all__ = [
     "quantize_model",
     "uniform_quantize",
     "HuffmanCode",
-    "encoded_bits",
     "huffman_decode",
     "huffman_encode",
     "CompressionReport",

@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-__all__ = ["HuffmanCode", "huffman_encode", "huffman_decode", "encoded_bits"]
+__all__ = ["HuffmanCode", "huffman_encode", "huffman_decode"]
 
 
 class HuffmanCode:
@@ -95,10 +95,3 @@ def huffman_decode(packed, bit_length, code, count=None):
     if buffer:
         raise ValueError("ran out of bits mid-symbol; corrupted stream")
     return symbols
-
-
-def encoded_bits(symbols):
-    """Bits needed to Huffman-code ``symbols`` (codebook overhead excluded)."""
-    symbols = np.asarray(symbols).reshape(-1)
-    _, bit_length, _ = huffman_encode(symbols)
-    return bit_length

@@ -16,7 +16,7 @@ training loops in :mod:`repro.federated`.
 
 from .injector import FaultInjector, FaultSpec, SimulatedClock, corrupt_state
 from .link import FaultyLink
-from .chaos import chaos_injector, random_fault_spec, summarize_history
+from .chaos import chaos_injector, random_fault_spec
 
 __all__ = [
     "FaultInjector",
@@ -26,5 +26,4 @@ __all__ = [
     "FaultyLink",
     "chaos_injector",
     "random_fault_spec",
-    "summarize_history",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..rng import derive_rng
 from .injector import FaultInjector, FaultSpec
 
-__all__ = ["random_fault_spec", "chaos_injector", "summarize_history"]
+__all__ = ["random_fault_spec", "chaos_injector"]
 
 
 def random_fault_spec(seed, max_dropout=0.4, max_straggler=0.4,
@@ -42,17 +42,3 @@ def random_fault_spec(seed, max_dropout=0.4, max_straggler=0.4,
 def chaos_injector(seed, **spec_bounds):
     """Injector for the ``seed``-th chaos schedule."""
     return FaultInjector(random_fault_spec(seed, **spec_bounds), seed=seed)
-
-
-def summarize_history(history):
-    """Compact dict of the robustness-relevant outcome of one run."""
-    ledger = history.ledger
-    return {
-        "final_accuracy": history.final_accuracy(),
-        "rounds": len(ledger.rounds),
-        "uplink_bytes": ledger.uplink_bytes,
-        "downlink_bytes": ledger.downlink_bytes,
-        "wasted_bytes": ledger.wasted_bytes,
-        "retries": ledger.retries,
-        "aborts": ledger.aborts,
-    }

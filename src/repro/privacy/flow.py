@@ -31,7 +31,6 @@ from __future__ import annotations
 __all__ = [
     "set_listener",
     "get_listener",
-    "notify",
     "mark_private",
     "mark_clipped",
     "mark_noised",
@@ -58,12 +57,6 @@ def set_listener(listener):
 def get_listener():
     """Return the currently installed listener (``None`` when inactive)."""
     return _listener
-
-
-def notify(event, **info):
-    """Forward ``event`` to the active listener, if any."""
-    if _listener is not None:
-        _listener(event, **info)
 
 
 def mark_private(array):

@@ -448,7 +448,7 @@ class FleetTicket:
 
 class _TenantStats:
     __slots__ = ("latencies", "served", "rejected", "failed",
-                 "cascade_fast", "cascade_full", "slo_s", "slo_misses")
+                 "cascade_fast", "cascade_escalated", "slo_s", "slo_misses")
 
     def __init__(self, slo_s):
         self.latencies = []
@@ -456,7 +456,7 @@ class _TenantStats:
         self.rejected = 0
         self.failed = 0
         self.cascade_fast = 0
-        self.cascade_full = 0
+        self.cascade_escalated = 0
         self.slo_s = slo_s
         self.slo_misses = 0
 
@@ -706,15 +706,16 @@ class FleetServer:
             route = ticket.route
             if route is not None and not ticket.escalated \
                     and ticket.model == route.fast:
+                # Counted where the gate decides, so an escalated ticket
+                # that then fails on the full model is still counted.
                 decision = route.decide(row[None, :])
                 if decision.exit_mask[0]:
                     self.stats[ticket.tenant].cascade_fast += 1
                     self._resolve_result(ticket, row, now)
                 else:
+                    self.stats[ticket.tenant].cascade_escalated += 1
                     self._escalate(ticket, route)
                 continue
-            if route is not None and ticket.escalated:
-                self.stats[ticket.tenant].cascade_full += 1
             self._resolve_result(ticket, row, now)
 
     def _escalate(self, ticket, route):
@@ -761,7 +762,7 @@ class FleetServer:
         for name, stats in self.stats.items():
             ordered = np.sort(np.asarray(stats.latencies)) \
                 if stats.latencies else np.zeros(0)  # repro-lint: allow[alloc-in-loop] reporting path, not a replay step
-            cascade_total = stats.cascade_fast + stats.cascade_full
+            cascade_total = stats.cascade_fast + stats.cascade_escalated
             tenants[name] = {
                 "served": stats.served,
                 "rejected": stats.rejected,
@@ -773,7 +774,7 @@ class FleetServer:
                 "slo_s": stats.slo_s,
                 "slo_misses": stats.slo_misses,
                 "cascade_requests": cascade_total,
-                "cascade_escalated": stats.cascade_full,
+                "cascade_escalated": stats.cascade_escalated,
             }
         total_cascade = sum(t["cascade_requests"] for t in tenants.values())
         total_escalated = sum(t["cascade_escalated"]

@@ -227,17 +227,14 @@ class Plan:
     cache_limit:
         Maximum number of shape-signature traces kept before the oldest
         is evicted.
-    arena_factory:
-        Zero-argument callable producing the arena each trace allocates
-        from; defaults to :class:`~repro.serve.arena.BufferArena`.  The
-        plan auditor passes a slot-plan arena here to re-trace with
-        liveness-colored buffer reuse.
     """
 
-    def __init__(self, module, cache_limit=16, arena_factory=None):
+    def __init__(self, module, cache_limit=16):
         self.module = module
         self._cache_limit = cache_limit
-        self._arena_factory = arena_factory or BufferArena
+        # Zero-argument arena constructor for new traces; :meth:`retrace`
+        # swaps in a slot-plan arena to re-trace with colored reuse.
+        self._arena_factory = BufferArena
         self._traces = OrderedDict()
         self.compile_count = 0
 

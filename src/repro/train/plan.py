@@ -25,7 +25,7 @@ buffers preallocated in a :class:`~repro.serve.arena.BufferArena`.
 
 Weights are **live**: forward and backward matmuls read transposed
 *views* of ``param.data`` and the update closures modify the same
-arrays in place, so a compiled step is a complete SGD/Adam iteration.
+arrays in place, so a compiled step is a complete SGD iteration.
 ``TrainPlan`` re-binds parameters that user code rebinds
 (``load_state_dict``, an eager optimizer step) back onto the captured
 arrays before each replay.
@@ -414,106 +414,39 @@ _LOSS_BUILDERS = {
 # Optimizer update closures
 # ----------------------------------------------------------------------
 class _OptimizerSpec:
-    """Normalised optimizer hyperparameters (from a name or an instance)."""
+    """SGD hyperparameters, the one optimizer a compiled step runs."""
 
-    def __init__(self, kind, lr, momentum=0.0, nesterov=False,
-                 weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.kind = kind
+    def __init__(self, lr=0.01, momentum=0.0):
         self.lr = lr
         self.momentum = momentum
-        self.nesterov = nesterov
-        self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
     @classmethod
     def resolve(cls, optimizer, optimizer_args):
-        from ..optim import SGD, Adam
-
-        args = dict(optimizer_args or {})
         if optimizer is None:
             return None
-        if isinstance(optimizer, SGD):
-            return cls("sgd", optimizer.lr, momentum=optimizer.momentum,
-                       nesterov=optimizer.nesterov,
-                       weight_decay=optimizer.weight_decay)
-        if isinstance(optimizer, Adam):
-            return cls("adam", optimizer.lr, weight_decay=optimizer.weight_decay,
-                       beta1=optimizer.beta1, beta2=optimizer.beta2,
-                       eps=optimizer.eps)
         if optimizer == "sgd":
-            return cls("sgd", args.pop("lr", 0.01), **args)
-        if optimizer == "adam":
-            betas = args.pop("betas", (0.9, 0.999))
-            return cls("adam", args.pop("lr", 0.001),
-                       beta1=betas[0], beta2=betas[1], **args)
+            return cls(**(optimizer_args or {}))
         raise ValueError(
-            "optimizer must be None, 'sgd', 'adam', or an SGD/Adam "
-            "instance; got {!r}".format(optimizer))
+            "optimizer must be None or 'sgd'; got {!r}".format(optimizer))
 
 
-def _build_sgd_update(spec, lr_cell, param_array, grad, state, ctx):
-    p = param_array
+def _build_sgd_update(momentum, lr_cell, param, grad, velocities, ctx):
+    """One parameter's SGD update; ``velocities`` maps ``id(param)`` to
+    the momentum buffer every trace of the plan shares."""
+    p = param.data
     tmp = ctx.alloc(p.shape, grad.dtype)
-    momentum, nesterov, wd = spec.momentum, spec.nesterov, spec.weight_decay
-    velocity = state.get("velocity")
+    velocity = velocities.get(id(param))
     if momentum and velocity is None:
         # Persistent: momentum carries across steps.
-        velocity = state["velocity"] = ctx.alloc(p.shape, grad.dtype,
-                                                 persistent=True)
+        velocity = velocities[id(param)] = ctx.alloc(p.shape, grad.dtype,
+                                                     persistent=True)
+    src = velocity if momentum else grad
 
     def update():
-        if wd:
-            np.multiply(p, wd, out=tmp)
-            np.add(grad, tmp, out=grad)
         if momentum:
             np.multiply(velocity, momentum, out=velocity)
             np.add(velocity, grad, out=velocity)
-            if nesterov:
-                np.multiply(velocity, momentum, out=tmp)
-                np.add(tmp, grad, out=tmp)
-                src = tmp
-            else:
-                src = velocity
-        else:
-            src = grad
         np.multiply(src, lr_cell[0], out=tmp)
-        np.subtract(p, tmp, out=p)
-
-    return update
-
-
-def _build_adam_update(spec, lr_cell, counter, param_array, grad, state, ctx):
-    p = param_array
-    tmp = ctx.alloc(p.shape, grad.dtype)
-    tmp2 = ctx.alloc(p.shape, grad.dtype)
-    b1, b2, eps, wd = spec.beta1, spec.beta2, spec.eps, spec.weight_decay
-    m = state.get("m")
-    if m is None:
-        # Persistent: Adam moments carry across steps.
-        m = state["m"] = ctx.alloc(p.shape, grad.dtype, persistent=True)
-        state["v"] = ctx.alloc(p.shape, grad.dtype, persistent=True)
-    v = state["v"]
-
-    def update():
-        t = counter[0]
-        if wd:
-            np.multiply(p, wd, out=tmp)
-            np.add(grad, tmp, out=grad)
-        np.multiply(m, b1, out=m)
-        np.multiply(grad, 1.0 - b1, out=tmp)
-        np.add(m, tmp, out=m)
-        np.multiply(v, b2, out=v)
-        np.multiply(grad, grad, out=tmp)
-        np.multiply(tmp, 1.0 - b2, out=tmp)
-        np.add(v, tmp, out=v)
-        np.divide(m, 1.0 - b1 ** t, out=tmp)
-        np.divide(v, 1.0 - b2 ** t, out=tmp2)
-        np.sqrt(tmp2, out=tmp2)
-        np.add(tmp2, eps, out=tmp2)
-        np.divide(tmp, tmp2, out=tmp)
-        np.multiply(tmp, lr_cell[0], out=tmp)
         np.subtract(p, tmp, out=p)
 
     return update
@@ -570,7 +503,7 @@ class _CompiledTrainTrace:
 
 
 class TrainPlan:
-    """A compiled training step for one module + loss + optimizer.
+    """A compiled training step for one module + loss + SGD.
 
     Parameters
     ----------
@@ -579,18 +512,17 @@ class TrainPlan:
     loss:
         ``"cross_entropy"`` (integer labels) or ``"mse"``.
     optimizer:
-        ``"sgd"``, ``"adam"``, an ``SGD``/``Adam`` instance to copy
-        hyperparameters from, or ``None`` for a gradient-only plan
-        (``step`` then leaves parameters untouched; pair with
-        :meth:`flat_grad` for DP-SGD style aggregation).
+        ``"sgd"``, or ``None`` for a gradient-only plan (``step`` then
+        leaves parameters untouched; pair with :meth:`flat_grad` for
+        DP-SGD style aggregation).
     optimizer_args:
-        Hyperparameter overrides when ``optimizer`` is a name.
+        SGD's ``lr`` (default 0.01) and ``momentum`` (default 0).
     cache_limit:
         Maximum number of shape-signature traces kept.
     """
 
     def __init__(self, module, loss="cross_entropy", optimizer="sgd",
-                 optimizer_args=None, cache_limit=8, arena_factory=None):
+                 optimizer_args=None, cache_limit=8):
         if loss not in _LOSS_BUILDERS:
             raise ValueError(
                 "loss must be one of {}; got {!r}".format(
@@ -599,15 +531,13 @@ class TrainPlan:
         self.loss_kind = loss
         self.spec = _OptimizerSpec.resolve(optimizer, optimizer_args)
         self._cache_limit = cache_limit
-        self._arena_factory = arena_factory or BufferArena
         self._traces = OrderedDict()
         self._last = None
         self._bound_params = None   # [(name, param, array)]
         self._bound_buffers = None  # [(module, name, array)]
         self._dropouts = None
-        self._opt_state = {}
+        self._velocities = {}  # id(param) -> momentum buffer
         self._lr = [self.spec.lr if self.spec else 0.0]
-        self._counter = [0]
         self.compile_count = 0
 
     # -- binding --------------------------------------------------------
@@ -714,19 +644,11 @@ class TrainPlan:
     def _build_updates(self, ctx):
         if self.spec is None:
             return []
-        updates = []
-        for _, (param, grad) in ctx.param_grads.items():
-            arr = param.data
-            state = self._opt_state.setdefault(id(param), {})
-            if self.spec.kind == "sgd":
-                updates.append(  # repro-lint: allow[alloc-in-loop] compile-time closure construction
-                    _build_sgd_update(self.spec, self._lr, arr, grad,
-                                      state, ctx))
-            else:
-                updates.append(  # repro-lint: allow[alloc-in-loop] compile-time closure construction
-                    _build_adam_update(self.spec, self._lr, self._counter,
-                                       arr, grad, state, ctx))
-        return updates
+        return [
+            _build_sgd_update(self.spec.momentum, self._lr, param, grad,
+                              self._velocities, ctx)
+            for param, grad in ctx.param_grads.values()
+        ]
 
     def _verify_trace(self, trace, reference):
         dtype = reference["dtype"]
@@ -767,7 +689,7 @@ class TrainPlan:
             for rng, state in rng_states:
                 rng.bit_generator.state = state
 
-            arena = self._arena_factory()
+            arena = BufferArena()
             ctx = TrainContext(arena)
             input_buffers = _alloc_inputs(values, arena)
             target_buffer = arena.alloc(target.shape, target.dtype)
@@ -832,8 +754,7 @@ class TrainPlan:
             trace.run_forward()
             trace.zero_grads()
             trace.run_backward()
-            if update and trace.updates:
-                self._counter[0] += 1
+            if update:
                 trace.run_updates()
         self._last = trace
         return float(trace.loss[()])
@@ -851,17 +772,14 @@ class TrainPlan:
         self._lr[0] = float(lr)
 
     def reset_optimizer_state(self):
-        """Zero momentum/Adam state — fresh-optimizer-per-round semantics.
+        """Zero the momentum buffers — fresh-optimizer-per-round semantics.
 
         FedAvg creates a new local optimizer every round; a cached plan
-        keeps its state buffers across rounds, so round boundaries call
-        this to match the eager path.
+        keeps its momentum buffers across rounds, so round boundaries
+        call this to match the eager path.
         """
-        self._counter[0] = 0
-        with self._unlocked():
-            for state in self._opt_state.values():
-                for buf in state.values():
-                    buf[...] = 0.0
+        for velocity in self._velocities.values():
+            velocity[...] = 0.0
 
     # -- gradient / parameter access ------------------------------------
     def flat_size(self):
@@ -916,39 +834,6 @@ class TrainPlan:
         with self._unlocked():
             for arr, value in values:
                 np.copyto(arr, value)
-
-    def retrace(self, inputs, target, arena_factory=None):
-        """Recompile the trace for this input/target signature from scratch.
-
-        The plan auditor uses this to rebuild a verified trace over a
-        slot-plan arena.  Optimizer state buffers live in ``_opt_state``
-        and are shared across traces, which would shift allocation
-        order on a re-trace; instead the state is saved, reallocated
-        fresh (so the re-trace's allocation sequence matches the
-        original compile exactly), and the saved values are copied in.
-        All cached traces are dropped — older traces would otherwise
-        keep closures over the orphaned state buffers.
-        """
-        values = _to_arrays(inputs)
-        coerced = self._coerce_target(target)
-        if arena_factory is not None:
-            self._arena_factory = arena_factory
-        saved_state = {
-            key: {name: np.array(buf, copy=True)
-                  for name, buf in state.items()}
-            for key, state in self._opt_state.items()
-        }
-        self._opt_state.clear()
-        self._traces.clear()
-        self._last = None
-        trace = self._trace_for(values, coerced)
-        with self._unlocked():
-            for key, state in self._opt_state.items():
-                for name, buf in state.items():
-                    old = saved_state.get(key, {}).get(name)
-                    if old is not None:
-                        np.copyto(buf, old)
-        return trace
 
     # -- introspection --------------------------------------------------
     @property

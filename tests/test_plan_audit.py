@@ -3,13 +3,13 @@
 Three layers of assurance:
 
 * the full audit (every registry case, serve + train, float32 and
-  float64, coloring enabled) reports zero violations through the real
-  CLI entry point;
+  float64, serve-plan coloring enabled) reports zero violations
+  through the real CLI entry point;
 * every analysis pass flags its hand-built negative IR, and every CLI
   injection class exits non-zero;
 * slot coloring meets the arena-reduction bar on the multi-view
-  serving plan and is semantics-preserving (bit-identical replays,
-  bit-identical training trajectories) after being applied.
+  serving plan and is semantics-preserving (bit-identical replays)
+  after being applied.
 """
 
 import numpy as np
@@ -26,9 +26,7 @@ from repro.analysis.plans import (
     check_aliasing,
     check_defined_before_read,
     color_plan,
-    color_train_plan,
     extract_plan_ir,
-    extract_train_ir,
     find_dead_buffers,
     find_dead_stores,
     liveness,
@@ -38,7 +36,6 @@ from repro.analysis.plans.registry import AUDIT_CASES, build_case
 from repro.serve import BufferArena
 from repro.serve.arena import SlotPlan
 from repro.serve.plan import Plan
-from repro.train import TrainPlan
 
 # ----------------------------------------------------------------------
 # IR + static passes on hand-built programs
@@ -243,40 +240,6 @@ def test_colored_slot_plan_is_alias_free_under_checker():
     slot_plan = build_slot_plan(ir)
     assert slot_plan.assignments
     assert check_aliasing(ir, slot_plan.assignments) == []
-
-
-def test_colored_training_matches_uncolored_trajectory():
-    module, inputs, target = build_case("mlp", np.float64)
-    plan = TrainPlan(module, loss="mse", optimizer="adam",
-                     optimizer_args={"lr": 0.01})
-    first = plan.step(inputs, target)
-    ir, vios = extract_train_ir(plan, inputs, target)
-    assert vios == []
-    report = color_train_plan(plan, inputs, target, ir)
-    assert report.saved_bytes > 0
-    colored = [plan.step(inputs, target) for _ in range(3)]
-
-    module2, inputs2, target2 = build_case("mlp", np.float64)
-    plan2 = TrainPlan(module2, loss="mse", optimizer="adam",
-                      optimizer_args={"lr": 0.01})
-    reference = [plan2.step(inputs2, target2) for _ in range(4)]
-    assert first == reference[0]
-    assert colored == reference[1:]
-
-
-def test_retrace_preserves_optimizer_state():
-    module, inputs, target = build_case("identity", np.float64)
-    plan = TrainPlan(module, loss="mse", optimizer="sgd",
-                     optimizer_args={"lr": 0.05, "momentum": 0.9})
-    plan.step(inputs, target)
-    second = plan.step(inputs, target)
-
-    module2, inputs2, target2 = build_case("identity", np.float64)
-    plan2 = TrainPlan(module2, loss="mse", optimizer="sgd",
-                      optimizer_args={"lr": 0.05, "momentum": 0.9})
-    plan2.step(inputs2, target2)
-    plan2.retrace(inputs2, target2)  # must carry momentum across
-    assert plan2.step(inputs2, target2) == second
 
 
 # ----------------------------------------------------------------------

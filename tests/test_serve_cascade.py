@@ -191,3 +191,32 @@ class TestCascadeAnswers:
         assert tenant["cascade_escalated"] == escalated
         assert metrics["escalation_rate"] \
             == pytest.approx(escalated / len(tickets))
+
+
+class TestCascadeAccounting:
+    def test_escalation_counted_when_full_model_fails(self):
+        """The gate counts each escalation, so a request the full model
+        then fails still counts as an escalated cascade request."""
+        x, _ = make_digits(8, seed=2)
+        rng = np.random.default_rng(3)
+        registry = ModelRegistry()
+        for name in ("fast", "full"):
+            registry.register(name, nn.Sequential(nn.Linear(64, 10, rng=rng)),
+                              VectorCollator(), [x[0]], max_batch=MAX_BATCH)
+        # Threshold 0 escalates every row (see test_threshold_extremes).
+        registry.add_cascade("cascade", "fast", "full", threshold=0.0)
+        registry.freeze()
+
+        class _FailingPlan:
+            def run(self, inputs, copy=True):
+                raise RuntimeError("full model unavailable")
+
+        registry.entries["full"].plan = _FailingPlan()
+        fleet, tickets = serve_batch(registry, x, route="cascade")
+        assert all(t.escalated and t.failed for t in tickets)
+        metrics = fleet.metrics()
+        tenant = metrics["tenants"]["t"]
+        assert tenant["failed"] == len(tickets) == 8
+        assert tenant["cascade_requests"] == 8
+        assert tenant["cascade_escalated"] == 8
+        assert metrics["escalation_rate"] == 1.0
